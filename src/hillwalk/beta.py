@@ -28,7 +28,7 @@ from .numerics import (
     to_mpc,
 )
 from .potential import FourierPotential, TwoTermParams
-from .walks import WalkKind, enumerate_closed, shell_step_counts, shell_sum, weight
+from .walks import WalkKind, closed_sum, shell_sums
 
 DEFAULT_X_CAP = 3
 DEFAULT_Y_CAP = 2
@@ -52,7 +52,6 @@ class BetaValue:
     value: GaussianRational
     shells_used: int
     tail_estimate: float
-    exact_through_shell: int
 
     def __post_init__(self) -> None:
         if not (self.tail_estimate >= 0 or math.isinf(self.tail_estimate)):
@@ -114,20 +113,20 @@ def _beta(
         raise ValueError(f"shell_cap must be >= 0, got {shell_cap}")
     zg = GaussianRational.of(z)
     if pot.is_empty():
-        return BetaValue(n, zg, GaussianRational(), shell_cap, 0.0, shell_cap)
+        return BetaValue(n, zg, GaussianRational(), shell_cap, 0.0)
     if params is None:
         params = TwoTermParams.from_potential(pot)
     if (pot.coefficient(-2 * params.R), pot.coefficient(2 * params.S)) != (params.a, params.b):
         raise ValueError("params do not match the potential coefficients")
     if n % params.d != 0:
         # no step-count solution at all: identically zero, exact at any cap
-        return BetaValue(n, zg, GaussianRational(), shell_cap, 0.0, shell_cap)
-    sums = [shell_sum(params, n, kind, k, zg) for k in range(shell_cap + 1)]
+        return BetaValue(n, zg, GaussianRational(), shell_cap, 0.0)
+    sums = shell_sums(params, n, kind, range(shell_cap + 1), zg)
     total = GaussianRational()
     for s_k in sums:
         total = total + s_k
     tail = tail_bound_report(params, n, kind, sums)
-    return BetaValue(n, zg, total, shell_cap, tail, shell_cap)
+    return BetaValue(n, zg, total, shell_cap, tail)
 
 
 def beta_plus(
@@ -166,10 +165,7 @@ def alpha_n(
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     zg = GaussianRational.of(z)
-    walks = enumerate_closed(pot, n, step_cap)
-    total = GaussianRational()
-    for w in walks:
-        total = total + weight(w, pot, zg)
+    total = closed_sum(pot, n, step_cap, zg)
     if pot.is_empty():
         tail = 0.0
     else:
@@ -184,7 +180,7 @@ def alpha_n(
             T = _coefficient_norm(params)
             rho = (T / n) ** (params.r + params.s)
             tail = math.inf if rho >= 0.5 else abs_value(total) * rho / (1.0 - rho)
-    return BetaValue(n, zg, total, step_cap, tail, step_cap)
+    return BetaValue(n, zg, total, step_cap, tail)
 
 
 # -- closed forms ----------------------------------------------------------

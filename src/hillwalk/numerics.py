@@ -180,9 +180,6 @@ class GaussianRational:
 
 ScalarLike = Union[int, Fraction, str, GaussianRational]
 
-ZERO = GaussianRational()
-ONE = GaussianRational(Fraction(1))
-
 
 # -- exact <-> floating conversions ---------------------------------------
 

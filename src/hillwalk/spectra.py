@@ -32,7 +32,7 @@ from .numerics import (
 )
 from .potential import FourierPotential, TwoTermParams
 
-MAX_DIM = 512
+MAX_K = 256
 DISC_RADIUS = 1.0
 DEFAULT_PAIRING_TOL = 1e-8
 REFINE_PRECISION = 320
@@ -111,6 +111,8 @@ class TruncatedOperator:
 def assemble(pot: FourierPotential, bc: BoundaryCondition, K: int) -> TruncatedOperator:
     """Dense truncation of the operator in the basis for bc at cutoff K."""
     bc = BoundaryCondition(bc)
+    if K > MAX_K:
+        raise ValueError(f"K={K} exceeds the limit K <= {MAX_K}")
     ks = basis_indices(bc, K)
     dim = len(ks)
     M = np.zeros((dim, dim), dtype=complex)
@@ -126,10 +128,8 @@ def assemble(pot: FourierPotential, bc: BoundaryCondition, K: int) -> TruncatedO
     return TruncatedOperator(bc, K, ks, M)
 
 
-def eigenvalues(op: TruncatedOperator, max_dim: int = MAX_DIM) -> list:
+def eigenvalues(op: TruncatedOperator) -> list:
     """All eigenvalues of the truncation, sorted by (re, im)."""
-    if op.dim > max_dim:
-        raise ValueError(f"dimension {op.dim} exceeds the configured maximum {max_dim}")
     vals = np.linalg.eigvals(op.matrix)
     return sorted((complex(v) for v in vals), key=lambda w: (w.real, w.imag))
 

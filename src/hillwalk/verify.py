@@ -1,7 +1,7 @@
 """Built-in cross-route consistency suite.
 
 Every check here compares two independently coded routes to the same
-quantity: enumeration against closed forms, coefficient identities
+quantity: walk sums against closed forms, coefficient identities
 against their generating function, and truncated-operator eigenvalues
 against the reduced quadratic equation.  The suite needs no fixtures and
 is the backing for the `verify` subcommand."""

@@ -1,4 +1,4 @@
-"""Admissible walks on the even lattice and their exact weights.
+"""Admissible walks on the even lattice and their exact weight sums.
 
 A walk of kind X runs from -n to n (step sum +2n), kind Y from n to -n
 (step sum -2n), kind W returns to n (step sum 0).  Steps are drawn from the
@@ -10,9 +10,9 @@ The weight of a walk with steps x(1..nu+1) is
 For a two-term potential the steps are -2R and +2S, so a walk is an
 interleaving of step counts (neg, pos) solving  -2R neg + 2S pos = step sum.
 Solutions organize into shells: consecutive shells differ by (s, r) extra
-steps.  The shell sum is computed exactly by a lattice-path dynamic program
-(the vertex after a prefix depends only on the counts used, not their order);
-explicit enumeration is kept for oracle checks and walk inspection.
+steps.  Every sum (X/Y shells, W closed walks over any support) comes from
+one transfer DP over (steps taken, vertex); explicit enumeration and
+`weight` are kept for walk inspection and as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .numerics import GaussianRational, ScalarLike, binomial
 from .potential import FourierPotential, TwoTermParams
@@ -254,82 +254,88 @@ def weight(walk: Walk, pot: FourierPotential, z: ScalarLike) -> GaussianRational
     return value
 
 
-def shell_sum(
-    params: TwoTermParams,
+def _walk_sums(
+    steps: Sequence[Tuple[int, GaussianRational]],
     n: int,
-    kind: WalkKind,
-    shell: int,
+    start: int,
+    end: int,
+    lengths: Iterable[int],
     z: ScalarLike,
-) -> GaussianRational:
-    """Exact sum of h(x, z) over all admissible walks of one shell.
+) -> Dict[int, GaussianRational]:
+    """Exact sums of h(x, z) over admissible walks start -> end, one per
+    requested step count; `steps` pairs each step with its coefficient.
 
-    Lattice DP on the (neg-used, pos-used) grid: the vertex after i negative
-    and j positive steps is start - 2Ri + 2Sj regardless of order, so path
-    sums factor through grid nodes.  Nodes at +-n are forbidden (interior
-    admissibility); a vanishing denominator on a node that some admissible
-    walk passes raises WalkSingularityError."""
-    if kind is WalkKind.W:
-        raise ValueError("shell_sum covers kinds X and Y; use enumerate_closed for W")
-    counts = shell_step_counts(params, n, kind, shell)
-    if counts is None:
-        return GaussianRational()
+    Layer t maps a vertex to the weighted sum of admissible t-step prefixes
+    ending there.  A vertex is kept only if `end` is reachable from it at a
+    requested length (the mask: per vertex, a bitmask of step counts that
+    reach `end`).  A zero denominator on a kept vertex raises
+    WalkSingularityError at the smallest t, then the smallest vertex."""
+    out = {length: GaussianRational() for length in lengths}
+    want = sum(1 << length for length in out)
+    top = max(out, default=0)
+    # mask[v] has bit k set when some admissible k-step tail leads from v to end
+    mask: Dict[int, int] = {end: 1}
+    frontier = {end}
+    for k in range(1, top + 1):
+        frontier = {u - x for u in frontier if k == 1 or abs(u) != n for x, _ in steps}
+        for v in frontier:
+            mask[v] = mask.get(v, 0) | 1 << k
     zg = GaussianRational.of(z)
-    neg_step, pos_step = -2 * params.R, 2 * params.S
+    recip: Dict[int, GaussianRational] = {}
+    layer = {start: GaussianRational.of(1)}
+    for t in range(1, top + 1):
+        nxt: Dict[int, GaussianRational] = {}
+        for v, value in layer.items():
+            for x, c in steps:
+                u = v + x
+                if u == end:
+                    if t in out:
+                        out[t] = out[t] + value * c
+                elif abs(u) != n and (mask.get(u, 0) << t) & want:
+                    term = value * c
+                    nxt[u] = nxt[u] + term if u in nxt else term
+        for u in sorted(nxt):
+            if u not in recip:
+                denom = GaussianRational(Fraction(n * n - u * u)) + zg
+                if denom.is_zero():
+                    raise WalkSingularityError(n, t, u)
+                recip[u] = 1 / denom
+            nxt[u] = nxt[u] * recip[u]
+        layer = nxt
+    return out
+
+
+def shell_sums(
+    params: TwoTermParams, n: int, kind: WalkKind, shells: Sequence[int], z: ScalarLike
+) -> List[GaussianRational]:
+    """Exact sums of h(x, z) over the X or Y walks of each shell in `shells`,
+    from one engine pass: shell k holds the walks of t0 + k(r+s) steps, so a
+    step count names its shell.  Infeasible shells sum to zero."""
+    if kind is WalkKind.W:
+        raise ValueError("shell sums cover kinds X and Y; use alpha_n for W")
+    counts = [shell_step_counts(params, n, kind, k) for k in shells]
+    if counts[0] is None:
+        # d does not divide n: no shell has a step-count solution
+        return [GaussianRational() for _ in counts]
+    lengths = [c.total for c in counts]
     start = _START_SIGN[kind] * n
-    P, Q = counts.neg, counts.pos
-    nsq = n * n
+    end = start + _STEP_SUM_FACTOR[kind] * n
+    steps = ((-2 * params.R, params.a), (2 * params.S, params.b))
+    sums = _walk_sums(steps, n, start, end, lengths, z)
+    return [sums[length] for length in lengths]
 
-    def vertex(i: int, j: int) -> int:
-        return start + neg_step * i + pos_step * j
 
-    def interior(i: int, j: int) -> bool:
-        return (i, j) != (0, 0) and (i, j) != (P, Q)
+def shell_sum(
+    params: TwoTermParams, n: int, kind: WalkKind, shell: int, z: ScalarLike
+) -> GaussianRational:
+    """Exact sum of h(x, z) over all admissible walks of one shell."""
+    return shell_sums(params, n, kind, (shell,), z)[0]
 
-    def forbidden(i: int, j: int) -> bool:
-        v = vertex(i, j)
-        return interior(i, j) and (v == n or v == -n)
 
-    # forward reachability over passable nodes
-    reach = [[False] * (Q + 1) for _ in range(P + 1)]
-    reach[0][0] = True
-    for i in range(P + 1):
-        for j in range(Q + 1):
-            if (i, j) == (0, 0) or forbidden(i, j):
-                continue
-            reach[i][j] = (i > 0 and reach[i - 1][j]) or (j > 0 and reach[i][j - 1])
-
-    # backward reachability (can this node still reach the endpoint?)
-    back = [[False] * (Q + 1) for _ in range(P + 1)]
-    back[P][Q] = True
-    for i in range(P, -1, -1):
-        for j in range(Q, -1, -1):
-            if (i, j) == (P, Q) or forbidden(i, j):
-                continue
-            back[i][j] = (i < P and back[i + 1][j]) or (j < Q and back[i][j + 1])
-
-    one = GaussianRational.of(1)
-    zero = GaussianRational()
-    f = [[zero] * (Q + 1) for _ in range(P + 1)]
-    f[0][0] = one
-    for i in range(P + 1):
-        for j in range(Q + 1):
-            if (i, j) == (0, 0) or forbidden(i, j):
-                continue
-            inflow = zero
-            if i > 0:
-                inflow = inflow + f[i - 1][j]
-            if j > 0:
-                inflow = inflow + f[i][j - 1]
-            if not interior(i, j):
-                f[i][j] = inflow
-                continue
-            v = vertex(i, j)
-            denom = GaussianRational.of(Fraction(nsq - v * v)) + zg
-            if denom.is_zero():
-                if reach[i][j] and back[i][j]:
-                    raise WalkSingularityError(n, i + j, v)
-                f[i][j] = zero
-                continue
-            f[i][j] = inflow / denom
-
-    return f[P][Q] * (params.a ** P) * (params.b ** Q)
+def closed_sum(pot: FourierPotential, n: int, step_cap: int, z: ScalarLike) -> GaussianRational:
+    """Exact sum of h(x, z) over admissible closed walks (kind W) of 1..step_cap
+    steps over the full potential support."""
+    if step_cap < 1:
+        raise ValueError(f"step_cap must be >= 1, got {step_cap}")
+    sums = _walk_sums(pot.coeffs, n, n, n, range(1, step_cap + 1), z)
+    return sum(sums.values(), GaussianRational())

@@ -40,7 +40,6 @@ class TestBetaValues:
         pot, params = two_term(1, 1, 1, 3)
         val = beta_plus(pot, params, 6, shell_cap=0)
         assert val.value == GR(F(1, 36))
-        assert val.exact_through_shell == 0
 
     def test_beta_minus_single_step(self):
         pot, params = two_term(1, 1, 1, 3)

@@ -55,7 +55,8 @@ def test_beta_singular_z_exits_2(capsys, tmp_path):
     code, _, err = run_cli(capsys, "beta", "--potential", TWO_TERM_13,
                            "--range", "5", "--config", str(conf))
     assert code == 2
-    assert "n=5" in err and "t=2" in err
+    # the first singular position in step order: vertex -7 after one step
+    assert "n=5" in err and "t=1" in err and "j=-7" in err
 
 
 def test_beta_requires_potential_and_range(capsys):

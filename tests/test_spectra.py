@@ -13,6 +13,7 @@ from hillwalk.spectra import (
     BoundaryCondition,
     DirichletUniquenessError,
     LocalizationError,
+    MAX_K,
     SpectralPair,
     TruncatedOperator,
     assemble,
@@ -73,9 +74,10 @@ class TestEigenvalues:
         assert abs(vals[0] + 1) < 1e-12 and abs(vals[1] - 1) < 1e-12
 
     def test_dimension_guard(self):
-        op = assemble(ZERO, BC.DIRICHLET, 8)
-        with pytest.raises(ValueError):
-            eigenvalues(op, max_dim=4)
+        # one cap in K for every boundary condition, checked before the fill
+        for bc in BC:
+            with pytest.raises(ValueError, match="K=257 exceeds the limit K <= 256"):
+                assemble(ZERO, bc, MAX_K + 1)
 
     def test_two_resolution_stability(self):
         pot, _ = two_term(1, 1, 1, 3)

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hillwalk.beta import alpha_n, beta_minus, beta_plus
 from hillwalk.numerics import GaussianRational, binomial
-from hillwalk.potential import two_term
+from hillwalk.potential import FourierPotential, two_term
 from hillwalk.walks import (
     Walk,
     WalkKind,
@@ -29,6 +30,26 @@ def enum_sum(pot, params, n, kind, shell, z):
     for w in enumerate_shell(params, n, kind, shell):
         total = total + weight(w, pot, z)
     return total
+
+
+def oracle_outcome(walks, pot, z):
+    """Sum of weights over explicit walks, or the (t, vertex) of the first
+    singular factor in step order when some walk has one."""
+    total = GaussianRational()
+    singular = []
+    for w in walks:
+        try:
+            total = total + weight(w, pot, z)
+        except WalkSingularityError as err:
+            singular.append((err.t, err.vertex))
+    return min(singular) if singular else total
+
+
+def engine_outcome(compute):
+    try:
+        return compute().value
+    except WalkSingularityError as err:
+        return (err.t, err.vertex)
 
 
 class TestVertices:
@@ -241,3 +262,73 @@ class TestWalkInvariants:
         for w in ys:
             sum_y = sum_y + weight(w, pot_ba, z)
         assert sum_x == sum_y
+
+
+gaussian_rationals = st.builds(
+    lambda p, q, u, v: GaussianRational(Fraction(p, q), Fraction(u, v)),
+    st.integers(-4, 4), st.integers(1, 4), st.integers(-4, 4), st.integers(1, 4),
+)
+# real integers hit vanishing denominators; non-real points never do
+sample_z = st.one_of(st.integers(-40, 40).map(GaussianRational.of), gaussian_rationals)
+
+
+class TestEngineOracle:
+    """The transfer-DP engine against explicit enumeration and weights."""
+
+    @pytest.mark.parametrize("terms", [2, 3, 4])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_alpha_matches_closed_enumeration(self, terms, data):
+        freqs = data.draw(st.lists(st.sampled_from([-6, -4, -2, 2, 4, 6]),
+                                   min_size=terms, max_size=terms, unique=True))
+        coeffs = data.draw(st.lists(gaussian_rationals.filter(lambda g: not g.is_zero()),
+                                    min_size=terms, max_size=terms))
+        pot = FourierPotential.of(dict(zip(freqs, coeffs)))
+        n = data.draw(st.integers(1, 8))
+        cap = data.draw(st.integers(1, 6))
+        z = data.draw(sample_z)
+        want = oracle_outcome(enumerate_closed(pot, n, cap), pot, z)
+        assert engine_outcome(lambda: alpha_n(pot, n, z=z, step_cap=cap)) == want
+
+    @given(
+        R=st.integers(1, 3), S=st.integers(1, 3), n=st.integers(1, 14),
+        cap=st.integers(0, 2), a=gaussian_rationals, b=gaussian_rationals, z=sample_z,
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_beta_matches_shell_enumeration(self, R, S, n, cap, a, b, z):
+        if a.is_zero() or b.is_zero():
+            return
+        pot, params = two_term(a, b, R, S)
+        for kind, beta in ((WalkKind.X, beta_plus), (WalkKind.Y, beta_minus)):
+            if any(shell_size_bound(params, n, kind, k) > 2000 for k in range(cap + 1)):
+                continue
+            walks = [w for k in range(cap + 1) for w in enumerate_shell(params, n, kind, k)]
+            got = engine_outcome(lambda: beta(pot, params, n, z=z, shell_cap=cap))
+            assert got == oracle_outcome(walks, pot, z)
+
+    def test_alpha_singularity_beyond_cap(self):
+        # z = -16 makes the factor at vertex 0 vanish; only closed walks of
+        # four or more steps reach 0 from n = 4
+        pot, _ = two_term(1, 1, 1, 1)
+        short = alpha_n(pot, 4, z=-16, step_cap=2)
+        assert short.value == oracle_outcome(enumerate_closed(pot, 4, 2), pot, -16)
+        assert oracle_outcome(enumerate_closed(pot, 4, 4), pot, -16) == (2, 0)
+        with pytest.raises(WalkSingularityError) as err:
+            alpha_n(pot, 4, z=-16, step_cap=4)
+        assert (err.value.n, err.value.t, err.value.vertex) == (4, 2, 0)
+
+    @pytest.mark.parametrize("R,S,n,z,cap,want", [
+        # z = -16 zeroes the factor at -3, which only shell 1 passes at n = 5
+        (1, 3, 5, -16, 0, None),
+        (1, 3, 5, -16, 1, (3, -3)),
+        # -3 and 3 both vanish first at t=2; the smaller vertex is reported
+        (1, 2, 5, -16, 0, (2, -3)),
+        # -3 vanishes at t=1 but reaches n only through -n, so no walk passes it
+        (1, 1, 1, 8, 1, None),
+    ])
+    def test_beta_singularity_matches_oracle(self, R, S, n, z, cap, want):
+        pot, params = two_term(1, 1, R, S)
+        walks = [w for k in range(cap + 1) for w in enumerate_shell(params, n, WalkKind.X, k)]
+        expected = oracle_outcome(walks, pot, z)
+        assert expected == want if want else isinstance(expected, GaussianRational)
+        assert engine_outcome(lambda: beta_plus(pot, params, n, z=z, shell_cap=cap)) == expected
