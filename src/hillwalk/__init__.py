@@ -13,10 +13,8 @@ from .numerics import (
 from .potential import (
     FourierPotential,
     TwoTermParams,
-    fourier_coefficient,
     parse_potential,
     potential_to_json,
-    support,
     two_term,
 )
 from .walks import (

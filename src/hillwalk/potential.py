@@ -54,14 +54,6 @@ class FourierPotential:
         return {freq: value for freq, value in self.coeffs}
 
 
-def fourier_coefficient(pot: FourierPotential, m: int) -> GaussianRational:
-    return pot.coefficient(m)
-
-
-def support(pot: FourierPotential) -> Tuple[int, ...]:
-    return pot.support()
-
-
 @dataclass(frozen=True)
 class TwoTermParams:
     """Parameters of v(x) = a e^{-2iRx} + b e^{2iSx} with a, b nonzero."""

@@ -6,11 +6,16 @@ Three boundary conditions, each with its own Fourier basis:
   per-       e^{(2k+1)ix}, k = K-1..-K   (antiperiodic)
   dirichlet  sin(kx),      k = 1..K
 
-The dense truncation is solved at hardware precision; eigenvalues near n^2
-are grouped into unit discs D_n and paired.  For two-term potentials with
-equal band offsets the matrix splits into tridiagonal chains, which supports
-a separate arbitrary-precision refinement of a single pair (the gaps of
-interest shrink far below hardware resolution well before n = 12).
+Assembly walks the potential's support instead of the dim x dim grid: a
+frequency m fills one Toeplitz diagonal for per+/per-, and for Dirichlet two
+diagonals and one anti-diagonal.  Each exact line value, and the exact sum
+where a diagonal crosses an anti-diagonal, is rounded to a double once, so
+the fill costs O(dim |support|) cell writes.  The dense matrix is solved at
+hardware precision; eigenvalues near n^2 are grouped into unit discs D_n and
+paired.  For two-term potentials with equal band offsets the matrix splits
+into tridiagonal chains, which supports a separate arbitrary-precision
+refinement of a single pair (the gaps of interest shrink far below hardware
+resolution well before n = 12).
 """
 
 from dataclasses import dataclass, replace
@@ -108,23 +113,70 @@ class TruncatedOperator:
         return len(self.indices)
 
 
+def _fill_diagonal(M: np.ndarray, offset: int, value: complex) -> None:
+    """Write value on the cells with col - row = offset."""
+    for row in range(max(0, -offset), min(len(M), len(M) - offset)):
+        M[row, row + offset] = value
+
+
+def _fill_antidiagonal(M: np.ndarray, total: int, value: complex) -> None:
+    """Write value on the cells with row + col = total."""
+    for row in range(max(0, total - len(M) + 1), min(len(M), total + 1)):
+        M[row, total - row] = value
+
+
+def _fill_dirichlet(M: np.ndarray, pot: FourierPotential) -> None:
+    """Write the potential part of the sine-basis matrix into M (zeros).
+
+    With w(t) = (V(t) + V(-t))/2, the coupling of sin(jx) and sin(kx) is
+    w(|j - k|) - w(j + k): w(t) lies on the diagonals col - row = +-t and
+    -w(t) on the anti-diagonal j + k = t, i.e. row + col = t - 2.  Where a
+    diagonal crosses an anti-diagonal the two exact values are summed
+    before the single rounding."""
+    dim = len(M)
+    w = {
+        t: (pot.coefficient(t) + pot.coefficient(-t)) * Fraction(1, 2)
+        for t in {abs(m) for m in pot.support()}
+    }
+    for t, value in w.items():
+        if t < dim:
+            rounded = complex(value)
+            _fill_diagonal(M, t, rounded)
+            _fill_diagonal(M, -t, rounded)
+        if t <= 2 * dim:
+            _fill_antidiagonal(M, t - 2, complex(-value))
+    for t_anti, anti in w.items():
+        for t_diag, diag in w.items():
+            # row + col = t_anti - 2 meets col - row = +-t_diag in two
+            # mirrored cells (both t even)
+            row, col = (t_anti - 2 - t_diag) // 2, (t_anti - 2 + t_diag) // 2
+            if row >= 0 and col < dim:
+                M[row, col] = M[col, row] = complex(diag - anti)
+
+
 def assemble(pot: FourierPotential, bc: BoundaryCondition, K: int) -> TruncatedOperator:
-    """Dense truncation of the operator in the basis for bc at cutoff K."""
+    """Dense truncation of the operator in the basis for bc at cutoff K.
+
+    Only the O(dim |support|) cells a support frequency reaches are
+    written.  Each cell's exact value is rounded once and the free
+    eigenvalue is added on the diagonal after the rounding, so every entry
+    is the one an entry-by-entry fill gives."""
     bc = BoundaryCondition(bc)
     if K > MAX_K:
         raise ValueError(f"K={K} exceeds the limit K <= {MAX_K}")
     ks = basis_indices(bc, K)
     dim = len(ks)
     M = np.zeros((dim, dim), dtype=complex)
-    for i, ki in enumerate(ks):
-        for j, kj in enumerate(ks):
-            if bc == BoundaryCondition.DIRICHLET:
-                entry = complex(dirichlet_entry(pot, ki, kj))
-            else:
-                entry = complex(pot.coefficient(2 * (ki - kj)))
-            if i == j:
-                entry += free_eigenvalue(bc, ki)
-            M[i, j] = entry
+    if bc == BoundaryCondition.DIRICHLET:
+        _fill_dirichlet(M, pot)
+    else:
+        # the entry for (k_i, k_j) is V(2(k_i - k_j)); indices descend, so
+        # frequency m sits on the diagonal col - row = m/2
+        for m, value in pot.coeffs:
+            if abs(m) < 2 * dim:
+                _fill_diagonal(M, m // 2, complex(value))
+    for i, k in enumerate(ks):
+        M[i, i] += free_eigenvalue(bc, k)
     return TruncatedOperator(bc, K, ks, M)
 
 
@@ -249,6 +301,13 @@ def find_working_N(
 
     The threshold below which discs stop being trustworthy is potential
     dependent and only known to exist; this scans for it empirically."""
+    bc = BoundaryCondition(bc)
+    if bc == BoundaryCondition.DIRICHLET:
+        raise ValueError("pair localization applies to per+ / per- only")
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    if N_cap < 0:
+        raise ValueError(f"N_cap must be >= 0, got {N_cap}")
     eigs = eigenvalues(assemble(pot, bc, K))
     last_err = None
     for N in range(N_cap + 1):

@@ -1,11 +1,14 @@
 """Command-line surface: subcommands, exit codes, byte stability."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import hillwalk
 from hillwalk.cli import main
 
 TWO_TERM_13 = '{"a":"1","b":"1","R":1,"S":3}'
@@ -106,6 +109,20 @@ def test_spectrum_localization_violation_exits_3(capsys):
                            "--K", "16", "--N", "1", "--range", "4:12")
     assert code == 3
     assert "disc" in err
+
+
+def test_spectrum_rejects_range_without_discs(capsys):
+    code, out, err = run_cli(capsys, "spectrum", "--potential", '{"a":"1","b":"1","R":1,"S":1}',
+                             "--range", "0")
+    assert code == 4 and out == ""
+    assert err == "hillwalk: n_max must be >= 1, got 0\n"
+
+
+def test_spectrum_rejects_dirichlet_pairs(capsys):
+    code, out, err = run_cli(capsys, "spectrum", "--potential", '{"a":"1","b":"1","R":1,"S":1}',
+                             "--bc", "dirichlet")
+    assert code == 4 and out == ""
+    assert err == "hillwalk: pair localization applies to per+ / per- only\n"
 
 
 # -- verdict ---------------------------------------------------------------
@@ -212,9 +229,12 @@ def test_byte_stable_over_repeated_runs(capsys):
 
 
 def test_module_entrypoint_runs():
+    # the child imports the package under test, however pytest found it
+    paths = [str(Path(hillwalk.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     proc = subprocess.run(
         [sys.executable, "-m", "hillwalk", "verdict", "--preset", "prop20"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["conclusion"] == "contains-basis"

@@ -12,10 +12,8 @@ from hillwalk.numerics import GaussianRational
 from hillwalk.potential import (
     FourierPotential,
     TwoTermParams,
-    fourier_coefficient,
     parse_potential,
     potential_to_json,
-    support,
     two_term,
 )
 
@@ -23,16 +21,16 @@ from hillwalk.potential import (
 class TestTwoTerm:
     def test_basic(self):
         pot, params = two_term(1, 1, 1, 3)
-        assert support(pot) == (-2, 6)
+        assert pot.support() == (-2, 6)
         assert (params.d, params.r, params.s) == (1, 1, 3)
-        assert fourier_coefficient(pot, -2) == GaussianRational(Fraction(1))
-        assert fourier_coefficient(pot, 6) == GaussianRational(Fraction(1))
-        assert fourier_coefficient(pot, 2).is_zero()
+        assert pot.coefficient(-2) == GaussianRational(Fraction(1))
+        assert pot.coefficient(6) == GaussianRational(Fraction(1))
+        assert pot.coefficient(2).is_zero()
 
     def test_equal_bands(self):
         pot, params = two_term(1, 1, 5, 5)
         assert (params.d, params.r, params.s) == (5, 1, 1)
-        assert support(pot) == (-10, 10)
+        assert pot.support() == (-10, 10)
 
     def test_mixed(self):
         _, params = two_term(2, 3, 4, 6)
@@ -72,7 +70,7 @@ class TestTwoTerm:
 class TestFourierPotential:
     def test_zero_coefficients_dropped(self):
         pot = FourierPotential.of({-2: 1, 4: 0})
-        assert support(pot) == (-2,)
+        assert pot.support() == (-2,)
 
     def test_odd_or_zero_frequency_rejected(self):
         with pytest.raises(ValueError):
@@ -83,27 +81,27 @@ class TestFourierPotential:
     def test_empty(self):
         pot = FourierPotential.of({})
         assert pot.is_empty()
-        assert support(pot) == ()
+        assert pot.support() == ()
 
 
 class TestJson:
     def test_two_term_shorthand(self):
         pot, params = parse_potential('{"a": "1", "b": "1", "R": 1, "S": 3}')
-        assert support(pot) == (-2, 6)
+        assert pot.support() == (-2, 6)
         assert params is not None and params.s == 3
 
     def test_terms_form(self):
         pot, params = parse_potential(
             {"terms": [{"m": -2, "re": "1", "im": "0"}, {"m": 6, "re": "1/2", "im": "1/3"}]}
         )
-        assert support(pot) == (-2, 6)
+        assert pot.support() == (-2, 6)
         assert pot.coefficient(6) == GaussianRational(Fraction(1, 2), Fraction(1, 3))
         assert params is not None and (params.R, params.S) == (1, 3)
 
     def test_terms_form_non_two_term_has_no_params(self):
         pot, params = parse_potential({"terms": [{"m": 2, "re": "1"}, {"m": 4, "re": "1"}]})
         assert params is None
-        assert support(pot) == (2, 4)
+        assert pot.support() == (2, 4)
 
     def test_complex_shorthand_values(self):
         pot, params = parse_potential({"a": "3", "b": "-12/5+9/5i", "R": 3, "S": 3})

@@ -1,12 +1,15 @@
 """Truncation assembly, eigensolve, localization, and pair refinement."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hillwalk.numerics import complex_to_gaussian, mpc_abs, to_mpc
+from hillwalk.numerics import GaussianRational, complex_to_gaussian, mpc_abs, to_mpc
 from hillwalk.potential import FourierPotential, two_term
 from hillwalk.beta import beta_minus, beta_plus
 from hillwalk.spectra import (
@@ -27,6 +30,7 @@ from hillwalk.spectra import (
     refined_pair,
     spectrum_csv,
 )
+from oracles import dense_assemble
 
 BC = BoundaryCondition
 ZERO = FourierPotential.of({})
@@ -59,6 +63,72 @@ class TestAssembly:
     def test_bad_cutoff(self):
         with pytest.raises(ValueError):
             assemble(ZERO, BC.PER_PLUS, 0)
+
+
+def assert_same_matrix(got: np.ndarray, want: np.ndarray) -> None:
+    """Equal entries, and equal signs of zero in both parts."""
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got.real), np.signbit(want.real))
+    assert np.array_equal(np.signbit(got.imag), np.signbit(want.imag))
+
+
+# ordinary rationals, and ones so small that they round to a signed zero
+_rationals = st.one_of(
+    st.builds(Fraction, st.integers(-30, 30), st.integers(1, 60)),
+    st.builds(lambda p: Fraction(p, 10**400), st.integers(-3, 3)),
+)
+_coefficients = st.builds(GaussianRational, _rationals, _rationals).filter(
+    lambda g: not g.is_zero()
+)
+_frequencies = st.lists(
+    st.sampled_from([m for m in range(-12, 13, 2) if m != 0]), min_size=1, max_size=4, unique=True
+)
+
+# V(-2) and V(2) both present, and the Dirichlet diagonals |j - k| = 2 cross
+# the anti-diagonal j + k = 4, where the exact sum rounds differently from
+# the sum of the rounded parts
+CROSSING = FourierPotential.of({
+    -6: GaussianRational(Fraction(-2, 9), Fraction(1, 3)),
+    -2: Fraction(1, 3),
+    2: GaussianRational(Fraction(1, 6), Fraction(-1, 7)),
+    4: GaussianRational(Fraction(2, 7), Fraction(1, 5)),
+})
+CANCELLING = FourierPotential.of({-2: Fraction(1, 3), 2: Fraction(-1, 3), 4: Fraction(1, 10**400)})
+
+
+class TestAssemblyOracle:
+    """The support-walking fill against the cell-by-cell reference."""
+
+    @pytest.mark.parametrize("bc", list(BC))
+    @pytest.mark.parametrize("K", [1, 2, 5, 17, 64])
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_random_potentials(self, bc, K, data):
+        freqs = data.draw(_frequencies)
+        values = data.draw(st.lists(_coefficients, min_size=len(freqs), max_size=len(freqs)))
+        pot = FourierPotential.of(dict(zip(freqs, values)))
+        assert_same_matrix(assemble(pot, bc, K).matrix, dense_assemble(pot, bc, K))
+
+    def test_crossing_case_discriminates(self):
+        # cell (j, k) = (1, 3): the exact w(2) - w(4), not its rounded parts
+        half = Fraction(1, 2)
+        w2 = (CROSSING.coefficient(2) + CROSSING.coefficient(-2)) * half
+        w4 = (CROSSING.coefficient(4) + CROSSING.coefficient(-4)) * half
+        assert complex(w2 - w4) != complex(w2) - complex(w4)
+        M = assemble(CROSSING, BC.DIRICHLET, 5).matrix
+        assert M[0, 2] == M[2, 0] == complex(w2 - w4)
+
+    @pytest.mark.parametrize("pot", [CROSSING, CANCELLING], ids=["crossing", "cancelling"])
+    @pytest.mark.parametrize("bc", list(BC))
+    @pytest.mark.parametrize("K", [1, 2, 3, 5, 17])
+    def test_fixed_cases(self, pot, bc, K):
+        assert_same_matrix(assemble(pot, bc, K).matrix, dense_assemble(pot, bc, K))
+
+    @pytest.mark.parametrize("bc", list(BC))
+    def test_two_three_potential_at_K255(self, bc):
+        pot, _ = two_term("3/7+1/5i", "-2/9+4/11i", 2, 3)
+        assert_same_matrix(assemble(pot, bc, 255).matrix, dense_assemble(pot, bc, 255))
 
 
 class TestEigenvalues:
@@ -164,6 +234,24 @@ class TestLocalization:
         N, res = find_working_N(pot, BC.PER_MINUS, 64, 12)
         assert N == 5
         assert [p.n for p in res.pairs] == [7, 9, 11]
+
+    @pytest.mark.parametrize(
+        "bc,n_max,N_cap,match",
+        [
+            (BC.PER_PLUS, 0, 10, "n_max must be >= 1, got 0"),
+            (BC.PER_MINUS, -3, 10, "n_max must be >= 1, got -3"),
+            (BC.PER_PLUS, 8, -1, "N_cap must be >= 0, got -1"),
+            (BC.DIRICHLET, 8, 10, "per\\+ / per- only"),
+        ],
+    )
+    def test_working_N_rejects_before_assembly(self, monkeypatch, bc, n_max, N_cap, match):
+        def no_assembly(*args):
+            raise AssertionError("assembled before the arguments were checked")
+
+        monkeypatch.setattr("hillwalk.spectra.assemble", no_assembly)
+        pot, _ = two_term(1, 1, 1, 1)
+        with pytest.raises(ValueError, match=match):
+            find_working_N(pot, bc, 16, n_max, N_cap=N_cap)
 
     def test_z_star_consistency_enforced(self):
         with pytest.raises(ValueError):
