@@ -52,6 +52,7 @@ from .beta import (
 )
 from .spectra import (
     BoundaryCondition,
+    ConvergenceError,
     DirichletUniquenessError,
     LocalizationError,
     LocalizationResult,

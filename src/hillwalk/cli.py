@@ -11,6 +11,7 @@ configs; rationals serialize as 'p/q' strings and complex values as
 import argparse
 import json
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
 
@@ -37,6 +38,7 @@ from .numerics import DEFAULT_PRECISION, GaussianRational, abs_value
 from .potential import TwoTermParams, _scalar_from_json, parse_potential, potential_to_json
 from .spectra import (
     BoundaryCondition,
+    ConvergenceError,
     DirichletUniquenessError,
     LocalizationError,
     attach_dirichlet,
@@ -372,7 +374,7 @@ def cmd_spectrum(config: dict) -> int:
     pot, _ = _read_potential(config)
     bc = _read_bc(config)
     K = _read_positive(config, "K", 32)
-    ns = _read_range(config, default=list(range(4, 13)))
+    ns = _read_range(config)
     n_max = max(ns) if ns else 12
     N = config.get("N")
     if N is not None and (not isinstance(N, int) or N < 0):
@@ -381,6 +383,9 @@ def cmd_spectrum(config: dict) -> int:
         _, result = find_working_N(pot, bc, K, n_max)
     else:
         result = localize_pairs(eigenvalues(assemble(pot, bc, K)), bc, N, n_max)
+    if ns is not None:
+        # the scan runs to max(ns) for the working N; print only the asked n
+        result = replace(result, pairs=tuple(p for p in result.pairs if p.n in ns))
     if config.get("dirichlet"):
         result = attach_dirichlet(result, pot, K)
     if config.get("format", "csv") == "json":
@@ -488,7 +493,7 @@ def main(argv=None) -> int:
     except (LocalizationError, DirichletUniquenessError) as err:
         print(f"hillwalk: {err}", file=sys.stderr)
         return EXIT_LOCALIZATION
-    except (DegenerateRatioError, ValueError) as err:
+    except (ConvergenceError, DegenerateRatioError, ValueError) as err:
         print(f"hillwalk: {err}", file=sys.stderr)
         return EXIT_CRITERIA
 

@@ -41,6 +41,7 @@ MAX_K = 256
 DISC_RADIUS = 1.0
 DEFAULT_PAIRING_TOL = 1e-8
 REFINE_PRECISION = 320
+NEWTON_ITERATIONS = 80
 
 
 class BoundaryCondition(str, Enum):
@@ -69,6 +70,18 @@ class DirichletUniquenessError(Exception):
         self.found = tuple(found)
         super().__init__(
             f"disc around {n}^2 holds {len(self.found)} Dirichlet eigenvalues, expected 1"
+        )
+
+
+class ConvergenceError(ArithmeticError):
+    """A Newton loop ran out of iterations before its step met the tolerance."""
+
+    def __init__(self, what: str, iterations: int, step):
+        self.iterations = iterations
+        self.step = step
+        super().__init__(
+            f"{what} did not converge in {iterations} iterations "
+            f"(last step size {mpmath.nstr(step, 5)})"
         )
 
 
@@ -425,10 +438,10 @@ def _chain_det(diag, offprod, lam):
 def _newton_polish(diag, offprod, seed, precision):
     lam = mpmath.mpc(seed)
     tol = mpmath.mpf(2) ** (-(precision - 16))
-    for _ in range(80):
+    for _ in range(NEWTON_ITERATIONS):
         d, d1, _ = _chain_det(diag, offprod, lam)
         if d1 == 0:
-            break
+            return lam
         step = d / d1
         lam = lam - step
         if mpc_abs(step) <= tol * max(mpmath.mpf(1), mpc_abs(lam)):
@@ -437,7 +450,7 @@ def _newton_polish(diag, offprod, seed, precision):
             if d1 != 0:
                 lam = lam - d / d1
             return lam
-    return lam
+    raise ConvergenceError("Newton polish", NEWTON_ITERATIONS, mpc_abs(step))
 
 
 def _cluster_roots(diag, offprod, seed, precision):
@@ -450,7 +463,7 @@ def _cluster_roots(diag, offprod, seed, precision):
     step +-sqrt(-2 p / p'')."""
     lam = mpmath.mpc(seed)
     tol = mpmath.mpf(2) ** (-(precision - 16))
-    for _ in range(80):
+    for _ in range(NEWTON_ITERATIONS):
         _, d1, d2 = _chain_det(diag, offprod, lam)
         if d2 == 0:
             break
@@ -458,6 +471,8 @@ def _cluster_roots(diag, offprod, seed, precision):
         lam = lam - step
         if mpc_abs(step) <= tol * max(mpmath.mpf(1), mpc_abs(lam)):
             break
+    else:
+        raise ConvergenceError("critical-point Newton", NEWTON_ITERATIONS, mpc_abs(step))
     p, _, p2 = _chain_det(diag, offprod, lam)
     if p2 == 0:
         return lam, lam
@@ -496,7 +511,17 @@ class RefinedPair:
 
     @property
     def z_star(self) -> mpmath.mpc:
-        return (self.lam_minus + self.lam_plus) / 2 - self.n**2
+        """Pair midpoint minus n^2.  A component below the Newton tolerance
+        2^-(precision-16) max(1, |lam+-|) was never resolved and is set to
+        zero: when ab is real, z* is real, and a denormal imaginary part
+        would put every exact sum at z* over a 1074-bit denominator."""
+        with mpmath.workprec(self.precision):
+            z = (self.lam_minus + self.lam_plus) / 2 - self.n**2
+            lam = max(mpmath.mpf(1), abs(self.lam_minus), abs(self.lam_plus))
+            tol = mpmath.mpf(2) ** (-(self.precision - 16)) * lam
+            return mpmath.mpc(
+                0 if abs(z.real) < tol else z.real, 0 if abs(z.imag) < tol else z.imag
+            )
 
 
 def refined_pair(

@@ -13,10 +13,15 @@ Solutions organize into shells: consecutive shells differ by (s, r) extra
 steps.  Every sum (X/Y shells, W closed walks over any support) comes from
 one transfer DP over (steps taken, vertex); explicit enumeration and
 `weight` are kept for walk inspection and as the tests' oracle.
+
+The DP is fraction-free, after Bareiss (Math. Comp. 1968): a layer holds
+Gaussian-integer numerators over one shared denominator, reduced by one
+gcd per layer; only the sums become GaussianRationals.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -254,6 +259,18 @@ def weight(walk: Walk, pot: FourierPotential, z: ScalarLike) -> GaussianRational
     return value
 
 
+def _over_common_denominator(
+    values: Sequence[GaussianRational],
+) -> Tuple[List[Tuple[int, int]], int]:
+    """Gaussian integers g_i and the least positive integer q with
+    values[i] = g_i / q."""
+    q = math.lcm(*(part.denominator for v in values for part in (v.re, v.im)))
+    return [
+        (v.re.numerator * (q // v.re.denominator), v.im.numerator * (q // v.im.denominator))
+        for v in values
+    ], q
+
+
 def _walk_sums(
     steps: Sequence[Tuple[int, GaussianRational]],
     n: int,
@@ -266,9 +283,19 @@ def _walk_sums(
     requested step count; `steps` pairs each step with its coefficient.
 
     Layer t maps a vertex to the weighted sum of admissible t-step prefixes
-    ending there.  A vertex is kept only if `end` is reachable from it at a
-    requested length (the mask: per vertex, a bitmask of step counts that
-    reach `end`).  A zero denominator on a kept vertex raises
+    ending there, held fraction-free: a Gaussian-integer numerator per
+    vertex over one positive integer denominator `den` shared by the layer.
+    With coefficients g_x / C and z = P / Q, a step multiplies numerators
+    by g_x and `den` by C, with no gcd.  The factor 1 / (n^2 - u^2 + z) is
+    Q / W_u with W_u = Q(n^2 - u^2) + P; the layer is brought over the lcm L
+    of the |W_u|^2 (of the |W_u| when z is real) by multiplying vertex u by
+    Q conj(W_u) L / |W_u|^2, and then one gcd of `den` and every numerator
+    reduces the whole layer.  Sums reaching `end` leave as exact
+    GaussianRationals.
+
+    A vertex is kept only if `end` is reachable from it at a requested
+    length (the mask: per vertex, a bitmask of step counts that reach
+    `end`).  A zero denominator on a kept vertex raises
     WalkSingularityError at the smallest t, then the smallest vertex."""
     out = {length: GaussianRational() for length in lengths}
     want = sum(1 << length for length in out)
@@ -280,27 +307,61 @@ def _walk_sums(
         frontier = {u - x for u in frontier if k == 1 or abs(u) != n for x, _ in steps}
         for v in frontier:
             mask[v] = mask.get(v, 0) | 1 << k
-    zg = GaussianRational.of(z)
-    recip: Dict[int, GaussianRational] = {}
-    layer = {start: GaussianRational.of(1)}
+    ((p_re, p_im),), q = _over_common_denominator([GaussianRational.of(z)])
+    coeffs, c_den = _over_common_denominator([c for _, c in steps])
+    int_steps = [(x, g_re, g_im) for (x, _), (g_re, g_im) in zip(steps, coeffs)]
+    # vertex -> (m_re, m_im, d): 1 / (n^2 - u^2 + z) = (m_re + i m_im) / d, d > 0
+    scale: Dict[int, Tuple[int, int, int]] = {}
+    layer: Dict[int, Tuple[int, int]] = {start: (1, 0)}
+    den = 1
     for t in range(1, top + 1):
-        nxt: Dict[int, GaussianRational] = {}
-        for v, value in layer.items():
-            for x, c in steps:
+        nxt: Dict[int, Tuple[int, int]] = {}
+        end_re = end_im = 0
+        for v, (a, b) in layer.items():
+            for x, g_re, g_im in int_steps:
                 u = v + x
                 if u == end:
                     if t in out:
-                        out[t] = out[t] + value * c
+                        end_re += a * g_re - b * g_im
+                        end_im += a * g_im + b * g_re
                 elif abs(u) != n and (mask.get(u, 0) << t) & want:
-                    term = value * c
-                    nxt[u] = nxt[u] + term if u in nxt else term
-        for u in sorted(nxt):
-            if u not in recip:
-                denom = GaussianRational(Fraction(n * n - u * u)) + zg
-                if denom.is_zero():
-                    raise WalkSingularityError(n, t, u)
-                recip[u] = 1 / denom
-            nxt[u] = nxt[u] * recip[u]
+                    re, im = a * g_re - b * g_im, a * g_im + b * g_re
+                    if u in nxt:
+                        old_re, old_im = nxt[u]
+                        nxt[u] = (old_re + re, old_im + im)
+                    else:
+                        nxt[u] = (re, im)
+        den *= c_den
+        if t in out:
+            out[t] = GaussianRational(Fraction(end_re, den), Fraction(end_im, den))
+        # a vertex already in `scale` passed the check, so only new ones can be singular
+        for u in sorted(u for u in nxt if u not in scale):
+            w_re = q * (n * n - u * u) + p_re
+            if w_re == 0 and p_im == 0:
+                raise WalkSingularityError(n, t, u)
+            if p_im == 0:
+                scale[u] = (q, 0, w_re) if w_re > 0 else (-q, 0, -w_re)
+            else:
+                scale[u] = (q * w_re, -q * p_im, w_re * w_re + p_im * p_im)
+        # pairwise: unpacking a layer into one call builds large argument
+        # tuples whose frees fragment the heap and raise the peak RSS
+        lcm = 1
+        for u in nxt:
+            lcm = math.lcm(lcm, scale[u][2])
+        for u, (a, b) in nxt.items():
+            m_re, m_im, d = scale[u]
+            k = lcm // d
+            m_re, m_im = m_re * k, m_im * k
+            nxt[u] = (a * m_re - b * m_im, a * m_im + b * m_re)
+        den *= lcm
+        g = den
+        for a, b in nxt.values():
+            g = math.gcd(g, a, b)
+            if g == 1:
+                break
+        if g > 1:
+            den //= g
+            nxt = {u: (a // g, b // g) for u, (a, b) in nxt.items()}
         layer = nxt
     return out
 

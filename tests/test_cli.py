@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 import hillwalk
+from hillwalk import cli
 from hillwalk.cli import main
+from hillwalk.spectra import ConvergenceError
 
 TWO_TERM_13 = '{"a":"1","b":"1","R":1,"S":3}'
 
@@ -116,6 +118,32 @@ def test_spectrum_rejects_range_without_discs(capsys):
                              "--range", "0")
     assert code == 4 and out == ""
     assert err == "hillwalk: n_max must be >= 1, got 0\n"
+
+
+def _spectrum(capsys, *extra):
+    return run_cli(capsys, "spectrum", "--potential", '{"a":"1","b":"2","R":1,"S":1}',
+                   "--K", "32", *extra)
+
+
+def test_spectrum_csv_prints_only_the_range(capsys):
+    code, out, _ = _spectrum(capsys, "--range", "8:8")
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert lines[0].startswith("n,lam_minus_re,")
+    assert [ln.split(",")[0] for ln in lines[1:]] == ["8"]
+    # the printed row is the one the full scan gives
+    _, full, _ = _spectrum(capsys)
+    assert lines[1] in full.split("\n")
+    code, out, _ = _spectrum(capsys, "--range", "")
+    assert code == 0 and out == lines[0] + "\n"
+
+
+def test_spectrum_json_prints_only_the_range(capsys):
+    code, out, _ = _spectrum(capsys, "--range", "6,10", "--format", "json")
+    assert code == 0
+    assert [p["n"] for p in json.loads(out)["pairs"]] == [6, 10]
+    code, out, _ = _spectrum(capsys, "--range", "", "--format", "json")
+    assert code == 0 and json.loads(out)["pairs"] == []
 
 
 def test_spectrum_rejects_dirichlet_pairs(capsys):
@@ -238,3 +266,13 @@ def test_module_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["conclusion"] == "contains-basis"
+
+
+def test_convergence_error_exits_4(capsys, monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise ConvergenceError("Newton polish", 80, 0.25)
+
+    monkeypatch.setattr(cli, "concordance_report", no_convergence)
+    code, out, err = run_cli(capsys, "verdict", "--preset", "crit-compare")
+    assert code == 4 and out == ""
+    assert err == "hillwalk: Newton polish did not converge in 80 iterations (last step size 0.25)\n"

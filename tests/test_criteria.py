@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from hillwalk import criteria
 from hillwalk.beta import beta_minus, beta_plus
 from hillwalk.criteria import (
     BasisVerdict,
@@ -447,3 +448,22 @@ def test_concordance_json_shape(concordance_11):
 def test_concordance_rejects_odd_indices():
     with pytest.raises(ValueError):
         concordance_report(1, 2, ns=(5,))
+
+
+def test_concordance_z_star_drops_unresolved_imaginary_part(monkeypatch):
+    """ab = -1 is real, so z* is real; the refined midpoint used to carry a
+    denormal imaginary part (2.26e-314) into criterion 2."""
+    seen = []
+
+    def spy_beta_plus(pot, params, n, z=0, **kwargs):
+        seen.append(GR(z))
+        return beta_plus(pot, params, n, z=z, **kwargs)
+
+    monkeypatch.setattr(criteria, "beta_plus", spy_beta_plus)
+    a = GaussianRational(Fraction(3, 5), Fraction(-4, 5))
+    b = GaussianRational(Fraction(-3, 5), Fraction(-4, 5))
+    row = concordance_report(a, b, ns=(20,)).rows[0]
+    z_star = seen[-1]
+    assert not z_star.is_zero() and z_star.im == 0
+    # the value before the imaginary noise was dropped, to the last bit
+    assert row["c2"] == 1.000000000019059

@@ -14,9 +14,11 @@ from hillwalk.potential import FourierPotential, two_term
 from hillwalk.beta import beta_minus, beta_plus
 from hillwalk.spectra import (
     BoundaryCondition,
+    ConvergenceError,
     DirichletUniquenessError,
     LocalizationError,
     MAX_K,
+    NEWTON_ITERATIONS,
     SpectralPair,
     TruncatedOperator,
     assemble,
@@ -30,6 +32,7 @@ from hillwalk.spectra import (
     refined_pair,
     spectrum_csv,
 )
+from hillwalk.spectra import _cluster_roots, _newton_polish
 from oracles import dense_assemble
 
 BC = BoundaryCondition
@@ -375,6 +378,26 @@ class TestRefinement:
             refined_pair(pot, params, BC.PER_PLUS, 5, 64)
         with pytest.raises(ValueError):
             refined_pair(pot, params, BC.PER_MINUS, 6, 64)
+
+    def test_newton_polish_raises_when_iterations_run_out(self):
+        # det(T - lam) = lam^2 + 1 has roots +-i; from a real seed Newton
+        # never leaves the real line
+        with mpmath.workprec(320):
+            with pytest.raises(ConvergenceError) as err:
+                _newton_polish([mpmath.mpf(0)] * 2, [mpmath.mpf(-1)], 0.5, 320)
+        assert err.value.iterations == NEWTON_ITERATIONS
+        assert err.value.step > 0
+        assert f"{NEWTON_ITERATIONS} iterations" in str(err.value)
+        assert "last step size" in str(err.value)
+
+    def test_cluster_roots_raises_when_iterations_run_out(self):
+        # det(T - lam) = -lam^3 - 3 lam, whose derivative -3(lam^2 + 1) has
+        # no real root for the critical-point Newton to reach
+        with mpmath.workprec(320):
+            with pytest.raises(ConvergenceError) as err:
+                _cluster_roots([mpmath.mpf(0)] * 3, [mpmath.mpf(-1), mpmath.mpf(-2)], 0.5, 320)
+        assert err.value.iterations == NEWTON_ITERATIONS
+        assert "last step size" in str(err.value)
 
 
 class TestDump:

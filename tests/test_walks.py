@@ -1,6 +1,8 @@
 """Walk enumeration, weights, shell structure; DP vs enumeration oracle."""
 
+import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -332,3 +334,75 @@ class TestEngineOracle:
         expected = oracle_outcome(walks, pot, z)
         assert expected == want if want else isinstance(expected, GaussianRational)
         assert engine_outcome(lambda: beta_plus(pot, params, n, z=z, shell_cap=cap)) == expected
+
+
+class TestFractionFreeLayers:
+    """Cases aimed at the shared-denominator arithmetic of the engine: mixed
+    coefficient denominators, a huge dyadic z, and layers the per-layer gcd
+    reduces.  Each compares exact values and singular positions with the
+    oracle."""
+
+    # coefficient denominators 3, 5 and 7 (and 4) meet in one common denominator
+    MIXED = FourierPotential.of({
+        -2: GaussianRational(Fraction(1, 3)),
+        4: GaussianRational(Fraction(2, 5), Fraction(1, 7)),
+        6: GaussianRational(Fraction(-3, 4), Fraction(-1, 3)),
+    })
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_mixed_denominators_closed_sums(self, n):
+        zs = [GaussianRational(), GaussianRational(Fraction(2, 9), Fraction(-5, 7))]
+        # integer z at -(n^2 - v^2) zeroes the factor at vertex v
+        zs += [GaussianRational.of(v * v - n * n) for v in range(-n - 6, n + 7, 2) if abs(v) != n]
+        singular = 0
+        for z in zs:
+            want = oracle_outcome(enumerate_closed(self.MIXED, n, 5), self.MIXED, z)
+            singular += isinstance(want, tuple)
+            assert engine_outcome(lambda: alpha_n(self.MIXED, n, z=z, step_cap=5)) == want
+        assert singular
+
+    @pytest.mark.parametrize("n", [3, 4, 7])
+    def test_dyadic_z_with_1074_bit_denominator(self, n):
+        pot, params = two_term(GaussianRational(Fraction(3, 5), Fraction(-4, 5)),
+                               GaussianRational(Fraction(-3, 5), Fraction(-4, 5)), 1, 2)
+        z = GaussianRational(Fraction(1, 3), Fraction(1, 2**1074))
+        for kind, beta in ((WalkKind.X, beta_plus), (WalkKind.Y, beta_minus)):
+            walks = [w for k in range(2) for w in enumerate_shell(params, n, kind, k)]
+            got = beta(pot, params, n, z=z, shell_cap=1).value
+            assert got == oracle_outcome(walks, pot, z)
+            assert got.re.denominator.bit_length() > 1074
+        assert alpha_n(pot, n, z=z, step_cap=6).value == oracle_outcome(
+            enumerate_closed(pot, n, 6), pot, z)
+
+    @pytest.mark.parametrize("z,singular", [
+        (0, None), (Fraction(4, 3), None),
+        # z = -16 zeroes the factor at -3 and 3, z = 24 at 7 (and at -7, which
+        # no X walk passes: from -7 the only way up is through -5)
+        (-16, ((1, -3), (1, 3))), (24, (None, (1, 7))),
+    ])
+    def test_layers_reduced_by_shared_factor(self, z, singular, monkeypatch):
+        # every numerator carries 6^t, and every |n^2 - v^2| with v = n mod 2
+        # is a multiple of 4, so the layer gcd is even from the first step on
+        calls = []
+
+        def spy_gcd(*args):
+            g = math.gcd(*args)
+            calls.append((args[0], g))
+            return g
+
+        monkeypatch.setattr("hillwalk.walks.math", SimpleNamespace(lcm=math.lcm, gcd=spy_gcd))
+        pot, params = two_term(6, GaussianRational(6, 12), 1, 1)
+        n = 5
+        walks_x = [w for k in range(3) for w in enumerate_shell(params, n, WalkKind.X, k)]
+        want = oracle_outcome(walks_x, pot, z)
+        assert engine_outcome(lambda: beta_plus(pot, params, n, z=z, shell_cap=2)) == want
+        closed = oracle_outcome(enumerate_closed(pot, n, 6), pot, z)
+        assert engine_outcome(lambda: alpha_n(pot, n, z=z, step_cap=6)) == closed
+        for outcome, position in zip((want, closed), singular or (None, None)):
+            assert outcome == position if position else isinstance(outcome, GaussianRational)
+        if isinstance(want, GaussianRational):
+            # a layer's gcd is a chain of calls, each from the last result;
+            # a chain that ends above 1 reduced its layer
+            ends = [g for (_, g), (first, _) in zip(calls, calls[1:] + [(None, None)])
+                    if first != g]
+            assert any(g > 1 for g in ends)
