@@ -3,11 +3,8 @@ for Hill operators with trigonometric-polynomial potentials."""
 
 from .numerics import (
     DEFAULT_PRECISION,
-    GammaRatio,
     GaussianRational,
-    binomial,
     gamma_product_identity,
-    gamma_value,
     to_mpc,
 )
 from .potential import (
@@ -33,15 +30,12 @@ from .walks import (
 )
 from .beta import (
     A_alpha,
-    AsymptoticValue,
     BetaValue,
     H_minus,
     H_plus,
     alpha_n,
-    beta_equal_rs_leading,
     beta_equal_rs_leading_exact,
     beta_minus,
-    beta_minus_leading,
     beta_plus,
     beta_plus_leading,
     beta_plus_leading_exact,

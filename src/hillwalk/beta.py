@@ -5,8 +5,7 @@ a two-term potential; alpha_n sums closed walks of bounded step count for any
 potential.  The closed forms cover: the single-walk shells at n = r s d m,
 the boundary-walk sums H_minus / H_plus at n = s m - 1 (r = 1), the A_alpha
 coefficient family with its convolution identity, and the leading-order
-asymptotics used by the basis criteria.  Everything exact stays exact; the
-Asymptotic values carry an explicit precision and a symbolic error tag.
+asymptotics used by the basis criteria.  Everything stays exact.
 """
 
 from __future__ import annotations
@@ -14,19 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Union
 
-import mpmath
-
-from .numerics import (
-    DEFAULT_PRECISION,
-    GaussianRational,
-    ScalarLike,
-    abs_value,
-    check_precision,
-    gamma_product_identity,
-    to_mpc,
-)
+from .numerics import GaussianRational, ScalarLike, abs_value, gamma_product_identity
 from .potential import FourierPotential, TwoTermParams
 from .walks import WalkKind, closed_sum, shell_sums
 
@@ -56,15 +45,6 @@ class BetaValue:
     def __post_init__(self) -> None:
         if not (self.tail_estimate >= 0 or math.isinf(self.tail_estimate)):
             raise ValueError("tail_estimate must be nonnegative or inf")
-
-
-@dataclass(frozen=True)
-class AsymptoticValue:
-    """Leading term at an explicit precision with a symbolic relative error."""
-
-    leading: mpmath.mpc
-    relative_error_order: str
-    precision: int
 
 
 def _coefficient_norm(params: TwoTermParams) -> float:
@@ -177,9 +157,7 @@ def alpha_n(
             # no anchor for the geometric estimate: report unknown, not 0
             tail = math.inf
         else:
-            T = _coefficient_norm(params)
-            rho = (T / n) ** (params.r + params.s)
-            tail = math.inf if rho >= 0.5 else abs_value(total) * rho / (1.0 - rho)
+            tail = tail_bound_report(params, n, WalkKind.X, [total])
     return BetaValue(n, zg, total, step_cap, tail)
 
 
@@ -278,13 +256,10 @@ def beta_plus_leading_exact(params: TwoTermParams, m: int) -> GaussianRational:
     return lead * GaussianRational(H_plus(params.s, m) - H_minus(params.s, m))
 
 
-def beta_plus_leading(
-    params: TwoTermParams, m: int, precision: int = DEFAULT_PRECISION
-) -> AsymptoticValue:
+def beta_plus_leading(params: TwoTermParams, m: int) -> GaussianRational:
     """Leading term of beta_plus at n = s m - 1 (r = d = 1), via the
     telescoped Gamma-ratio form
     -2 s a b^m / ((2s)^(2m) m!) * G(1-1/s)^2 G(m-2/s) / (G(m-1/s)^2 G(1-2/s))."""
-    check_precision(precision)
     _require_r1(params)
     s = params.s
     alpha = Fraction(1, s)
@@ -294,21 +269,7 @@ def beta_plus_leading(
     for t in range(1, m):
         prod2 *= t - 2 * alpha
     coeff = params.a * (params.b ** m) * Fraction(-2 * s, (2 * s) ** (2 * m) * math.factorial(m))
-    exact = coeff * ratio * GaussianRational(prod2)
-    return AsymptoticValue(to_mpc(exact, precision), "(log n)^(s+1) / n^s", precision)
-
-
-def beta_minus_leading(
-    a: ScalarLike, n: int, precision: int = DEFAULT_PRECISION
-) -> AsymptoticValue:
-    """Leading term of beta_minus for r = 1 at any n:
-    a^n / (4^(n-1) ((n-1)!)^2)."""
-    check_precision(precision)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    ga = GaussianRational.of(a)
-    exact = (ga ** n) * GaussianRational(Fraction(1, 4 ** (n - 1) * math.factorial(n - 1) ** 2))
-    return AsymptoticValue(to_mpc(exact, precision), "1 / n^s", precision)
+    return coeff * ratio * GaussianRational(prod2)
 
 
 def beta_equal_rs_leading_exact(params: TwoTermParams, which: str, m: int) -> GaussianRational:
@@ -325,14 +286,6 @@ def beta_equal_rs_leading_exact(params: TwoTermParams, which: str, m: int) -> Ga
     return (c * Fraction(1, box)) ** m * GaussianRational(
         Fraction(box, math.factorial(m - 1) ** 2)
     )
-
-
-def beta_equal_rs_leading(
-    params: TwoTermParams, which: str, m: int, precision: int = DEFAULT_PRECISION
-) -> AsymptoticValue:
-    check_precision(precision)
-    exact = beta_equal_rs_leading_exact(params, which, m)
-    return AsymptoticValue(to_mpc(exact, precision), "log n / n", precision)
 
 
 def _require_r1(params: TwoTermParams) -> None:

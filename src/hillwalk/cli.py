@@ -15,8 +15,6 @@ from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
 
-import mpmath
-
 from .beta import (
     alpha_n,
     beta_equal_rs_leading_exact,
@@ -34,7 +32,7 @@ from .criteria import (
     theorem31_report,
     theorem5_report,
 )
-from .numerics import DEFAULT_PRECISION, GaussianRational, abs_value
+from .numerics import DEFAULT_PRECISION, GaussianRational
 from .potential import TwoTermParams, _scalar_from_json, parse_potential, potential_to_json
 from .spectra import (
     BoundaryCondition,
@@ -94,35 +92,41 @@ PRESETS = {
     },
 }
 
-_FLAG_KEYS = ("potential", "bc", "K", "N", "caps", "precision", "delta", "range", "format", "out")
+# config keys settable by flag, each with its argparse options
+_FLAGS = {
+    "potential": {"help": "JSON literal: {'a','b','R','S'} or {'terms': [...]}"},
+    "bc": {"choices": ["per+", "per-", "dirichlet"]},
+    "K": {"type": int, "help": "Galerkin truncation half-width"},
+    "N": {"type": int, "help": "low-block cutoff; scanned when omitted"},
+    "caps": {"help": "shell caps 'p,q' for the crossing sums"},
+    "precision": {"type": int, "help": "working precision in bits"},
+    "delta": {"help": "index family 'kind:lo:hi[:parity]' or 'explicit:5,8,11'"},
+    "range": {"help": "n values: comma list or 'lo:hi'"},
+    "format": {"choices": ["json", "csv"]},
+    "out": {"help": "output path; '-' or omitted for stdout"},
+}
+
+# each subcommand registers only the flags its command reads
+_SUBCOMMANDS = {
+    "beta": ("tabulate the crossing and closed-walk sums",
+             ("potential", "caps", "range", "format", "out")),
+    "spectrum": ("localized eigenvalue pairs from the truncated operator",
+                 ("potential", "bc", "K", "N", "range", "format", "out")),
+    "verdict": ("basis verdict for a root-function system",
+                ("potential", "bc", "K", "caps", "precision", "delta", "range", "out")),
+    "verify": ("built-in cross-route identity suite", ("K", "precision", "out")),
+}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="hillwalk", description="walk functionals and basis verdicts for Hill operators")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("--potential", help="JSON literal: {'a','b','R','S'} or {'terms': [...]}")
-        p.add_argument("--bc", choices=["per+", "per-", "dirichlet"])
-        p.add_argument("--K", type=int, help="Galerkin truncation half-width")
-        p.add_argument("--N", type=int, help="low-block cutoff; scanned when omitted")
-        p.add_argument("--caps", help="shell caps 'p,q' for the crossing sums")
-        p.add_argument("--precision", type=int, help="working precision in bits")
-        p.add_argument("--delta", help="index family 'kind:lo:hi[:parity]' or 'explicit:5,8,11'")
-        p.add_argument("--range", help="n values: comma list or 'lo:hi'")
-        p.add_argument("--format", choices=["json", "csv"])
-        p.add_argument("--out", help="output path; '-' or omitted for stdout")
+    for name, (txt, keys) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=txt)
+        for key in keys:
+            p.add_argument(f"--{key}", **_FLAGS[key])
         p.add_argument("--preset", choices=sorted(PRESETS))
         p.add_argument("--config", help="JSON config file; flags override")
-
-    for name, txt in (
-        ("beta", "tabulate the crossing and closed-walk sums"),
-        ("spectrum", "localized eigenvalue pairs from the truncated operator"),
-        ("verdict", "basis verdict for a root-function system"),
-        ("verify", "built-in cross-route identity suite"),
-    ):
-        p = sub.add_parser(name, help=txt)
-        add_common(p)
         if name == "verify":
             p.add_argument("--inject-error", action="store_true", help="perturb one closed form (negative control)")
     return parser
@@ -143,7 +147,7 @@ def merged_config(args: argparse.Namespace) -> dict:
         if not isinstance(loaded, dict):
             raise UsageError("config file must hold a JSON object")
         config.update(loaded)
-    for key in _FLAG_KEYS:
+    for key in _FLAGS:
         value = getattr(args, key, None)
         if value is not None:
             config[key] = value
@@ -277,8 +281,6 @@ def _jsonable(value):
         return str(value)
     if isinstance(value, complex):
         return {"re": value.real, "im": value.imag}
-    if isinstance(value, (mpmath.mpf, mpmath.mpc)):
-        return _jsonable(complex(value)) if isinstance(value, mpmath.mpc) else float(value)
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
@@ -383,6 +385,13 @@ def cmd_spectrum(config: dict) -> int:
         _, result = find_working_N(pot, bc, K, n_max)
     else:
         result = localize_pairs(eigenvalues(assemble(pot, bc, K)), bc, N, n_max)
+    if ns:
+        want, other = ((0, BoundaryCondition.PER_MINUS) if bc == BoundaryCondition.PER_PLUS
+                       else (1, BoundaryCondition.PER_PLUS))
+        if all(n % 2 != want for n in ns):
+            raise UsageError(
+                f"--range holds no {bc.value} disc: {bc.value} discs sit at "
+                f"{('even', 'odd')[want]} n, these n are discs of --bc {other.value}")
     if ns is not None:
         # the scan runs to max(ns) for the working N; print only the asked n
         result = replace(result, pairs=tuple(p for p in result.pairs if p.n in ns))

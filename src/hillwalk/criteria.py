@@ -15,7 +15,7 @@ and the numbers are attached as corroboration only.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
@@ -52,13 +52,6 @@ class VerdictThresholds:
     divergence: float = 1e3
     cap: float = 1e2
     monotone_points: int = 3
-
-    def to_json_dict(self) -> dict:
-        return {
-            "divergence": self.divergence,
-            "cap": self.cap,
-            "monotone_points": self.monotone_points,
-        }
 
 
 @dataclass(frozen=True)
@@ -134,7 +127,7 @@ class BasisVerdict:
             "delta": self.index_set,
             "rows": [dict(r) for r in self.rows],
             "conclusion": self.conclusion,
-            "thresholds": self.thresholds.to_json_dict(),
+            "thresholds": asdict(self.thresholds),
             "caveats": list(self.caveats),
         }
 
@@ -157,15 +150,9 @@ def t_n_squared(bp: GaussianRational, bm: GaussianRational) -> Fraction:
     return max(q, 1 / q)
 
 
-def t_n(bp, bm) -> float:
-    """max(|beta^-/beta^+|, |beta^+/beta^-|) >= 1; exact route for exact inputs."""
-    if isinstance(bp, GaussianRational) and isinstance(bm, GaussianRational):
-        return abs_value(GaussianRational(t_n_squared(bp, bm))) ** 0.5
-    wp, wm = complex(bp), complex(bm)
-    if wp == 0 or wm == 0:
-        raise DegenerateRatioError("t_n needs both weight functionals nonzero")
-    q = abs(wm) / abs(wp)
-    return max(q, 1 / q)
+def t_n(bp: GaussianRational, bm: GaussianRational) -> float:
+    """max(|beta^-/beta^+|, |beta^+/beta^-|) >= 1, rounded from the exact t_n^2."""
+    return abs_value(GaussianRational(t_n_squared(bp, bm))) ** 0.5
 
 
 def structurally_zero(params: TwoTermParams, n: int) -> bool:
@@ -230,7 +217,6 @@ def criterion1_verdict(
     z_choice=0,
     shell_caps: tuple = DEFAULT_SHELL_CAPS,
     thresholds: VerdictThresholds = VerdictThresholds(),
-    check_stability: bool = True,
 ) -> BasisVerdict:
     """t_n(z_choice) over Delta, with the structural-zero indices split off.
 
@@ -260,13 +246,12 @@ def criterion1_verdict(
         sq = t_n_squared(bp, bm)
         squares.append(sq)
         rows.append({"n": n, "class": "delta1", "t": float(abs_value(GaussianRational(sq)) ** 0.5)})
-        if check_stability:
-            for z in STABILITY_SAMPLES:
-                bpz = beta_plus(pot, params, n, z=z, shell_cap=x_cap).value
-                bmz = beta_minus(pot, params, n, z=z, shell_cap=y_cap).value
-                for base, moved in ((bp, bpz), (bm, bmz)):
-                    if not (4 * moved.abs2() >= base.abs2() and moved.abs2() <= 4 * base.abs2()):
-                        stability_failures.append((n, str(z)))
+        for z in STABILITY_SAMPLES:
+            bpz = beta_plus(pot, params, n, z=z, shell_cap=x_cap).value
+            bmz = beta_minus(pot, params, n, z=z, shell_cap=y_cap).value
+            for base, moved in ((bp, bpz), (bm, bmz)):
+                if not (4 * moved.abs2() >= base.abs2() and moved.abs2() <= 4 * base.abs2()):
+                    stability_failures.append((n, str(z)))
     caveats = [DESK_SCALE_CAVEAT, "two-sided z-stability sampled at z in {0, 1, -1, i, -i} only"]
     if stability_failures:
         caveats.append(f"two-sided stability violated at {stability_failures}")

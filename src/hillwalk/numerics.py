@@ -8,7 +8,6 @@ are correctly rounded at an explicit mantissa precision in bits.
 
 from __future__ import annotations
 
-import math
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -165,9 +164,6 @@ class GaussianRational:
     def is_zero(self) -> bool:
         return self.re == 0 and self.im == 0
 
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def __complex__(self) -> complex:
         return complex(float(self.re), float(self.im))
 
@@ -212,23 +208,12 @@ def abs_value(value: ScalarLike, precision: int = DEFAULT_PRECISION) -> float:
         return float(mpmath.sqrt(fraction_to_mpf(g.abs2(), precision)))
 
 
-def float_to_fraction(x: float) -> Fraction:
-    """Exact dyadic rational of a finite float."""
-    if math.isnan(x) or math.isinf(x):
-        raise ValueError(f"cannot represent {x!r} exactly")
-    return Fraction(x)
-
-
 def complex_to_gaussian(z: complex) -> GaussianRational:
     """Exact dyadic GaussianRational of a hardware complex value."""
-    return GaussianRational(float_to_fraction(float(z.real)), float_to_fraction(float(z.imag)))
+    return GaussianRational(Fraction(z.real), Fraction(z.imag))
 
 
-# -- gamma helpers ---------------------------------------------------------
-
-
-class GammaPoleError(ValueError):
-    """Gamma evaluated at a non-positive integer."""
+# -- telescoped Gamma ratio -----------------------------------------------
 
 
 def gamma_product_identity(alpha: RationalLike, m: int) -> GaussianRational:
@@ -243,84 +228,3 @@ def gamma_product_identity(alpha: RationalLike, m: int) -> GaussianRational:
     for t in range(1, m):
         prod *= t - a
     return GaussianRational(1 / prod)
-
-
-def gamma_value(x: ScalarLike, precision: int = DEFAULT_PRECISION) -> mpmath.mpc:
-    """Gamma at a rational (or Gaussian-rational) argument at `precision` bits.
-
-    Poles at non-positive real integers raise GammaPoleError."""
-    check_precision(precision)
-    g = GaussianRational.of(x)
-    if g.im == 0 and g.re.denominator == 1 and g.re <= 0:
-        raise GammaPoleError(f"Gamma pole at {g.re}")
-    with mpmath.mp.workprec(precision):
-        return mpmath.mpc(mpmath.gamma(to_mpc(g, precision)))
-
-
-@dataclass(frozen=True)
-class GammaRatio:
-    """A product of Gamma values over a product of Gamma values.
-
-    When every numerator argument can be paired with a denominator argument at
-    an integer offset the ratio telescopes to an exact rational; `exact()`
-    computes that, `value()` evaluates numerically at a given precision."""
-
-    numerator_args: tuple
-    denominator_args: tuple
-
-    @staticmethod
-    def of(numerator_args, denominator_args) -> "GammaRatio":
-        num = tuple(_coerce_fraction(x) for x in numerator_args)
-        den = tuple(_coerce_fraction(x) for x in denominator_args)
-        return GammaRatio(num, den)
-
-    def _pairing(self):
-        groups: dict = {}
-        for x in self.numerator_args:
-            groups.setdefault(x - math.floor(x), [[], []])[0].append(x)
-        for x in self.denominator_args:
-            groups.setdefault(x - math.floor(x), [[], []])[1].append(x)
-        pairs = []
-        for frac_part, (nums, dens) in groups.items():
-            if len(nums) != len(dens):
-                raise ValueError(
-                    f"ratio does not telescope: class {frac_part} has "
-                    f"{len(nums)} numerator vs {len(dens)} denominator args"
-                )
-            pairs.extend(zip(sorted(nums), sorted(dens)))
-        return pairs
-
-    def exact(self) -> GaussianRational:
-        """Exact rational value via telescoping; raises ValueError if the
-        arguments do not pair up at integer offsets."""
-        total = Fraction(1)
-        for u, v in self._pairing():
-            if u >= v:
-                # Gamma(v + k) / Gamma(v) = prod_{t=0}^{k-1} (v + t)
-                k = int(u - v)
-                for t in range(k):
-                    total *= v + t
-            else:
-                k = int(v - u)
-                for t in range(k):
-                    total /= u + t
-        return GaussianRational(total)
-
-    def value(self, precision: int = DEFAULT_PRECISION) -> mpmath.mpc:
-        check_precision(precision)
-        with mpmath.mp.workprec(precision):
-            out = mpmath.mpc(1)
-            for x in self.numerator_args:
-                out *= gamma_value(x, precision)
-            for x in self.denominator_args:
-                out /= gamma_value(x, precision)
-            return out
-
-
-def binomial(n: int, k: int) -> int:
-    """Exact binomial coefficient C(n, k); domain error for k < 0 or k > n."""
-    if not isinstance(n, int) or not isinstance(k, int):
-        raise TypeError("binomial takes ints")
-    if n < 0 or k < 0 or k > n:
-        raise ValueError(f"binomial out of domain: n={n}, k={k}")
-    return math.comb(n, k)

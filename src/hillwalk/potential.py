@@ -50,9 +50,6 @@ class FourierPotential:
     def is_empty(self) -> bool:
         return not self.coeffs
 
-    def as_dict(self) -> dict:
-        return {freq: value for freq, value in self.coeffs}
-
 
 @dataclass(frozen=True)
 class TwoTermParams:
@@ -165,10 +162,6 @@ def parse_potential(text_or_obj: Union[str, dict]) -> Tuple[FourierPotential, Op
             raise ValueError("R and S must be integers")
         return two_term(a, b, R, S)
     raise ValueError("potential literal needs either 'terms' or {'a','b','R','S'}")
-
-
-def _scalar_to_json(value: GaussianRational) -> dict:
-    return {"re": str(value.re), "im": str(value.im)}
 
 
 def potential_to_json(pot: FourierPotential) -> dict:

@@ -28,7 +28,6 @@ import numpy as np
 
 from .beta import alpha_n, beta_minus, beta_plus, default_step_cap
 from .numerics import (
-    DEFAULT_PRECISION,
     GaussianRational,
     check_precision,
     complex_to_gaussian,
@@ -38,6 +37,7 @@ from .numerics import (
 from .potential import FourierPotential, TwoTermParams
 
 MAX_K = 256
+N_CAP = 10
 DISC_RADIUS = 1.0
 DEFAULT_PAIRING_TOL = 1e-8
 REFINE_PRECISION = 320
@@ -103,17 +103,6 @@ def free_eigenvalue(bc: BoundaryCondition, k: int) -> int:
     return k * k
 
 
-def dirichlet_entry(pot: FourierPotential, j: int, k: int) -> GaussianRational:
-    """Coupling of sin(jx) and sin(kx); diagonal adds k^2 separately."""
-    total = (
-        pot.coefficient(j - k)
-        + pot.coefficient(k - j)
-        - pot.coefficient(j + k)
-        - pot.coefficient(-j - k)
-    )
-    return total * Fraction(1, 2)
-
-
 @dataclass(frozen=True)
 class TruncatedOperator:
     bc: BoundaryCondition
@@ -138,19 +127,24 @@ def _fill_antidiagonal(M: np.ndarray, total: int, value: complex) -> None:
         M[row, total - row] = value
 
 
-def _fill_dirichlet(M: np.ndarray, pot: FourierPotential) -> None:
-    """Write the potential part of the sine-basis matrix into M (zeros).
-
-    With w(t) = (V(t) + V(-t))/2, the coupling of sin(jx) and sin(kx) is
-    w(|j - k|) - w(j + k): w(t) lies on the diagonals col - row = +-t and
-    -w(t) on the anti-diagonal j + k = t, i.e. row + col = t - 2.  Where a
-    diagonal crosses an anti-diagonal the two exact values are summed
-    before the single rounding."""
-    dim = len(M)
-    w = {
+def _dirichlet_weights(pot: FourierPotential) -> dict:
+    """w(t) = (V(t) + V(-t))/2 for each t = |m| of the support; the coupling
+    of sin(jx) and sin(kx) is w(|j - k|) - w(j + k), and w(0) = 0."""
+    return {
         t: (pot.coefficient(t) + pot.coefficient(-t)) * Fraction(1, 2)
         for t in {abs(m) for m in pot.support()}
     }
+
+
+def _fill_dirichlet(M: np.ndarray, pot: FourierPotential) -> None:
+    """Write the potential part of the sine-basis matrix into M (zeros).
+
+    w(t) lies on the diagonals col - row = +-t and -w(t) on the
+    anti-diagonal j + k = t, i.e. row + col = t - 2.  Where a diagonal
+    crosses an anti-diagonal the two exact values are summed before the
+    single rounding."""
+    dim = len(M)
+    w = _dirichlet_weights(pot)
     for t, value in w.items():
         if t < dim:
             rounded = complex(value)
@@ -227,10 +221,8 @@ class SpectralPair:
 class LocalizationResult:
     bc: BoundaryCondition
     N: int
-    n_max: int
     pairs: tuple
     low_block: tuple
-    unassigned: tuple
 
     def pair(self, n: int) -> SpectralPair:
         for p in self.pairs:
@@ -258,8 +250,8 @@ def localize_pairs(
     """Group eigenvalues into unit discs D_n, N < n <= n_max.
 
     Each disc must hold exactly two eigenvalues (else LocalizationError);
-    leftovers below the disc range form the low block, the rest stay
-    unassigned (truncation edge)."""
+    leftovers below the disc range form the low block, the rest (truncation
+    edge) are dropped."""
     bc = BoundaryCondition(bc)
     if N < 0:
         raise ValueError(f"N must be >= 0, got {N}")
@@ -267,7 +259,7 @@ def localize_pairs(
         raise ValueError(f"n_max must exceed N, got n_max={n_max} N={N}")
     centers = parity_indices(bc, N, n_max)
     by_disc = {n: [] for n in centers}
-    low, unassigned = [], []
+    low = []
     low_cut = (N + 0.5) ** 2
     for lam in eigs:
         owner = None
@@ -279,8 +271,6 @@ def localize_pairs(
             by_disc[owner].append(lam)
         elif lam.real < low_cut:
             low.append(lam)
-        else:
-            unassigned.append(lam)
     pairs = []
     for n in centers:
         found = sorted(by_disc[n], key=lambda w: (w.real, w.imag))
@@ -299,7 +289,7 @@ def localize_pairs(
                 multiplicity_flag=flag,
             )
         )
-    return LocalizationResult(bc, N, n_max, tuple(pairs), tuple(low), tuple(unassigned))
+    return LocalizationResult(bc, N, tuple(pairs), tuple(low))
 
 
 def find_working_N(
@@ -307,10 +297,8 @@ def find_working_N(
     bc: BoundaryCondition,
     K: int,
     n_max: int,
-    N_cap: int = 10,
-    pairing_tol: float = DEFAULT_PAIRING_TOL,
 ) -> tuple:
-    """Smallest N <= N_cap with clean localization, plus its result.
+    """Smallest N <= N_CAP with clean localization, plus its result.
 
     The threshold below which discs stop being trustworthy is potential
     dependent and only known to exist; this scans for it empirically."""
@@ -319,29 +307,30 @@ def find_working_N(
         raise ValueError("pair localization applies to per+ / per- only")
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if N_cap < 0:
-        raise ValueError(f"N_cap must be >= 0, got {N_cap}")
     eigs = eigenvalues(assemble(pot, bc, K))
     last_err = None
-    for N in range(N_cap + 1):
+    for N in range(N_CAP + 1):
         if n_max <= N:
             break
         try:
-            return N, localize_pairs(eigs, bc, N, n_max, pairing_tol)
+            return N, localize_pairs(eigs, bc, N, n_max)
         except LocalizationError as err:
             last_err = err
     raise LocalizationError(last_err.bc, last_err.n, last_err.found)
+
+
+def _dirichlet_in_disc(eigs: Sequence[complex], n: int) -> complex:
+    found = [lam for lam in eigs if abs(lam - n * n) < DISC_RADIUS]
+    if len(found) != 1:
+        raise DirichletUniquenessError(n, found)
+    return found[0]
 
 
 def dirichlet_close(pot: FourierPotential, K: int, n: int) -> complex:
     """The unique Dirichlet eigenvalue in the unit disc around n^2."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    eigs = eigenvalues(assemble(pot, BoundaryCondition.DIRICHLET, K))
-    found = [lam for lam in eigs if abs(lam - n * n) < DISC_RADIUS]
-    if len(found) != 1:
-        raise DirichletUniquenessError(n, found)
-    return found[0]
+    return _dirichlet_in_disc(eigenvalues(assemble(pot, BoundaryCondition.DIRICHLET, K)), n)
 
 
 def attach_dirichlet(
@@ -351,10 +340,7 @@ def attach_dirichlet(
     eigs = eigenvalues(assemble(pot, BoundaryCondition.DIRICHLET, K))
     pairs = []
     for p in result.pairs:
-        found = [lam for lam in eigs if abs(lam - p.n * p.n) < DISC_RADIUS]
-        if len(found) != 1:
-            raise DirichletUniquenessError(p.n, found)
-        mu = found[0]
+        mu = _dirichlet_in_disc(eigs, p.n)
         pairs.append(replace(p, mu=mu, deviation=abs(p.lam_plus - mu)))
     return replace(result, pairs=tuple(pairs))
 
@@ -386,30 +372,24 @@ def reduction_residual(
     params: Optional[TwoTermParams],
     n: int,
     lam: complex,
-    shell_caps: tuple = (3, 2),
-    step_cap: Optional[int] = None,
-    precision: int = DEFAULT_PRECISION,
 ) -> float:
     """|(z - alpha_n(z))^2 - beta^-(z) beta^+(z)| at z = lam - n^2.
 
     Vanishes exactly when lam solves the reduced 2x2 eigenvalue problem;
     at truncated shell caps it measures cross-path agreement between the
     dense solver and the walk sums."""
-    check_precision(precision)
     z = complex(lam) - n * n
     if abs(z) >= n / 4:
         raise ValueError(f"need |lam - n^2| < n/4, got |z| = {abs(z):.3g} at n = {n}")
     zg = complex_to_gaussian(z)
     if params is None and not pot.is_empty():
         params = TwoTermParams.from_potential(pot)
-    cap = step_cap if step_cap is not None else (default_step_cap(params) if params else 2)
-    x_cap, y_cap = shell_caps
+    cap = default_step_cap(params) if params else 2
     alpha = alpha_n(pot, n, z=zg, step_cap=cap).value
-    bplus = beta_plus(pot, params, n, z=zg, shell_cap=x_cap).value
-    bminus = beta_minus(pot, params, n, z=zg, shell_cap=y_cap).value
+    bplus = beta_plus(pot, params, n, z=zg).value
+    bminus = beta_minus(pot, params, n, z=zg).value
     residual = (zg - alpha) ** 2 - bminus * bplus
-    with mpmath.workprec(precision):
-        return float(mpc_abs(to_mpc(residual, precision), precision))
+    return float(mpc_abs(to_mpc(residual)))
 
 
 # -- arbitrary-precision refinement ----------------------------------------
@@ -531,7 +511,6 @@ def refined_pair(
     n: int,
     K: int,
     precision: int = REFINE_PRECISION,
-    seed: Optional[complex] = None,
 ) -> RefinedPair:
     """The D_n pair at arbitrary precision for equal band offsets R = S.
 
@@ -556,10 +535,9 @@ def refined_pair(
         raise ValueError("pair refinement applies to per+ / per- only")
     if n > K:
         raise ValueError(f"cutoff K={K} too small for n={n}")
-    if seed is None:
-        eigs = eigenvalues(assemble(pot, bc, K))
-        near = sorted(eigs, key=lambda w: abs(w - n * n))[:2]
-        seed = 0.5 * (near[0] + near[1])
+    eigs = eigenvalues(assemble(pot, bc, K))
+    near = sorted(eigs, key=lambda w: abs(w - n * n))[:2]
+    seed = 0.5 * (near[0] + near[1])
     with mpmath.workprec(precision):
         if (k_hi - k_lo) % params.R == 0:
             _, diag, offprod = _equal_band_chain(params, bc, K, k_hi, precision)
@@ -583,7 +561,6 @@ def refined_dirichlet(
     n: int,
     K: int,
     precision: int = REFINE_PRECISION,
-    seed: Optional[complex] = None,
 ) -> mpmath.mpc:
     """mu_n at arbitrary precision for R = S = 1.
 
@@ -594,17 +571,13 @@ def refined_dirichlet(
         raise ValueError("Dirichlet refinement implemented for R = S = 1 only")
     if n < 1 or n > K:
         raise ValueError(f"need 1 <= n <= K, got n={n} K={K}")
-    if seed is None:
-        seed = dirichlet_close(pot, K, n)
+    seed = dirichlet_close(pot, K, n)
+    w = _dirichlet_weights(pot)
+    zero = GaussianRational()
     js = [j for j in range(1, K + 1) if j % 2 == n % 2]
     with mpmath.workprec(precision):
-        diag = []
-        for j in js:
-            d = GaussianRational(Fraction(j * j)) + dirichlet_entry(pot, j, j)
-            diag.append(to_mpc(d, precision))
-        offprod = []
-        for j in js[:-1]:
-            lo = dirichlet_entry(pot, j + 2, j)
-            up = dirichlet_entry(pot, j, j + 2)
-            offprod.append(to_mpc(lo * up, precision))
+        diag = [to_mpc(j * j - w.get(2 * j, zero), precision) for j in js]
+        # the couplings of j and j + 2 either way are both w(2) - w(2j + 2)
+        offprod = [to_mpc((w.get(2, zero) - w.get(2 * j + 2, zero)) ** 2, precision)
+                   for j in js[:-1]]
         return _newton_polish(diag, offprod, seed, precision)

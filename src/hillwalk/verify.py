@@ -13,7 +13,7 @@ from fractions import Fraction
 import mpmath
 
 from .beta import A_alpha, H_minus, H_plus, beta_plus_leading, beta_plus_leading_exact, ratio_H
-from .numerics import DEFAULT_PRECISION, GaussianRational, check_precision, gamma_product_identity, to_mpc
+from .numerics import DEFAULT_PRECISION, GaussianRational, check_precision, to_mpc
 from .potential import two_term
 from .spectra import BoundaryCondition, find_working_N, reduction_residual
 from .walks import WalkKind, shell_sum
@@ -152,19 +152,13 @@ def check_factorial_identity(precision: int) -> list:
     Both sides are exact rationals; the precision knob only touches the
     float rendering, so this passes at 64 bits as well as 256."""
     check_precision(precision)
-    pot, params = two_term(1, 1, 1, 3)
+    _, params = two_term(1, 1, 1, 3)
     m = 40
-    alpha = Fraction(1, 3)
-    ratio = gamma_product_identity(alpha, m) ** 2
-    prod2 = Fraction(1)
-    for t in range(1, m):
-        prod2 *= t - 2 * alpha
-    coeff = GaussianRational.of(Fraction(-2 * 3, (2 * 3) ** (2 * m) * math.factorial(m)))
-    gamma_route = coeff * ratio * GaussianRational(prod2)
+    gamma_route = beta_plus_leading(params, m)
     direct = beta_plus_leading_exact(params, m)
     results = [_exact("factorial-identity[m=40]", direct, gamma_route)]
     with mpmath.workprec(precision):
-        rendered = beta_plus_leading(params, m, precision).leading
+        rendered = to_mpc(gamma_route, precision)
         again = to_mpc(direct, precision)
         results.append(_exact(f"factorial-identity-render[{precision} bits]", again, rendered))
     return results

@@ -25,9 +25,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import comb
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .numerics import GaussianRational, ScalarLike, binomial
+from .numerics import GaussianRational, ScalarLike
 from .potential import FourierPotential, TwoTermParams
 
 
@@ -148,7 +149,7 @@ def shell_size_bound(params: TwoTermParams, n: int, kind: WalkKind, shell: int) 
     counts = shell_step_counts(params, n, kind, shell)
     if counts is None:
         return 0
-    return binomial(counts.total, counts.neg)
+    return comb(counts.total, counts.neg)
 
 
 def enumerate_shell(
@@ -167,9 +168,10 @@ def enumerate_shell(
     counts = shell_step_counts(params, n, kind, shell)
     if counts is None:
         return []
-    if binomial(counts.total, counts.neg) > max_walks:
+    size = comb(counts.total, counts.neg)
+    if size > max_walks:
         raise ValueError(
-            f"shell holds up to {binomial(counts.total, counts.neg)} interleavings; "
+            f"shell holds up to {size} interleavings; "
             f"raise max_walks to enumerate"
         )
     neg_step, pos_step = -2 * params.R, 2 * params.S

@@ -1,0 +1,54 @@
+"""The names the benchmark harness under bench/ binds in hillwalk.
+
+bench/tracer.py patches the functions its LAYERS map names, and the
+workloads call `hw.<name>` on the package; a name missing here breaks
+`bench/run.py` (with or without `--trace 1`) rather than any test."""
+
+import importlib
+import importlib.util
+import re
+from pathlib import Path
+
+import hillwalk
+import hillwalk.cli  # noqa: F401  (the cli-presets workload calls hw.cli.main)
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", BENCH / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_layers_resolve():
+    for span, (module, functions) in _tracer().LAYERS.items():
+        home = importlib.import_module(f"hillwalk.{module}")
+        for name in functions:
+            assert callable(getattr(home, name, None)), f"{span}: hillwalk.{module}.{name}"
+
+
+def test_bench_package_names_resolve():
+    names = set()
+    for path in BENCH.glob("*.py"):
+        names.update(re.findall(r"\bhw\.([A-Za-z_]\w*)", path.read_text()))
+    assert names, "no hw.<name> calls found under bench/"
+    assert sorted(n for n in names if not hasattr(hillwalk, n)) == []
+    # bench/baseline.py prints the matrix dimension
+    assert isinstance(hillwalk.TruncatedOperator.dim, property)
+
+
+def test_traced_calls_feed_the_layer_figures():
+    tracer = _tracer().Tracer()
+    pot, params = hillwalk.two_term(1, 2, 1, 1)
+    with tracer.installed():
+        hillwalk.eigenvalues(hillwalk.assemble(pot, "per+", 4))
+        hillwalk.beta_plus(pot, params, 2)
+    figures = tracer.layer_figures([0])
+    assert figures["spectra.assemble.calls"] == 1
+    assert figures["spectra.assemble.useful_ratio"] == 1.0
+    assert figures["beta.calls"] == 1
+    assert figures["numerics.result_bits"] > 0
+    # the originals are back once the traced round ends
+    assert not hasattr(hillwalk.assemble, "__wrapped__")

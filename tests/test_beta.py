@@ -3,7 +3,6 @@
 import math
 from fractions import Fraction
 
-import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,10 +12,8 @@ from hillwalk.beta import (
     H_minus,
     H_plus,
     alpha_n,
-    beta_equal_rs_leading,
     beta_equal_rs_leading_exact,
     beta_minus,
-    beta_minus_leading,
     beta_plus,
     beta_plus_leading,
     beta_plus_leading_exact,
@@ -26,7 +23,7 @@ from hillwalk.beta import (
     ratio_H,
     tail_bound_report,
 )
-from hillwalk.numerics import GaussianRational, mpc_abs, to_mpc
+from hillwalk.numerics import GaussianRational
 from hillwalk.potential import FourierPotential, two_term
 from hillwalk.walks import WalkKind, shell_sum
 
@@ -201,17 +198,13 @@ class TestAsymptoticCombinatorics:
 class TestLeadingForms:
     def test_beta_plus_leading_m2(self):
         _, params = two_term(1, 1, 1, 3)
-        lead = beta_plus_leading(params, 2)
-        assert abs(complex(lead.leading) - (-1 / 576)) < 1e-15
-        assert "log" in lead.relative_error_order
+        assert beta_plus_leading(params, 2) == GR(F(-1, 576))
 
     def test_beta_plus_leading_matches_exact(self):
+        # the telescoped Gamma route equals a b^m (H+ - H-) exactly
         _, params = two_term(1, 2, 1, 3)
         for m in range(1, 9):
-            exact = beta_plus_leading_exact(params, m)
-            lead = beta_plus_leading(params, m, precision=128)
-            diff = mpc_abs(lead.leading - to_mpc(exact, 128))
-            assert diff < mpmath.mpf(2) ** -90
+            assert beta_plus_leading(params, m) == beta_plus_leading_exact(params, m)
 
     def test_beta_plus_leading_sign(self):
         _, params = two_term(1, 1, 1, 3)
@@ -220,10 +213,12 @@ class TestLeadingForms:
             assert exact.im == 0 and exact.re < 0
 
     def test_beta_minus_leading(self):
-        # a^n / (4^(n-1) ((n-1)!)^2) at n = 6
-        lead = beta_minus_leading(1, 6)
-        expect = 1 / (4**5 * math.factorial(5) ** 2)
-        assert abs(complex(lead.leading) - expect) < 1e-18
+        # for r = 1 the single all-negative Y walk of shell 0 weighs
+        # a^n / (4^(n-1) ((n-1)!)^2); checked at n = 6
+        a = GaussianRational.parse("2/3+1/5i")
+        pot, params = two_term(a, 1, 1, 3)
+        expect = a ** 6 * GR(F(1, 4**5 * math.factorial(5) ** 2))
+        assert beta_minus(pot, params, 6, shell_cap=0).value == expect
 
     def test_equal_rs_leading(self):
         _, params = two_term(1, 1, 2, 2)
@@ -233,8 +228,6 @@ class TestLeadingForms:
         exact_minus = beta_equal_rs_leading_exact(params3, "-", 2)
         assert exact_minus == GR(F(9, 4))
         assert beta_minus(pot, params3, 2, shell_cap=0).value == exact_minus
-        lead = beta_equal_rs_leading(params3, "-", 2)
-        assert abs(complex(lead.leading) - 2.25) < 1e-12
 
     def test_r1_requirement(self):
         _, params = two_term(1, 1, 2, 3)
@@ -276,6 +269,14 @@ class TestTails:
             tail_bound_report(params, 8, WalkKind.X, [])
         with pytest.raises(ValueError):
             tail_bound_report(params, 8, WalkKind.W, [GR(1)])
+
+    def test_alpha_tail_reuses_the_crossing_ratio(self):
+        # closed shells also grow by r + s steps: rho = (max(|a|, |b|) / n)^(r + s)
+        pot, _ = two_term(1, 2, 1, 3)
+        val = alpha_n(pot, 11, step_cap=8)
+        rho = (2 / 11) ** 4
+        assert not val.value.is_zero()
+        assert val.tail_estimate == pytest.approx(abs(complex(val.value)) * rho / (1 - rho), rel=1e-12)
 
     def test_alpha_tail_general_support_inf(self):
         pot = FourierPotential.of({-2: GR(1), 2: GR(1), 4: GR(1)})

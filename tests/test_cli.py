@@ -146,6 +146,16 @@ def test_spectrum_json_prints_only_the_range(capsys):
     assert code == 0 and json.loads(out)["pairs"] == []
 
 
+def test_spectrum_range_of_the_other_parity_exits_64(capsys):
+    # per+ discs sit at even n, per- discs at odd n
+    code, out, err = _spectrum(capsys, "--range", "5,7")
+    assert code == 64 and out == ""
+    assert err.startswith("hillwalk: --range holds no per+ disc") and "--bc per-" in err
+    code, out, err = _spectrum(capsys, "--bc", "per-", "--range", "4:4")
+    assert code == 64 and out == ""
+    assert err.startswith("hillwalk: --range holds no per- disc") and "--bc per+" in err
+
+
 def test_spectrum_rejects_dirichlet_pairs(capsys):
     code, out, err = run_cli(capsys, "spectrum", "--potential", '{"a":"1","b":"1","R":1,"S":1}',
                              "--bc", "dirichlet")
@@ -229,6 +239,20 @@ def test_verify_negative_control_exits_1(capsys):
 
 def test_unknown_subcommand_exits_64(capsys):
     assert run_cli(capsys, "nonsense")[0] == 64
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("beta", ("--bc", "--K", "--N", "--precision", "--delta")),
+    ("spectrum", ("--caps", "--precision", "--delta")),
+    ("verdict", ("--N", "--format")),
+    ("verify", ("--potential", "--bc", "--N", "--caps", "--delta", "--range", "--format")),
+])
+def test_flags_a_command_does_not_read_exit_64(capsys, command, flags):
+    for flag in flags:
+        value = "per+" if flag == "--bc" else "json" if flag == "--format" else "1"
+        code, out, err = run_cli(capsys, command, flag, value)
+        assert code == 64 and out == ""
+        assert err == f"hillwalk: unrecognized arguments: {flag} {value}\n"
 
 
 def test_unwritable_out_exits_64(capsys):

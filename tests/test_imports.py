@@ -1,0 +1,40 @@
+"""No library module imports a name it never uses (`__init__` re-exports)."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import hillwalk
+
+MODULES = sorted(p for p in Path(hillwalk.__file__).parent.glob("*.py") if p.name != "__init__.py")
+
+
+def _annotation_names(tree):
+    """Names inside string annotations such as -> "GaussianRational"."""
+    annotations = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations.append(node.returns)
+        elif isinstance(node, ast.arg):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+    for ann in annotations:
+        if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+            yield from (n.id for n in ast.walk(ast.parse(ann.value, mode="eval"))
+                        if isinstance(n, ast.Name))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used.update(_annotation_names(tree))
+    assert sorted(imported - used) == []

@@ -1,4 +1,4 @@
-"""Exact scalar arithmetic, precision round trips, gamma and binomial."""
+"""Exact scalar arithmetic, precision round trips, the telescoped Gamma ratio."""
 
 import math
 from fractions import Fraction
@@ -9,14 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hillwalk.numerics import (
-    GammaPoleError,
-    GammaRatio,
     GaussianRational,
     abs_value,
-    binomial,
     fraction_to_mpf,
     gamma_product_identity,
-    gamma_value,
     to_mpc,
 )
 
@@ -116,67 +112,14 @@ class TestGamma:
         with pytest.raises(ValueError):
             gamma_product_identity(Fraction(1, 3), 0)
 
-    def test_gamma_value_integers(self):
-        assert abs(complex(gamma_value(1, 64)) - 1) < 1e-15
-        assert abs(complex(gamma_value(4, 64)) - 6) < 1e-14
-
-    def test_gamma_half_vs_sqrt_pi(self):
-        precision = 300
-        g = gamma_value(Fraction(1, 2), precision)
-        with mpmath.mp.workprec(precision):
-            ref = mpmath.sqrt(mpmath.pi)
-            assert abs(g.real - ref) < mpmath.mpf(2) ** (-(precision - 8))
-            assert abs(g.imag) == 0
-
-    def test_gamma_error_budget(self):
-        # value at precision p agrees with a much higher precision run
-        x = Fraction(7, 3)
-        for p in (64, 128, 256):
-            lo = gamma_value(x, p)
-            hi = gamma_value(x, p + 128)
-            with mpmath.mp.workprec(p + 160):
-                rel = abs(lo - hi) / abs(hi)
-                assert rel < mpmath.mpf(2) ** (-(p - 8))
-
-    def test_gamma_pole(self):
-        with pytest.raises(GammaPoleError):
-            gamma_value(0, 64)
-        with pytest.raises(GammaPoleError):
-            gamma_value(-3, 64)
-
     def test_gamma_ratio_exact_vs_numeric(self):
-        ratio = GammaRatio.of(
-            [Fraction(2, 3), Fraction(19, 3)], [Fraction(5, 3), Fraction(7, 3)]
-        )
-        exact = ratio.exact()
-        numeric = ratio.value(192)
-        assert abs(complex(to_mpc(exact, 192) - numeric)) < 1e-40
-
-    def test_gamma_ratio_telescopes_requirement(self):
-        with pytest.raises(ValueError):
-            GammaRatio.of([Fraction(1, 2)], [Fraction(1, 3)]).exact()
-
-
-class TestBinomial:
-    def test_values(self):
-        assert binomial(3, 1) == 3
-        assert binomial(0, 0) == 1
-        assert binomial(23, 10) == 1144066
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            binomial(3, 5)
-        with pytest.raises(ValueError):
-            binomial(3, -1)
-
-    @given(n=st.integers(min_value=1, max_value=200), k=st.integers(min_value=0, max_value=200))
-    @settings(max_examples=80)
-    def test_pascal_rule(self, n, k):
-        k = min(k, n)
-        if 0 < k <= n - 1:
-            assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
-        assert binomial(n, 0) == 1
-        assert binomial(n, n) == 1
+        # Gamma(1 - alpha) / Gamma(m - alpha) against mpmath's Gamma
+        for alpha, m in ((Fraction(1, 3), 7), (Fraction(2, 3), 19), (Fraction(1, 2), 4)):
+            exact = gamma_product_identity(alpha, m)
+            with mpmath.mp.workprec(192):
+                a = mpmath.mpf(alpha.numerator) / alpha.denominator
+                numeric = mpmath.gamma(1 - a) / mpmath.gamma(m - a)
+                assert abs(to_mpc(exact, 192) - numeric) < mpmath.mpf(2) ** -180 * abs(numeric)
 
 
 def test_abs_value_handles_huge_fractions():

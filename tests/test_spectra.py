@@ -239,22 +239,21 @@ class TestLocalization:
         assert [p.n for p in res.pairs] == [7, 9, 11]
 
     @pytest.mark.parametrize(
-        "bc,n_max,N_cap,match",
+        "bc,n_max,K,match",
         [
             (BC.PER_PLUS, 0, 10, "n_max must be >= 1, got 0"),
             (BC.PER_MINUS, -3, 10, "n_max must be >= 1, got -3"),
-            (BC.PER_PLUS, 8, -1, "N_cap must be >= 0, got -1"),
             (BC.DIRICHLET, 8, 10, "per\\+ / per- only"),
         ],
     )
-    def test_working_N_rejects_before_assembly(self, monkeypatch, bc, n_max, N_cap, match):
+    def test_working_N_rejects_before_assembly(self, monkeypatch, bc, n_max, K, match):
         def no_assembly(*args):
             raise AssertionError("assembled before the arguments were checked")
 
         monkeypatch.setattr("hillwalk.spectra.assemble", no_assembly)
         pot, _ = two_term(1, 1, 1, 1)
         with pytest.raises(ValueError, match=match):
-            find_working_N(pot, bc, 16, n_max, N_cap=N_cap)
+            find_working_N(pot, bc, K, n_max)
 
     def test_z_star_consistency_enforced(self):
         with pytest.raises(ValueError):
@@ -357,10 +356,12 @@ class TestRefinement:
         assert float(rp.gap) < 1e-80
 
     def test_refined_dirichlet_matches_hardware(self):
+        # odd n runs the chain through the corner j = 1, even n the plain one
         pot, params = two_term(1, 2, 1, 1)
-        hw = dirichlet_close(pot, 64, 6)
-        mu = refined_dirichlet(pot, params, 6, 64)
-        assert abs(complex(mu) - hw) < 1e-9
+        for n in (5, 6):
+            hw = dirichlet_close(pot, 64, n)
+            mu = refined_dirichlet(pot, params, n, 64)
+            assert abs(complex(mu) - hw) < 1e-9
 
     def test_refinement_requires_equal_bands(self):
         _, params = two_term(1, 1, 1, 3)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hillwalk.beta import alpha_n, beta_minus, beta_plus
-from hillwalk.numerics import GaussianRational, binomial
+from hillwalk.numerics import GaussianRational
 from hillwalk.potential import FourierPotential, two_term
 from hillwalk.walks import (
     Walk,
@@ -115,7 +115,7 @@ class TestShellStructure:
         _, params = two_term(1, 1, 1, 3)
         assert shell_size_bound(params, 5, WalkKind.X, 0) == 3  # C(3,1)
         assert shell_size_bound(params, 6, WalkKind.X, 0) == 1
-        assert shell_size_bound(params, 7, WalkKind.X, 0) == binomial(5, 2)
+        assert shell_size_bound(params, 7, WalkKind.X, 0) == math.comb(5, 2)
 
 
 class TestEnumeration:
@@ -146,7 +146,7 @@ class TestEnumeration:
         walks = enumerate_shell(params, 2, WalkKind.X, 1)
         for w in walks:
             assert is_admissible(w)
-        assert len(walks) < binomial(4, 1)
+        assert len(walks) < math.comb(4, 1)
 
     def test_closed_walks_two_term(self):
         pot, _ = two_term(1, 1, 1, 1)
