@@ -20,9 +20,6 @@ from .walks import (
     WalkKind,
     WalkSingularityError,
     enumerate_closed,
-    enumerate_shell,
-    is_admissible,
-    shell_size_bound,
     shell_step_counts,
     shell_sum,
     vertices,

@@ -39,6 +39,7 @@ from .spectra import (
     ConvergenceError,
     DirichletUniquenessError,
     LocalizationError,
+    REFINE_PRECISION,
     attach_dirichlet,
     assemble,
     eigenvalues,
@@ -454,7 +455,7 @@ def cmd_verdict(config: dict) -> int:
         ns = _read_range(config, default=[6, 8, 10, 12])
         rep = concordance_report(params.a, params.b, ns=tuple(ns),
                                  K=_read_positive(config, "K", 32), shell_caps=caps,
-                                 precision=_read_positive(config, "precision", 320))
+                                 precision=_read_positive(config, "precision", REFINE_PRECISION))
         _dump(rep.to_json_dict(), config)
         return EXIT_OK
     else:

@@ -25,6 +25,7 @@ from .beta import beta_minus, beta_plus
 from .numerics import GaussianRational, abs_value, check_precision, complex_to_gaussian
 from .potential import FourierPotential, TwoTermParams, two_term
 from .spectra import (
+    REFINE_PRECISION,
     BoundaryCondition,
     SpectralPair,
     refined_dirichlet,
@@ -501,7 +502,7 @@ def concordance_report(
     ns: Sequence[int] = (6, 8, 10, 12),
     K: int = 32,
     shell_caps: tuple = DEFAULT_SHELL_CAPS,
-    precision: int = 320,
+    precision: int = REFINE_PRECISION,
 ) -> ConcordanceReport:
     """All three criteria side by side for bands at -2 and 2.
 
@@ -515,8 +516,8 @@ def concordance_report(
     for n in ns:
         if n % 2 != 0:
             raise ValueError(f"periodic discs sit at even n, got {n}")
-        rp = refined_pair(pot, params, BoundaryCondition.PER_PLUS, n, K, precision)
-        mu = refined_dirichlet(pot, params, n, K, precision)
+        rp = refined_pair(pot, BoundaryCondition.PER_PLUS, n, K, precision)
+        mu = refined_dirichlet(pot, n, K, precision)
         with mpmath.workprec(precision):
             gap = rp.gap
             simple = gap > mpmath.mpf(2) ** (-(precision // 2))

@@ -6,16 +6,18 @@ Three boundary conditions, each with its own Fourier basis:
   per-       e^{(2k+1)ix}, k = K-1..-K   (antiperiodic)
   dirichlet  sin(kx),      k = 1..K
 
-Assembly walks the potential's support instead of the dim x dim grid: a
-frequency m fills one Toeplitz diagonal for per+/per-, and for Dirichlet two
-diagonals and one anti-diagonal.  Each exact line value, and the exact sum
-where a diagonal crosses an anti-diagonal, is rounded to a double once, so
-the fill costs O(dim |support|) cell writes.  The dense matrix is solved at
-hardware precision; eigenvalues near n^2 are grouped into unit discs D_n and
-paired.  For two-term potentials with equal band offsets the matrix splits
-into tridiagonal chains, which supports a separate arbitrary-precision
-refinement of a single pair (the gaps of interest shrink far below hardware
-resolution well before n = 12).
+One map holds which cells of the truncation a potential fills: per+/per-
+put V(m) on the line col - row = m/2, and Dirichlet puts w(t) on
+col - row = +-t and -w(t) on row + col = t - 2, summed exactly where lines
+cross.  Assembly rounds each exact cell to a double once and adds the free
+eigenvalue, so the fill costs O(dim |support|) cells.  The dense matrix is
+solved at hardware precision; eigenvalues near n^2 are grouped into unit
+discs D_n and paired.  The same map drives an arbitrary-precision
+refinement of a single pair (the gaps of interest shrink far below
+hardware resolution well before n = 12): the basis functions with free
+eigenvalue n^2 anchor blocks of positions linked through off-diagonal
+cells, and a block whose links only join neighbours in ascending basis
+index is a tridiagonal chain with a three-term determinant recurrence.
 """
 
 from dataclasses import dataclass, replace
@@ -88,6 +90,8 @@ class ConvergenceError(ArithmeticError):
 def basis_indices(bc: BoundaryCondition, K: int) -> tuple:
     if K < 1:
         raise ValueError(f"K must be >= 1, got {K}")
+    if K > MAX_K:
+        raise ValueError(f"K={K} exceeds the limit K <= {MAX_K}")
     if bc == BoundaryCondition.PER_PLUS:
         return tuple(range(K, -K - 1, -1))
     if bc == BoundaryCondition.PER_MINUS:
@@ -115,73 +119,50 @@ class TruncatedOperator:
         return len(self.indices)
 
 
-def _fill_diagonal(M: np.ndarray, offset: int, value: complex) -> None:
-    """Write value on the cells with col - row = offset."""
-    for row in range(max(0, -offset), min(len(M), len(M) - offset)):
-        M[row, row + offset] = value
+def _potential_cells(pot: FourierPotential, bc: BoundaryCondition, K: int) -> dict:
+    """The nonzero exact potential entries {(row, col): value} of the
+    truncation for bc at cutoff K; the free eigenvalues are not included.
 
+    per+/per-: the entry for (k_i, k_j) is V(2(k_i - k_j)) and indices
+    descend, so V(m) sits on col - row = m/2.  Dirichlet: the coupling of
+    sin(jx) and sin(kx) is w(|j - k|) - w(j + k) with w(t) = (V(t) + V(-t))/2,
+    so w(t) sits on col - row = +-t and -w(t) on row + col = t - 2; where
+    lines cross the exact values are summed.  Exact zeros are dropped."""
+    dim = len(basis_indices(bc, K))
 
-def _fill_antidiagonal(M: np.ndarray, total: int, value: complex) -> None:
-    """Write value on the cells with row + col = total."""
-    for row in range(max(0, total - len(M) + 1), min(len(M), total + 1)):
-        M[row, total - row] = value
+    def diagonal(offset):  # the cells with col - row = offset
+        return ((r, r + offset) for r in range(max(0, -offset), min(dim, dim - offset)))
 
+    def antidiagonal(total):  # the cells with row + col = total
+        return ((r, total - r) for r in range(max(0, total - dim + 1), min(dim, total + 1)))
 
-def _dirichlet_weights(pot: FourierPotential) -> dict:
-    """w(t) = (V(t) + V(-t))/2 for each t = |m| of the support; the coupling
-    of sin(jx) and sin(kx) is w(|j - k|) - w(j + k), and w(0) = 0."""
-    return {
-        t: (pot.coefficient(t) + pot.coefficient(-t)) * Fraction(1, 2)
-        for t in {abs(m) for m in pot.support()}
-    }
-
-
-def _fill_dirichlet(M: np.ndarray, pot: FourierPotential) -> None:
-    """Write the potential part of the sine-basis matrix into M (zeros).
-
-    w(t) lies on the diagonals col - row = +-t and -w(t) on the
-    anti-diagonal j + k = t, i.e. row + col = t - 2.  Where a diagonal
-    crosses an anti-diagonal the two exact values are summed before the
-    single rounding."""
-    dim = len(M)
-    w = _dirichlet_weights(pot)
-    for t, value in w.items():
-        if t < dim:
-            rounded = complex(value)
-            _fill_diagonal(M, t, rounded)
-            _fill_diagonal(M, -t, rounded)
-        if t <= 2 * dim:
-            _fill_antidiagonal(M, t - 2, complex(-value))
-    for t_anti, anti in w.items():
-        for t_diag, diag in w.items():
-            # row + col = t_anti - 2 meets col - row = +-t_diag in two
-            # mirrored cells (both t even)
-            row, col = (t_anti - 2 - t_diag) // 2, (t_anti - 2 + t_diag) // 2
-            if row >= 0 and col < dim:
-                M[row, col] = M[col, row] = complex(diag - anti)
+    if bc == BoundaryCondition.DIRICHLET:
+        lines = []
+        for t in sorted({abs(m) for m in pot.support()}):
+            w = (pot.coefficient(t) + pot.coefficient(-t)) * Fraction(1, 2)
+            lines += [(diagonal(t), w), (diagonal(-t), w), (antidiagonal(t - 2), -w)]
+    else:
+        lines = [(diagonal(m // 2), value) for m, value in pot.coeffs]
+    cells = {}
+    for line, value in lines:
+        for cell in line:
+            cells[cell] = cells[cell] + value if cell in cells else value
+    return {cell: value for cell, value in cells.items() if not value.is_zero()}
 
 
 def assemble(pot: FourierPotential, bc: BoundaryCondition, K: int) -> TruncatedOperator:
     """Dense truncation of the operator in the basis for bc at cutoff K.
 
-    Only the O(dim |support|) cells a support frequency reaches are
-    written.  Each cell's exact value is rounded once and the free
+    Each exact cell of `_potential_cells` is rounded once and the free
     eigenvalue is added on the diagonal after the rounding, so every entry
     is the one an entry-by-entry fill gives."""
     bc = BoundaryCondition(bc)
-    if K > MAX_K:
-        raise ValueError(f"K={K} exceeds the limit K <= {MAX_K}")
     ks = basis_indices(bc, K)
-    dim = len(ks)
-    M = np.zeros((dim, dim), dtype=complex)
-    if bc == BoundaryCondition.DIRICHLET:
-        _fill_dirichlet(M, pot)
-    else:
-        # the entry for (k_i, k_j) is V(2(k_i - k_j)); indices descend, so
-        # frequency m sits on the diagonal col - row = m/2
-        for m, value in pot.coeffs:
-            if abs(m) < 2 * dim:
-                _fill_diagonal(M, m // 2, complex(value))
+    M = np.zeros((len(ks), len(ks)), dtype=complex)
+    cells = _potential_cells(pot, bc, K)
+    if cells:
+        rows, cols = zip(*cells)
+        M[rows, cols] = [complex(value) for value in cells.values()]
     for i, k in enumerate(ks):
         M[i, i] += free_eigenvalue(bc, k)
     return TruncatedOperator(bc, K, ks, M)
@@ -464,18 +445,57 @@ def _mp_key(w):
     return (mpmath.re(w), mpmath.im(w))
 
 
-def _equal_band_chain(params: TwoTermParams, bc: BoundaryCondition, K: int, anchor_k: int, precision: int):
-    """Tridiagonal chain through basis index anchor_k when R = S.
+def _chain(pot: FourierPotential, bc: BoundaryCondition, K: int, anchor: int, precision: int):
+    """The tridiagonal chain through basis position `anchor`.
 
-    The coupling stride is R, so indices split into residue classes; the
-    determinant recurrence only needs the sub*super product a*b."""
-    R = params.R
-    ks = [k for k in basis_indices(bc, K) if (k - anchor_k) % R == 0]
-    ks.sort()
-    diag = [mpmath.mpf(free_eigenvalue(bc, k)) for k in ks]
-    ab = to_mpc(params.a * params.b, precision)
-    offprod = [ab] * (len(ks) - 1)
-    return ks, diag, offprod
+    The block is every position linked to the anchor through off-diagonal
+    cells, in ascending basis index k; unless every link joins neighbours
+    in that order the block is no chain and ValueError is raised.  The
+    diagonal is the free eigenvalue plus the diagonal cell, and offprod[i]
+    is cell(i, i+1) * cell(i+1, i).  Each distinct exact value is rounded
+    once to `precision` bits.  Returns (block, diag, offprod)."""
+    ks = basis_indices(bc, K)
+    cells = _potential_cells(pot, bc, K)
+    links = {}
+    for row, col in cells:
+        if row != col:
+            links.setdefault(row, set()).add(col)
+            links.setdefault(col, set()).add(row)
+    block, frontier = {anchor}, [anchor]
+    while frontier:
+        for j in links.get(frontier.pop(), ()):
+            if j not in block:
+                block.add(j)
+                frontier.append(j)
+    order = sorted(block, key=lambda i: ks[i])
+    place = {i: p for p, i in enumerate(order)}
+    for i in order:
+        for j in links.get(i, ()):
+            if abs(place[i] - place[j]) != 1:
+                raise ValueError(
+                    f"the {bc.value} block through k={ks[anchor]} is not a chain: "
+                    f"k={ks[i]} couples to k={ks[j]}, which is not its neighbour"
+                )
+    # a diagonal without a cell stays an int, which hashes and rounds cheaply
+    diag = [free_eigenvalue(bc, ks[i]) + cells.get((i, i), 0) for i in order]
+    zero = GaussianRational()
+    offprod = [cells.get((i, j), zero) * cells.get((j, i), zero) for i, j in zip(order, order[1:])]
+    rounded = {value: to_mpc(value, precision) for value in {*diag, *offprod}}
+    return block, [rounded[v] for v in diag], [rounded[v] for v in offprod]
+
+
+def _disc_anchors(bc: BoundaryCondition, K: int, n: int, count: int) -> list:
+    """The basis positions whose free eigenvalue is n^2, n >= 1: the functions
+    the disc D_n grows from.  A pair has two, a Dirichlet disc one; any other
+    count raises ValueError (wrong parity for bc, or n beyond the cutoff)."""
+    ks = basis_indices(bc, K) if n >= 1 else ()
+    anchors = [i for i, k in enumerate(ks) if free_eigenvalue(bc, k) == n * n]
+    if len(anchors) != count:
+        raise ValueError(
+            f"{bc.value} at K={K} has {len(anchors)} basis functions with free "
+            f"eigenvalue n^2 for n={n}, need {count}"
+        )
+    return anchors
 
 
 @dataclass(frozen=True)
@@ -506,78 +526,49 @@ class RefinedPair:
 
 def refined_pair(
     pot: FourierPotential,
-    params: TwoTermParams,
     bc: BoundaryCondition,
     n: int,
     K: int,
     precision: int = REFINE_PRECISION,
 ) -> RefinedPair:
-    """The D_n pair at arbitrary precision for equal band offsets R = S.
+    """The D_n pair at arbitrary precision.
 
-    Hardware eigenvalues seed a Newton iteration on the tridiagonal chain
-    determinants; a near-double pair inside one chain is split through the
-    quadratic model of the determinant before polishing.  Needed because
-    the pair gaps shrink super-exponentially in n while the eigenvalues
-    themselves stay of size n^2."""
+    Hardware eigenvalues seed a Newton iteration on the chain determinants
+    through the two basis functions with free eigenvalue n^2; when both lie
+    in one chain the near-double pair is split through the quadratic model
+    of the determinant before polishing.  Needed because the pair gaps
+    shrink super-exponentially in n while the eigenvalues themselves stay
+    of size n^2."""
     check_precision(precision)
     bc = BoundaryCondition(bc)
-    if params.R != params.S:
-        raise ValueError("refinement needs equal band offsets R = S")
-    if bc == BoundaryCondition.PER_PLUS:
-        if n % 2 != 0 or n < 2:
-            raise ValueError(f"per+ discs sit at even n >= 2, got {n}")
-        k_lo, k_hi = -n // 2, n // 2
-    elif bc == BoundaryCondition.PER_MINUS:
-        if n % 2 != 1:
-            raise ValueError(f"per- discs sit at odd n, got {n}")
-        k_lo, k_hi = -(n + 1) // 2, (n - 1) // 2
-    else:
-        raise ValueError("pair refinement applies to per+ / per- only")
-    if n > K:
-        raise ValueError(f"cutoff K={K} too small for n={n}")
+    first, second = _disc_anchors(bc, K, n, 2)
+    block, diag, offprod = _chain(pot, bc, K, first, precision)
     eigs = eigenvalues(assemble(pot, bc, K))
     near = sorted(eigs, key=lambda w: abs(w - n * n))[:2]
     seed = 0.5 * (near[0] + near[1])
     with mpmath.workprec(precision):
-        if (k_hi - k_lo) % params.R == 0:
-            _, diag, offprod = _equal_band_chain(params, bc, K, k_hi, precision)
-            r1, r2 = _cluster_roots(diag, offprod, seed, precision)
-            roots = [
-                _newton_polish(diag, offprod, r1, precision),
-                _newton_polish(diag, offprod, r2, precision),
-            ]
+        if second in block:
+            chains = [(diag, offprod)] * 2
+            seeds = _cluster_roots(diag, offprod, seed, precision)
         else:
-            roots = []
-            for anchor in (k_lo, k_hi):
-                _, diag, offprod = _equal_band_chain(params, bc, K, anchor, precision)
-                roots.append(_newton_polish(diag, offprod, seed, precision))
-        roots.sort(key=_mp_key)
+            chains = [(diag, offprod), _chain(pot, bc, K, second, precision)[1:]]
+            seeds = (seed, seed)
+        roots = sorted((_newton_polish(d, o, s, precision) for (d, o), s in zip(chains, seeds)),
+                       key=_mp_key)
         return RefinedPair(n, roots[0], roots[1], precision)
 
 
 def refined_dirichlet(
     pot: FourierPotential,
-    params: TwoTermParams,
     n: int,
     K: int,
     precision: int = REFINE_PRECISION,
 ) -> mpmath.mpc:
-    """mu_n at arbitrary precision for R = S = 1.
-
-    The sine basis splits into even and odd chains coupled only along
-    j -> j +- 2, with the single corner modification at j = 1."""
+    """mu_n at arbitrary precision, by Newton on the chain through sin(nx)
+    seeded from the hardware solve."""
     check_precision(precision)
-    if params.R != params.S or params.R != 1:
-        raise ValueError("Dirichlet refinement implemented for R = S = 1 only")
-    if n < 1 or n > K:
-        raise ValueError(f"need 1 <= n <= K, got n={n} K={K}")
+    (anchor,) = _disc_anchors(BoundaryCondition.DIRICHLET, K, n, 1)
+    _, diag, offprod = _chain(pot, BoundaryCondition.DIRICHLET, K, anchor, precision)
     seed = dirichlet_close(pot, K, n)
-    w = _dirichlet_weights(pot)
-    zero = GaussianRational()
-    js = [j for j in range(1, K + 1) if j % 2 == n % 2]
     with mpmath.workprec(precision):
-        diag = [to_mpc(j * j - w.get(2 * j, zero), precision) for j in js]
-        # the couplings of j and j + 2 either way are both w(2) - w(2j + 2)
-        offprod = [to_mpc((w.get(2, zero) - w.get(2 * j + 2, zero)) ** 2, precision)
-                   for j in js[:-1]]
         return _newton_polish(diag, offprod, seed, precision)

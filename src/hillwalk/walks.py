@@ -11,8 +11,9 @@ For a two-term potential the steps are -2R and +2S, so a walk is an
 interleaving of step counts (neg, pos) solving  -2R neg + 2S pos = step sum.
 Solutions organize into shells: consecutive shells differ by (s, r) extra
 steps.  Every sum (X/Y shells, W closed walks over any support) comes from
-one transfer DP over (steps taken, vertex); explicit enumeration and
-`weight` are kept for walk inspection and as the tests' oracle.
+one transfer DP over (steps taken, vertex); closed-walk enumeration and
+`weight` are kept for walk inspection, and the tests enumerate shells
+walk by walk as their oracle.
 
 The DP is fraction-free, after Bareiss (Math. Comp. 1968): a layer holds
 Gaussian-integer numerators over one shared denominator, reduced by one
@@ -25,7 +26,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import comb
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .numerics import GaussianRational, ScalarLike
@@ -97,13 +97,6 @@ def vertices(walk: Walk) -> Tuple[int, ...]:
     return tuple(out)
 
 
-def is_admissible(walk: Walk) -> bool:
-    """True when no interior vertex equals +-n."""
-    verts = vertices(walk)
-    n = walk.n
-    return all(v != n and v != -n for v in verts[1:-1])
-
-
 @dataclass(frozen=True)
 class ShellSteps:
     """Step counts of one two-term shell: `neg` steps -2R and `pos` steps +2S."""
@@ -142,67 +135,6 @@ def shell_step_counts(
         pos0 = next(q for q in range(r) if (n_red + s * q) % r == 0)
         neg0 = (n_red + s * pos0) // r
     return ShellSteps(neg0 + s * shell, pos0 + r * shell)
-
-
-def shell_size_bound(params: TwoTermParams, n: int, kind: WalkKind, shell: int) -> int:
-    """Interleaving count C(neg+pos, neg); an upper bound for the walk count."""
-    counts = shell_step_counts(params, n, kind, shell)
-    if counts is None:
-        return 0
-    return comb(counts.total, counts.neg)
-
-
-def enumerate_shell(
-    params: TwoTermParams,
-    n: int,
-    kind: WalkKind,
-    shell: int,
-    max_walks: int = 1_000_000,
-) -> List[Walk]:
-    """All admissible walks of one shell, in lexicographic step order.
-
-    Infeasible shells give an empty list.  Enumeration is depth first with
-    prefix pruning (a prefix that lands on +-n before the final step is dead);
-    trying the negative step -2R before +2S at every position makes the output
-    order lexicographic."""
-    counts = shell_step_counts(params, n, kind, shell)
-    if counts is None:
-        return []
-    size = comb(counts.total, counts.neg)
-    if size > max_walks:
-        raise ValueError(
-            f"shell holds up to {size} interleavings; "
-            f"raise max_walks to enumerate"
-        )
-    neg_step, pos_step = -2 * params.R, 2 * params.S
-    start = _START_SIGN[kind] * n
-    total = counts.total
-    out: List[Walk] = []
-    prefix: List[int] = []
-
-    def extend(vertex: int, neg_left: int, pos_left: int) -> None:
-        placed = total - neg_left - pos_left
-        if placed == total:
-            out.append(Walk(tuple(prefix), kind, n))
-            return
-        # neg_step < 0 < pos_step, so this trial order is lexicographic
-        for step in (neg_step, pos_step):
-            left = neg_left if step == neg_step else pos_left
-            if left == 0:
-                continue
-            nxt = vertex + step
-            # interior vertices must avoid +-n; the final vertex is exempt
-            if placed + 1 < total and (nxt == n or nxt == -n):
-                continue
-            prefix.append(step)
-            if step == neg_step:
-                extend(nxt, neg_left - 1, pos_left)
-            else:
-                extend(nxt, neg_left, pos_left - 1)
-            prefix.pop()
-
-    extend(start, counts.neg, counts.pos)
-    return out
 
 
 def enumerate_closed(

@@ -1,13 +1,17 @@
 """Reference implementations the library is checked against.
 
-They follow the definitions entry by entry, at a cost the library avoids.
+They follow the definitions entry by entry, or walk by walk, at a cost the
+library avoids.
 """
 
 from fractions import Fraction
+from math import comb
+from typing import List
 
 import numpy as np
 
 from hillwalk.spectra import BoundaryCondition, basis_indices, free_eigenvalue
+from hillwalk.walks import Walk, WalkKind, shell_step_counts, vertices
 
 
 def dense_assemble(pot, bc, K) -> np.ndarray:
@@ -36,3 +40,67 @@ def dense_assemble(pot, bc, K) -> np.ndarray:
                 entry += free_eigenvalue(bc, ki)
             M[i, j] = entry
     return M
+
+
+def is_admissible(walk: Walk) -> bool:
+    """True when no interior vertex equals +-n."""
+    verts = vertices(walk)
+    n = walk.n
+    return all(v != n and v != -n for v in verts[1:-1])
+
+
+def shell_size_bound(params, n: int, kind: WalkKind, shell: int) -> int:
+    """Interleaving count C(neg+pos, neg); an upper bound for the walk count."""
+    counts = shell_step_counts(params, n, kind, shell)
+    if counts is None:
+        return 0
+    return comb(counts.total, counts.neg)
+
+
+def enumerate_shell(
+    params, n: int, kind: WalkKind, shell: int, max_walks: int = 1_000_000
+) -> List[Walk]:
+    """All admissible walks of one shell, in lexicographic step order.
+
+    Infeasible shells give an empty list.  Enumeration is depth first with
+    prefix pruning (a prefix that lands on +-n before the final step is dead);
+    trying the negative step -2R before +2S at every position makes the output
+    order lexicographic."""
+    counts = shell_step_counts(params, n, kind, shell)
+    if counts is None:
+        return []
+    size = comb(counts.total, counts.neg)
+    if size > max_walks:
+        raise ValueError(
+            f"shell holds up to {size} interleavings; "
+            f"raise max_walks to enumerate"
+        )
+    neg_step, pos_step = -2 * params.R, 2 * params.S
+    start = -n if kind is WalkKind.X else n
+    total = counts.total
+    out: List[Walk] = []
+    prefix: List[int] = []
+
+    def extend(vertex: int, neg_left: int, pos_left: int) -> None:
+        placed = total - neg_left - pos_left
+        if placed == total:
+            out.append(Walk(tuple(prefix), kind, n))
+            return
+        # neg_step < 0 < pos_step, so this trial order is lexicographic
+        for step in (neg_step, pos_step):
+            left = neg_left if step == neg_step else pos_left
+            if left == 0:
+                continue
+            nxt = vertex + step
+            # interior vertices must avoid +-n; the final vertex is exempt
+            if placed + 1 < total and (nxt == n or nxt == -n):
+                continue
+            prefix.append(step)
+            if step == neg_step:
+                extend(nxt, neg_left - 1, pos_left)
+            else:
+                extend(nxt, neg_left, pos_left - 1)
+            prefix.pop()
+
+    extend(start, counts.neg, counts.pos)
+    return out

@@ -13,7 +13,6 @@ from hillwalk.criteria import (
     concordance_report,
     prop20_verdict,
     structurally_zero,
-    t_n_squared,
     theorem31_report,
     theorem5_report,
 )

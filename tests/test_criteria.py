@@ -8,7 +8,6 @@ from hillwalk import criteria
 from hillwalk.beta import beta_minus, beta_plus
 from hillwalk.criteria import (
     BasisVerdict,
-    ConcordanceReport,
     DegenerateRatioError,
     IndexSet,
     VerdictThresholds,

@@ -1,12 +1,17 @@
 """Golden-output lock: CLI stdout must stay byte-identical to the files in
 tests/golden/.  Only outputs that do not print LAPACK eigenvalues are locked
-(verify's residual lines and `spectrum` can vary across BLAS builds)."""
+(verify's residual lines and `spectrum` can vary across BLAS builds); the
+refined roots are Newton-polished at 320 bits from a hardware seed, so
+only their imaginary parts far below the Newton tolerance carry the seed."""
 
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from hillwalk.cli import main
+from hillwalk.potential import two_term
+from hillwalk.spectra import refined_dirichlet, refined_pair
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -31,3 +36,34 @@ def test_golden_output(capsys, name):
     out = capsys.readouterr().out
     assert code == 0
     assert out.encode() == (GOLDEN / name).read_bytes()
+
+
+# (bc, (a, b, R, S), ns) at K = 32 and the default refinement precision
+REFINED = [
+    ("per+", ("1", "2", 1, 1), (6, 8, 10, 12, 22)),
+    ("per-", ("1", "1", 2, 2), (5,)),
+    ("per+", ("1", "3/5+4/5i", 2, 2), (8,)),
+    ("per-", ("1", "2", 3, 3), (9,)),
+    ("dirichlet", ("1", "2", 1, 1), (5, 6)),
+]
+
+
+def test_refined_roots():
+    """Refined pairs and Dirichlet eigenvalues to 90 digits: the cluster
+    split (both anchors in one chain), separate chains, a complex ab, the
+    n = 22 pair below the 320-bit simplicity threshold, and the sine chain
+    through sin(x) and through sin(2x)."""
+    K = 32
+    lines = []
+    for bc, (a, b, R, S), ns in REFINED:
+        pot, _ = two_term(a, b, R, S)
+        head = f"{bc} a={a} b={b} R={R} S={S} K={K}"
+        for n in ns:
+            if bc == "dirichlet":
+                lines.append(f"{head} n={n} mu {mpmath.nstr(refined_dirichlet(pot, n, K), 90)}")
+                continue
+            rp = refined_pair(pot, bc, n, K)
+            lines.append(f"{head} n={n} lam_minus {mpmath.nstr(rp.lam_minus, 90)}")
+            lines.append(f"{head} n={n} lam_plus {mpmath.nstr(rp.lam_plus, 90)}")
+    text = "\n".join(lines) + "\n"
+    assert text.encode() == (GOLDEN / "refined_roots.txt").read_bytes()

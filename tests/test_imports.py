@@ -1,4 +1,5 @@
-"""No library module imports a name it never uses (`__init__` re-exports)."""
+"""No library or test module imports a name it never uses (`__init__`
+re-exports)."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 import hillwalk
 
 MODULES = sorted(p for p in Path(hillwalk.__file__).parent.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def _annotation_names(tree):
@@ -26,7 +28,8 @@ def _annotation_names(tree):
                         if isinstance(n, ast.Name))
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES,
+                         ids=lambda p: p.name if p in MODULES else f"tests/{p.name}")
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text())
     imported = set()

@@ -1,6 +1,5 @@
 """Truncation assembly, eigensolve, localization, and pair refinement."""
 
-import math
 from fractions import Fraction
 
 import mpmath
@@ -315,10 +314,10 @@ class TestReductionResidual:
 
 class TestRefinement:
     def test_matches_hardware_at_resolvable_gap(self):
-        pot, params = two_term(1, 1, 1, 1)
+        pot, _ = two_term(1, 1, 1, 1)
         N, res = find_working_N(pot, BC.PER_PLUS, 64, 8)
         hw = res.pair(6)
-        rp = refined_pair(pot, params, BC.PER_PLUS, 6, 64)
+        rp = refined_pair(pot, BC.PER_PLUS, 6, 64)
         assert abs(complex(rp.lam_minus) - hw.lam_minus) < 1e-9
         assert abs(complex(rp.lam_plus) - hw.lam_plus) < 1e-9
         assert abs(float(rp.gap) - hw.gap) < 1e-10
@@ -328,7 +327,7 @@ class TestRefinement:
         """Refined gaps agree with 2 sqrt(beta+ beta-) at z_star within 1%,
         far below hardware eigensolver resolution for n >= 10."""
         pot, params = two_term(1, 2, 1, 1)
-        rp = refined_pair(pot, params, BC.PER_PLUS, n, 64)
+        rp = refined_pair(pot, BC.PER_PLUS, n, 64)
         with mpmath.workprec(320):
             zg = complex_to_gaussian(complex(rp.z_star))
             bp = beta_plus(pot, params, n, z=zg, shell_cap=3).value
@@ -341,44 +340,49 @@ class TestRefinement:
     def test_desk_scale_gap_floor(self):
         """Gaps stay above 1e-12 only while the closed forms say they do:
         the n=10 and n=12 gaps of this potential are genuinely below that."""
-        pot, params = two_term(1, 2, 1, 1)
+        pot, _ = two_term(1, 2, 1, 1)
         gaps = {}
         for n in (4, 6, 8, 10, 12):
-            gaps[n] = float(refined_pair(pot, params, BC.PER_PLUS, n, 64).gap)
+            gaps[n] = float(refined_pair(pot, BC.PER_PLUS, n, 64).gap)
         for n in (4, 6, 8):
             assert gaps[n] > 1e-12
         assert 0 < gaps[10] < 1e-12
         assert 0 < gaps[12] < 1e-12
 
     def test_structural_double_refines_to_zero_gap(self):
-        pot, params = two_term(1, 1, 2, 2)
-        rp = refined_pair(pot, params, BC.PER_MINUS, 5, 64)
+        pot, _ = two_term(1, 1, 2, 2)
+        rp = refined_pair(pot, BC.PER_MINUS, 5, 64)
         assert float(rp.gap) < 1e-80
 
     def test_refined_dirichlet_matches_hardware(self):
         # odd n runs the chain through the corner j = 1, even n the plain one
-        pot, params = two_term(1, 2, 1, 1)
+        pot, _ = two_term(1, 2, 1, 1)
         for n in (5, 6):
             hw = dirichlet_close(pot, 64, n)
-            mu = refined_dirichlet(pot, params, n, 64)
+            mu = refined_dirichlet(pot, n, 64)
             assert abs(complex(mu) - hw) < 1e-9
 
-    def test_refinement_requires_equal_bands(self):
-        _, params = two_term(1, 1, 1, 3)
-        pot, _ = two_term(1, 1, 1, 3)
-        with pytest.raises(ValueError):
-            refined_pair(pot, params, BC.PER_PLUS, 6, 64)
-        _, params22 = two_term(1, 1, 2, 2)
+    def test_refinement_requires_a_chain(self):
+        # bands 1 and 3 couple k to k - 1 and k + 3: no neighbour order
+        pot13, _ = two_term(1, 1, 1, 3)
+        with pytest.raises(ValueError, match="not a chain"):
+            refined_pair(pot13, BC.PER_PLUS, 6, 64)
+        # w(4) couples sin(jx) to sin((j +- 4)x), and the anti-diagonal
+        # j + k = 4 couples sin(x) to sin(3x) as well: the odd block through
+        # sin(5x) links 1 to both 3 and 5
         pot22, _ = two_term(1, 1, 2, 2)
-        with pytest.raises(ValueError):
-            refined_dirichlet(pot22, params22, 6, 64)
+        with pytest.raises(ValueError, match="not a chain"):
+            refined_dirichlet(pot22, 5, 64)
+        # the even block through sin(6x) is 2, 6, 10, ... with stride 4
+        mu = refined_dirichlet(pot22, 6, 64)
+        assert abs(complex(mu) - dirichlet_close(pot22, 64, 6)) < 1e-9
 
     def test_parity_validation(self):
-        pot, params = two_term(1, 1, 1, 1)
+        pot, _ = two_term(1, 1, 1, 1)
         with pytest.raises(ValueError):
-            refined_pair(pot, params, BC.PER_PLUS, 5, 64)
+            refined_pair(pot, BC.PER_PLUS, 5, 64)
         with pytest.raises(ValueError):
-            refined_pair(pot, params, BC.PER_MINUS, 6, 64)
+            refined_pair(pot, BC.PER_MINUS, 6, 64)
 
     def test_newton_polish_raises_when_iterations_run_out(self):
         # det(T - lam) = lam^2 + 1 has roots +-i; from a real seed Newton

@@ -16,14 +16,12 @@ from hillwalk.walks import (
     WalkKind,
     WalkSingularityError,
     enumerate_closed,
-    enumerate_shell,
-    is_admissible,
-    shell_size_bound,
     shell_step_counts,
     shell_sum,
     vertices,
     weight,
 )
+from oracles import enumerate_shell, is_admissible, shell_size_bound
 
 
 def enum_sum(pot, params, n, kind, shell, z):
