@@ -47,7 +47,6 @@ from .spectra import (
     DirichletUniquenessError,
     LocalizationError,
     LocalizationResult,
-    RefinedPair,
     SpectralPair,
     TruncatedOperator,
     assemble,

@@ -40,7 +40,6 @@ from .spectra import (
     DirichletUniquenessError,
     LocalizationError,
     REFINE_PRECISION,
-    attach_dirichlet,
     assemble,
     eigenvalues,
     find_working_N,
@@ -107,22 +106,25 @@ _FLAGS = {
     "out": {"help": "output path; '-' or omitted for stdout"},
 }
 
-# each subcommand registers only the flags its command reads
+# each subcommand registers only the flags its command reads; a --config
+# file may also set the keys that have no flag
 _SUBCOMMANDS = {
     "beta": ("tabulate the crossing and closed-walk sums",
-             ("potential", "caps", "range", "format", "out")),
+             ("potential", "caps", "range", "format", "out"), ("z",)),
     "spectrum": ("localized eigenvalue pairs from the truncated operator",
-                 ("potential", "bc", "K", "N", "range", "format", "out")),
+                 ("potential", "bc", "K", "N", "range", "format", "out"), ()),
     "verdict": ("basis verdict for a root-function system",
-                ("potential", "bc", "K", "caps", "precision", "delta", "range", "out")),
-    "verify": ("built-in cross-route identity suite", ("K", "precision", "out")),
+                ("potential", "bc", "K", "caps", "precision", "delta", "range", "out"),
+                ("z", "thresholds", "m_range", "report")),
+    "verify": ("built-in cross-route identity suite", ("K", "precision", "out"),
+               ("inject_error",)),
 }
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="hillwalk", description="walk functionals and basis verdicts for Hill operators")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (txt, keys) in _SUBCOMMANDS.items():
+    for name, (txt, keys, _) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=txt)
         for key in keys:
             p.add_argument(f"--{key}", **_FLAGS[key])
@@ -147,6 +149,10 @@ def merged_config(args: argparse.Namespace) -> dict:
             raise UsageError(f"config is not valid JSON: {err}")
         if not isinstance(loaded, dict):
             raise UsageError("config file must hold a JSON object")
+        _, keys, extra = _SUBCOMMANDS[args.command]
+        unread = sorted(set(loaded) - set(keys) - set(extra))
+        if unread:
+            raise UsageError(f"{args.command} does not read config keys {', '.join(unread)}")
         config.update(loaded)
     for key in _FLAGS:
         value = getattr(args, key, None)
@@ -396,8 +402,6 @@ def cmd_spectrum(config: dict) -> int:
     if ns is not None:
         # the scan runs to max(ns) for the working N; print only the asked n
         result = replace(result, pairs=tuple(p for p in result.pairs if p.n in ns))
-    if config.get("dirichlet"):
-        result = attach_dirichlet(result, pot, K)
     if config.get("format", "csv") == "json":
         payload = {
             "bc": bc.value,

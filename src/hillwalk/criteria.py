@@ -15,14 +15,14 @@ and the numbers are attached as corroboration only.
 """
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 import mpmath
 
 from .beta import beta_minus, beta_plus
-from .numerics import GaussianRational, abs_value, check_precision, complex_to_gaussian
+from .numerics import GaussianRational, abs_value, complex_to_gaussian
 from .potential import FourierPotential, TwoTermParams, two_term
 from .spectra import (
     REFINE_PRECISION,
@@ -509,34 +509,20 @@ def concordance_report(
     The pair gaps shrink below hardware resolution inside the tested
     range, so pairs and the Dirichlet eigenvalue are refined at high
     precision before the ratios are formed."""
-    check_precision(precision)
     pot, params = two_term(a, b, 1, 1)
     x_cap, y_cap = shell_caps
     rows = []
     for n in ns:
-        if n % 2 != 0:
-            raise ValueError(f"periodic discs sit at even n, got {n}")
-        rp = refined_pair(pot, BoundaryCondition.PER_PLUS, n, K, precision)
+        pair = refined_pair(pot, BoundaryCondition.PER_PLUS, n, K, precision)
         mu = refined_dirichlet(pot, n, K, precision)
         with mpmath.workprec(precision):
-            gap = rp.gap
-            simple = gap > mpmath.mpf(2) ** (-(precision // 2))
-            pair = SpectralPair(
-                n=n,
-                lam_minus=rp.lam_minus,
-                lam_plus=rp.lam_plus,
-                z_star=rp.z_star,
-                gap=gap,
-                multiplicity_flag="simple-pair" if simple else "double",
-                mu=mu,
-                deviation=abs(rp.lam_plus - mu),
-            )
+            pair = replace(pair, mu=mu, deviation=abs(pair.lam_plus - mu))
             bp0 = beta_plus(pot, params, n, shell_cap=x_cap).value
             bm0 = beta_minus(pot, params, n, shell_cap=y_cap).value
             c1 = t_n(bp0, bm0)
             c2 = criterion2_quantity(pair, pot, params, shell_caps)
             c3 = criterion3_ratio(pair)
-        rows.append({"n": n, "c1": c1, "c2": c2, "c3": c3, "gap": float(gap)})
+        rows.append({"n": n, "c1": c1, "c2": c2, "c3": c3, "gap": float(pair.gap)})
     return ConcordanceReport(
         potential=f"bands -2, 2 with coefficients {a}, {b}",
         K=K,

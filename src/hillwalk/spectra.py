@@ -18,6 +18,8 @@ hardware resolution well before n = 12): the basis functions with free
 eigenvalue n^2 anchor blocks of positions linked through off-diagonal
 cells, and a block whose links only join neighbours in ascending basis
 index is a tridiagonal chain with a three-term determinant recurrence.
+One Newton loop, on the determinant or on its first derivative, finds the
+roots, and each refined value keeps only the digits that loop resolved.
 """
 
 from dataclasses import dataclass, replace
@@ -179,7 +181,8 @@ def eigenvalues(op: TruncatedOperator) -> list:
 
 @dataclass(frozen=True)
 class SpectralPair:
-    """The two eigenvalues in the unit disc around n^2, in (re, im) order."""
+    """The two eigenvalues in the unit disc around n^2, in (re, im) order:
+    floats from localization, mpmath values from `refined_pair`."""
 
     n: int
     lam_minus: complex
@@ -396,57 +399,40 @@ def _chain_det(diag, offprod, lam):
     return d_prev, d1_prev, d2_prev
 
 
-def _newton_polish(diag, offprod, seed, precision):
-    lam = mpmath.mpc(seed)
+def _newton(diag, offprod, lam, precision, order, what):
+    """Newton from `lam` on the order-th lam-derivative of det(T - lam):
+    order 0 polishes a root, order 1 finds the critical point between two.
+    Stops once a step is below 2^-(precision-16) max(1, |lam|)."""
+    lam = mpmath.mpc(lam)
     tol = mpmath.mpf(2) ** (-(precision - 16))
     for _ in range(NEWTON_ITERATIONS):
-        d, d1, _ = _chain_det(diag, offprod, lam)
-        if d1 == 0:
+        f, df = _chain_det(diag, offprod, lam)[order:order + 2]
+        if df == 0:
             return lam
-        step = d / d1
+        step = f / df
         lam = lam - step
         if mpc_abs(step) <= tol * max(mpmath.mpf(1), mpc_abs(lam)):
-            # one clean-up iteration after the tolerance is reached
-            d, d1, _ = _chain_det(diag, offprod, lam)
-            if d1 != 0:
-                lam = lam - d / d1
             return lam
-    raise ConvergenceError("Newton polish", NEWTON_ITERATIONS, mpc_abs(step))
+    raise ConvergenceError(what, NEWTON_ITERATIONS, mpc_abs(step))
 
 
-def _cluster_roots(diag, offprod, seed, precision):
-    """Split a near-double cluster of det roots around a hardware seed.
-
-    The quadratic-model discriminant at the seed cancels to (gap/seed
-    error)^2 and drowns once gaps fall below the square of the hardware
-    error, so instead drive det' to zero first (the critical point sits
-    between the two roots and Newton reaches it at full precision), then
-    step +-sqrt(-2 p / p'')."""
-    lam = mpmath.mpc(seed)
-    tol = mpmath.mpf(2) ** (-(precision - 16))
-    for _ in range(NEWTON_ITERATIONS):
-        _, d1, d2 = _chain_det(diag, offprod, lam)
-        if d2 == 0:
-            break
-        step = d1 / d2
-        lam = lam - step
-        if mpc_abs(step) <= tol * max(mpmath.mpf(1), mpc_abs(lam)):
-            break
-    else:
-        raise ConvergenceError("critical-point Newton", NEWTON_ITERATIONS, mpc_abs(step))
-    p, _, p2 = _chain_det(diag, offprod, lam)
-    if p2 == 0:
-        return lam, lam
-    h = mpmath.sqrt(-2 * p / p2)
-    return lam - h, lam + h
+def _resolved(z, scale, precision):
+    """z with every component below the Newton tolerance
+    2^-(precision-16) max(1, scale) set to zero: those digits were never
+    resolved and would follow the hardware seed, not the operator."""
+    tol = mpmath.mpf(2) ** (-(precision - 16)) * max(1, scale)
+    return mpmath.mpc(0 if abs(z.real) < tol else z.real, 0 if abs(z.imag) < tol else z.imag)
 
 
-def _mp_key(w):
-    return (mpmath.re(w), mpmath.im(w))
+def _root(diag, offprod, seed, precision):
+    """The chain determinant's root polished from `seed`, resolved digits only."""
+    lam = _newton(diag, offprod, seed, precision, 0, "Newton polish")
+    return _resolved(lam, abs(lam), precision)
 
 
-def _chain(pot: FourierPotential, bc: BoundaryCondition, K: int, anchor: int, precision: int):
-    """The tridiagonal chain through basis position `anchor`.
+def _chain(cells: dict, bc: BoundaryCondition, K: int, anchor: int, precision: int):
+    """The tridiagonal chain through basis position `anchor` of the cell map
+    `cells` (`_potential_cells(pot, bc, K)`).
 
     The block is every position linked to the anchor through off-diagonal
     cells, in ascending basis index k; unless every link joins neighbours
@@ -455,7 +441,6 @@ def _chain(pot: FourierPotential, bc: BoundaryCondition, K: int, anchor: int, pr
     is cell(i, i+1) * cell(i+1, i).  Each distinct exact value is rounded
     once to `precision` bits.  Returns (block, diag, offprod)."""
     ks = basis_indices(bc, K)
-    cells = _potential_cells(pot, bc, K)
     links = {}
     for row, col in cells:
         if row != col:
@@ -491,37 +476,13 @@ def _disc_anchors(bc: BoundaryCondition, K: int, n: int, count: int) -> list:
     ks = basis_indices(bc, K) if n >= 1 else ()
     anchors = [i for i, k in enumerate(ks) if free_eigenvalue(bc, k) == n * n]
     if len(anchors) != count:
+        parity = {BoundaryCondition.PER_PLUS: " (per+ discs sit at even n)",
+                  BoundaryCondition.PER_MINUS: " (per- discs sit at odd n)"}.get(bc, "")
         raise ValueError(
             f"{bc.value} at K={K} has {len(anchors)} basis functions with free "
-            f"eigenvalue n^2 for n={n}, need {count}"
+            f"eigenvalue n^2 for n={n}, need {count}{parity}"
         )
     return anchors
-
-
-@dataclass(frozen=True)
-class RefinedPair:
-    n: int
-    lam_minus: mpmath.mpc
-    lam_plus: mpmath.mpc
-    precision: int
-
-    @property
-    def gap(self) -> mpmath.mpf:
-        return mpc_abs(self.lam_plus - self.lam_minus)
-
-    @property
-    def z_star(self) -> mpmath.mpc:
-        """Pair midpoint minus n^2.  A component below the Newton tolerance
-        2^-(precision-16) max(1, |lam+-|) was never resolved and is set to
-        zero: when ab is real, z* is real, and a denormal imaginary part
-        would put every exact sum at z* over a 1074-bit denominator."""
-        with mpmath.workprec(self.precision):
-            z = (self.lam_minus + self.lam_plus) / 2 - self.n**2
-            lam = max(mpmath.mpf(1), abs(self.lam_minus), abs(self.lam_plus))
-            tol = mpmath.mpf(2) ** (-(self.precision - 16)) * lam
-            return mpmath.mpc(
-                0 if abs(z.real) < tol else z.real, 0 if abs(z.imag) < tol else z.imag
-            )
 
 
 def refined_pair(
@@ -530,32 +491,54 @@ def refined_pair(
     n: int,
     K: int,
     precision: int = REFINE_PRECISION,
-) -> RefinedPair:
-    """The D_n pair at arbitrary precision.
+) -> SpectralPair:
+    """The D_n pair at arbitrary precision, as a SpectralPair of mpmath values.
 
     Hardware eigenvalues seed a Newton iteration on the chain determinants
-    through the two basis functions with free eigenvalue n^2; when both lie
-    in one chain the near-double pair is split through the quadratic model
-    of the determinant before polishing.  Needed because the pair gaps
-    shrink super-exponentially in n while the eigenvalues themselves stay
-    of size n^2."""
+    through the two basis functions with free eigenvalue n^2.  When both lie
+    in one chain the near-double pair is split first: the quadratic-model
+    discriminant at the seed cancels to (gap/seed error)^2 and drowns once
+    gaps fall below the square of the hardware error, so Newton drives det'
+    to zero (the critical point sits between the two roots and is reached at
+    full precision), then steps +-sqrt(-2 p / p'').  Needed because the pair
+    gaps shrink super-exponentially in n while the eigenvalues themselves
+    stay of size n^2.
+
+    Roots and z* keep only their resolved digits (`_resolved`): when ab is
+    real, z* is real, and a denormal imaginary part would put every exact sum
+    at z* over a 1074-bit denominator.  The pair is simple when its gap
+    exceeds 2^-(precision/2), below which the split is not resolved."""
     check_precision(precision)
     bc = BoundaryCondition(bc)
     first, second = _disc_anchors(bc, K, n, 2)
-    block, diag, offprod = _chain(pot, bc, K, first, precision)
+    cells = _potential_cells(pot, bc, K)
+    block, diag, offprod = _chain(cells, bc, K, first, precision)
     eigs = eigenvalues(assemble(pot, bc, K))
     near = sorted(eigs, key=lambda w: abs(w - n * n))[:2]
     seed = 0.5 * (near[0] + near[1])
     with mpmath.workprec(precision):
         if second in block:
-            chains = [(diag, offprod)] * 2
-            seeds = _cluster_roots(diag, offprod, seed, precision)
+            mid = _newton(diag, offprod, seed, precision, 1, "critical-point Newton")
+            p, _, p2 = _chain_det(diag, offprod, mid)
+            h = mpmath.sqrt(-2 * p / p2) if p2 != 0 else 0
+            chains, seeds = [(diag, offprod)] * 2, (mid - h, mid + h)
         else:
-            chains = [(diag, offprod), _chain(pot, bc, K, second, precision)[1:]]
+            chains = [(diag, offprod), _chain(cells, bc, K, second, precision)[1:]]
             seeds = (seed, seed)
-        roots = sorted((_newton_polish(d, o, s, precision) for (d, o), s in zip(chains, seeds)),
-                       key=_mp_key)
-        return RefinedPair(n, roots[0], roots[1], precision)
+        lam_minus, lam_plus = sorted(
+            (_root(d, o, s, precision) for (d, o), s in zip(chains, seeds)),
+            key=lambda w: (w.real, w.imag))
+        gap = abs(lam_plus - lam_minus)
+        z = (lam_minus + lam_plus) / 2 - n**2
+        return SpectralPair(
+            n=n,
+            lam_minus=lam_minus,
+            lam_plus=lam_plus,
+            z_star=_resolved(z, max(abs(lam_minus), abs(lam_plus)), precision),
+            gap=gap,
+            multiplicity_flag="simple-pair" if gap > mpmath.mpf(2) ** (-(precision // 2))
+            else "double",
+        )
 
 
 def refined_dirichlet(
@@ -567,8 +550,9 @@ def refined_dirichlet(
     """mu_n at arbitrary precision, by Newton on the chain through sin(nx)
     seeded from the hardware solve."""
     check_precision(precision)
-    (anchor,) = _disc_anchors(BoundaryCondition.DIRICHLET, K, n, 1)
-    _, diag, offprod = _chain(pot, BoundaryCondition.DIRICHLET, K, anchor, precision)
+    bc = BoundaryCondition.DIRICHLET
+    (anchor,) = _disc_anchors(bc, K, n, 1)
+    _, diag, offprod = _chain(_potential_cells(pot, bc, K), bc, K, anchor, precision)
     seed = dirichlet_close(pot, K, n)
     with mpmath.workprec(precision):
-        return _newton_polish(diag, offprod, seed, precision)
+        return _root(diag, offprod, seed, precision)

@@ -255,6 +255,36 @@ def test_flags_a_command_does_not_read_exit_64(capsys, command, flags):
         assert err == f"hillwalk: unrecognized arguments: {flag} {value}\n"
 
 
+@pytest.mark.parametrize("command,argv", [
+    ("beta", ("--potential", TWO_TERM_13, "--range", "5")),
+    ("spectrum", ("--potential", TWO_TERM_13)),
+    ("verdict", ("--preset", "prop20")),
+    ("verify", ()),
+])
+def test_config_keys_a_command_does_not_read_exit_64(capsys, tmp_path, command, argv):
+    conf = tmp_path / "conf.json"
+    conf.write_text('{"bogus": 1, "K": 16}')
+    code, out, err = run_cli(capsys, command, *argv, "--config", str(conf))
+    unread = "K, bogus" if command == "beta" else "bogus"
+    assert code == 64 and out == ""
+    assert err == f"hillwalk: {command} does not read config keys {unread}\n"
+
+
+def test_spectrum_config_has_no_dirichlet_key(capsys, tmp_path):
+    conf = tmp_path / "conf.json"
+    conf.write_text('{"dirichlet": true}')
+    code, out, err = run_cli(capsys, "spectrum", "--potential", TWO_TERM_13, "--config", str(conf))
+    assert code == 64 and out == ""
+    assert err == "hillwalk: spectrum does not read config keys dirichlet\n"
+
+
+def test_preset_keys_a_command_does_not_read_are_not_checked(capsys):
+    # crit-compare sets `report`, which only verdict reads
+    code, out, _ = run_cli(capsys, "spectrum", "--preset", "crit-compare")
+    assert code == 0
+    assert [ln.split(",")[0] for ln in out.strip().split("\n")[1:]] == ["6", "8", "10", "12"]
+
+
 def test_unwritable_out_exits_64(capsys):
     code, _, err = run_cli(capsys, "verify", "--out", "/nonexistent-dir/x.txt")
     assert code == 64

@@ -1,8 +1,8 @@
 """Golden-output lock: CLI stdout must stay byte-identical to the files in
 tests/golden/.  Only outputs that do not print LAPACK eigenvalues are locked
 (verify's residual lines and `spectrum` can vary across BLAS builds); the
-refined roots are Newton-polished at 320 bits from a hardware seed, so
-only their imaginary parts far below the Newton tolerance carry the seed."""
+refined roots are Newton-polished at 320 bits from a hardware seed and keep
+only the digits Newton resolved, so they do not depend on the seed."""
 
 from pathlib import Path
 
@@ -11,6 +11,7 @@ import pytest
 
 from hillwalk.cli import main
 from hillwalk.potential import two_term
+from hillwalk import spectra
 from hillwalk.spectra import refined_dirichlet, refined_pair
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -48,11 +49,7 @@ REFINED = [
 ]
 
 
-def test_refined_roots():
-    """Refined pairs and Dirichlet eigenvalues to 90 digits: the cluster
-    split (both anchors in one chain), separate chains, a complex ab, the
-    n = 22 pair below the 320-bit simplicity threshold, and the sine chain
-    through sin(x) and through sin(2x)."""
+def _refined_roots_text():
     K = 32
     lines = []
     for bc, (a, b, R, S), ns in REFINED:
@@ -65,5 +62,21 @@ def test_refined_roots():
             rp = refined_pair(pot, bc, n, K)
             lines.append(f"{head} n={n} lam_minus {mpmath.nstr(rp.lam_minus, 90)}")
             lines.append(f"{head} n={n} lam_plus {mpmath.nstr(rp.lam_plus, 90)}")
-    text = "\n".join(lines) + "\n"
-    assert text.encode() == (GOLDEN / "refined_roots.txt").read_bytes()
+    return "\n".join(lines) + "\n"
+
+
+def test_refined_roots():
+    """Refined pairs and Dirichlet eigenvalues to 90 digits: the cluster
+    split (both anchors in one chain), separate chains, a complex ab, the
+    n = 22 pair below the 320-bit simplicity threshold, and the sine chain
+    through sin(x) and through sin(2x)."""
+    assert _refined_roots_text().encode() == (GOLDEN / "refined_roots.txt").read_bytes()
+
+
+def test_refined_roots_do_not_follow_the_hardware_seed(monkeypatch):
+    """Every hardware eigenvalue moved by 3e-13 + 2e-13i, well inside the
+    Newton basins, leaves every printed digit of every refined root as it is."""
+    solve = spectra.eigenvalues
+    monkeypatch.setattr(spectra, "eigenvalues",
+                        lambda op: [w + complex(3e-13, 2e-13) for w in solve(op)])
+    assert _refined_roots_text().encode() == (GOLDEN / "refined_roots.txt").read_bytes()

@@ -1,7 +1,9 @@
 """No library or test module imports a name it never uses (`__init__`
-re-exports)."""
+re-exports), and the library defines no top-level name that nothing in
+src/, tests/ or bench/ refers to."""
 
 import ast
+import functools
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ import hillwalk
 
 MODULES = sorted(p for p in Path(hillwalk.__file__).parent.glob("*.py") if p.name != "__init__.py")
 TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
+REPO = Path(__file__).parents[1]
 
 
 def _annotation_names(tree):
@@ -41,3 +44,42 @@ def test_no_unused_imports(path):
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     used.update(_annotation_names(tree))
     assert sorted(imported - used) == []
+
+
+def _top_level_names(tree):
+    """The functions, classes and constants a module defines at top level."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+
+
+@functools.lru_cache(maxsize=None)
+def _references():
+    """Every name read, every attribute, and every string that is an
+    identifier (bench/tracer.py names the functions it wraps) in src/,
+    tests/ and bench/.  An import is no reference: a re-export in
+    `__init__` keeps nothing alive, and elsewhere an import is used by a
+    name (test_no_unused_imports)."""
+    paths = [path for top in ("src", "tests", "bench") for path in (REPO / top).rglob("*.py")]
+    return frozenset(name for path in paths for name in _reads(path))
+
+
+def _reads(path):
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            yield node.value
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dead_definitions(path):
+    dead = [name for name in _top_level_names(ast.parse(path.read_text()))
+            if name not in _references() and not (name.startswith("__") and name.endswith("__"))]
+    assert dead == []

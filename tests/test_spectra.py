@@ -31,7 +31,7 @@ from hillwalk.spectra import (
     refined_pair,
     spectrum_csv,
 )
-from hillwalk.spectra import _cluster_roots, _newton_polish
+from hillwalk.spectra import _newton
 from oracles import dense_assemble
 
 BC = BoundaryCondition
@@ -389,10 +389,10 @@ class TestRefinement:
         # never leaves the real line
         with mpmath.workprec(320):
             with pytest.raises(ConvergenceError) as err:
-                _newton_polish([mpmath.mpf(0)] * 2, [mpmath.mpf(-1)], 0.5, 320)
+                _newton([mpmath.mpf(0)] * 2, [mpmath.mpf(-1)], 0.5, 320, 0, "Newton polish")
         assert err.value.iterations == NEWTON_ITERATIONS
         assert err.value.step > 0
-        assert f"{NEWTON_ITERATIONS} iterations" in str(err.value)
+        assert f"Newton polish did not converge in {NEWTON_ITERATIONS} iterations" in str(err.value)
         assert "last step size" in str(err.value)
 
     def test_cluster_roots_raises_when_iterations_run_out(self):
@@ -400,9 +400,31 @@ class TestRefinement:
         # no real root for the critical-point Newton to reach
         with mpmath.workprec(320):
             with pytest.raises(ConvergenceError) as err:
-                _cluster_roots([mpmath.mpf(0)] * 3, [mpmath.mpf(-1), mpmath.mpf(-2)], 0.5, 320)
+                _newton([mpmath.mpf(0)] * 3, [mpmath.mpf(-1), mpmath.mpf(-2)], 0.5, 320, 1,
+                        "critical-point Newton")
         assert err.value.iterations == NEWTON_ITERATIONS
+        assert "critical-point Newton did not converge" in str(err.value)
         assert "last step size" in str(err.value)
+
+    def test_simplicity_is_decided_at_the_working_precision(self):
+        """The n = 22 gap of a=1, b=2 lies below 2^-160, so at 320 bits the
+        pair is not known to be simple; at 800 bits the same gap is."""
+        pot, _ = two_term(1, 2, 1, 1)
+        for precision, flag in ((320, "double"), (800, "simple-pair")):
+            rp = refined_pair(pot, BC.PER_PLUS, 22, 32, precision)
+            assert isinstance(rp, SpectralPair)
+            assert rp.multiplicity_flag == flag
+            assert abs(float(rp.gap) / 3.5677e-49 - 1) < 1e-4
+
+    def test_real_chain_gives_real_roots(self):
+        """a=1, b=2 gives a real symmetric chain: the imaginary parts below
+        the Newton tolerance are zeroed, not carried from the seed."""
+        pot, _ = two_term(1, 2, 1, 1)
+        for n in (6, 8):
+            rp = refined_pair(pot, BC.PER_PLUS, n, 32)
+            assert rp.lam_minus.imag == 0 and rp.lam_plus.imag == 0
+            assert rp.z_star.imag == 0
+            assert rp.lam_minus.real < rp.lam_plus.real
 
 
 class TestDump:
