@@ -18,8 +18,12 @@ hardware resolution well before n = 12): the basis functions with free
 eigenvalue n^2 anchor blocks of positions linked through off-diagonal
 cells, and a block whose links only join neighbours in ascending basis
 index is a tridiagonal chain with a three-term determinant recurrence.
-One Newton loop, on the determinant or on its first derivative, finds the
-roots, and each refined value keeps only the digits that loop resolved.
+The recurrence runs on fixed-point Gaussian integers: each chain entry is
+rounded once from its exact value to a multiple of 2^-(precision +
+GUARD_BITS), and only the final determinant and derivatives become mpmath
+values.  One Newton loop, on the determinant or on its first derivative,
+finds the roots, and each refined value keeps only the digits that loop
+resolved.
 """
 
 from dataclasses import dataclass, replace
@@ -29,6 +33,7 @@ from typing import Optional, Sequence
 
 import mpmath
 import numpy as np
+from mpmath.libmp import to_fixed
 
 from .beta import alpha_n, beta_minus, beta_plus, default_step_cap
 from .numerics import (
@@ -46,6 +51,7 @@ DISC_RADIUS = 1.0
 DEFAULT_PAIRING_TOL = 1e-8
 REFINE_PRECISION = 320
 NEWTON_ITERATIONS = 80
+GUARD_BITS = 32
 
 
 class BoundaryCondition(str, Enum):
@@ -152,22 +158,27 @@ def _potential_cells(pot: FourierPotential, bc: BoundaryCondition, K: int) -> di
     return {cell: value for cell, value in cells.items() if not value.is_zero()}
 
 
-def assemble(pot: FourierPotential, bc: BoundaryCondition, K: int) -> TruncatedOperator:
-    """Dense truncation of the operator in the basis for bc at cutoff K.
+def _operator(cells: dict, bc: BoundaryCondition, K: int) -> TruncatedOperator:
+    """The dense truncation filled from the cell map `cells`
+    (`_potential_cells(pot, bc, K)`).
 
-    Each exact cell of `_potential_cells` is rounded once and the free
-    eigenvalue is added on the diagonal after the rounding, so every entry
-    is the one an entry-by-entry fill gives."""
-    bc = BoundaryCondition(bc)
+    Each exact cell is rounded once and the free eigenvalue is added on the
+    diagonal after the rounding, so every entry is the one an entry-by-entry
+    fill gives."""
     ks = basis_indices(bc, K)
     M = np.zeros((len(ks), len(ks)), dtype=complex)
-    cells = _potential_cells(pot, bc, K)
     if cells:
         rows, cols = zip(*cells)
         M[rows, cols] = [complex(value) for value in cells.values()]
     for i, k in enumerate(ks):
         M[i, i] += free_eigenvalue(bc, k)
     return TruncatedOperator(bc, K, ks, M)
+
+
+def assemble(pot: FourierPotential, bc: BoundaryCondition, K: int) -> TruncatedOperator:
+    """Dense truncation of the operator in the basis for bc at cutoff K."""
+    bc = BoundaryCondition(bc)
+    return _operator(_potential_cells(pot, bc, K), bc, K)
 
 
 def eigenvalues(op: TruncatedOperator) -> list:
@@ -379,24 +390,56 @@ def reduction_residual(
 # -- arbitrary-precision refinement ----------------------------------------
 
 
-def _chain_det(diag, offprod, lam):
-    """det(T - lam), d/dlam, d2/dlam2 for a tridiagonal chain.
+def _chain_det(diag, offprod, lam, precision, derivatives=2):
+    """det(T - lam) and its first `derivatives` (1 or 2) lam-derivatives
+    for a tridiagonal chain, as mpc values at the context precision.
 
-    diag: mpf/mpc diagonal entries; offprod[i]: sub*super product coupling
-    entries i and i+1."""
-    d_prev2, d_prev = mpmath.mpf(1), diag[0] - lam
-    d1_prev2, d1_prev = mpmath.mpf(0), mpmath.mpf(-1)
-    d2_prev2, d2_prev = mpmath.mpf(0), mpmath.mpf(0)
-    for i in range(1, len(diag)):
-        a = diag[i] - lam
-        ss = offprod[i - 1]
-        d = a * d_prev - ss * d_prev2
-        d1 = -d_prev + a * d1_prev - ss * d1_prev2
-        d2 = -2 * d1_prev + a * d2_prev - ss * d2_prev2
-        d_prev2, d_prev = d_prev, d
-        d1_prev2, d1_prev = d1_prev, d1
-        d2_prev2, d2_prev = d2_prev, d2
-    return d_prev, d1_prev, d2_prev
+    diag and offprod hold Gaussian integers (re, im) scaled by 2^F, F =
+    precision + GUARD_BITS, as `_chain` rounds them; offprod[i] is the
+    sub*super product coupling entries i and i+1.  The recurrence runs on
+    ints: each of d, d', d'' keeps its (current, previous) pair over its own
+    power of two and is shifted back to F + GUARD_BITS bits after every
+    step; the coupling terms -d and -2d' are aligned to it by a shift.  A
+    shared exponent would let d'' drown d and d' near a near-double root."""
+    F = precision + GUARD_BITS
+    width = F + GUARD_BITS
+    lre, lim = to_fixed(lam.real._mpf_, F), to_fixed(lam.imag._mpf_, F)
+    (are, aim), one = diag[0], 1 << F
+    # per sequence: current re, im, previous re, im, binary exponent
+    seqs = [[are - lre, aim - lim, one, 0, -F], [-one, 0, 0, 0, -F], [0, 0, 0, 0, -F]]
+    del seqs[derivatives + 1:]
+    for (dre, dim), (sre, sim) in zip(diag[1:], offprod):
+        are, aim = dre - lre, dim - lim
+        lower = None  # the sequence below, before this step: re, im, exponent
+        for j, seq in enumerate(seqs):
+            cre, cim, pre, pim, e = seq
+            re = are * cre - aim * cim - sre * pre + sim * pim
+            im = are * cim + aim * cre - sre * pim - sim * pre
+            if lower:
+                bre, bim, k = lower
+                k += F - e
+                if k >= 0:
+                    re -= j * (bre << k)
+                    im -= j * (bim << k)
+                else:
+                    re -= j * (bre >> -k)
+                    im -= j * (bim >> -k)
+            lower = cre, cim, e
+            if not (re or im or cre or cim):  # a zero pair keeps its exponent
+                seq[:4] = 0, 0, 0, 0
+                continue
+            t = max(re.bit_length(), im.bit_length(),
+                    max(cre.bit_length(), cim.bit_length()) + F) - width
+            k = F - t
+            if t >= 0:
+                re, im = re >> t, im >> t
+            else:
+                re, im = re << -t, im << -t
+            if k >= 0:
+                seq[:] = re, im, cre << k, cim << k, e - k
+            else:
+                seq[:] = re, im, cre >> -k, cim >> -k, e - k
+    return tuple(mpmath.mpc(mpmath.mpf((re, e)), mpmath.mpf((im, e))) for re, im, _, _, e in seqs)
 
 
 def _newton(diag, offprod, lam, precision, order, what):
@@ -406,7 +449,7 @@ def _newton(diag, offprod, lam, precision, order, what):
     lam = mpmath.mpc(lam)
     tol = mpmath.mpf(2) ** (-(precision - 16))
     for _ in range(NEWTON_ITERATIONS):
-        f, df = _chain_det(diag, offprod, lam)[order:order + 2]
+        f, df = _chain_det(diag, offprod, lam, precision, order + 1)[order:]
         if df == 0:
             return lam
         step = f / df
@@ -430,6 +473,13 @@ def _root(diag, offprod, seed, precision):
     return _resolved(lam, abs(lam), precision)
 
 
+def _fixed(value, bits: int) -> tuple:
+    """round(value 2^bits) of an exact scalar, as a Gaussian integer (re, im)."""
+    g = GaussianRational.of(value)
+    return tuple((2 * (q.numerator << bits) + q.denominator) // (2 * q.denominator)
+                 for q in (g.re, g.im))
+
+
 def _chain(cells: dict, bc: BoundaryCondition, K: int, anchor: int, precision: int):
     """The tridiagonal chain through basis position `anchor` of the cell map
     `cells` (`_potential_cells(pot, bc, K)`).
@@ -438,8 +488,9 @@ def _chain(cells: dict, bc: BoundaryCondition, K: int, anchor: int, precision: i
     cells, in ascending basis index k; unless every link joins neighbours
     in that order the block is no chain and ValueError is raised.  The
     diagonal is the free eigenvalue plus the diagonal cell, and offprod[i]
-    is cell(i, i+1) * cell(i+1, i).  Each distinct exact value is rounded
-    once to `precision` bits.  Returns (block, diag, offprod)."""
+    is cell(i, i+1) * cell(i+1, i), formed once per distinct pair of cells.
+    Each distinct exact value is rounded once to a Gaussian integer over
+    2^(precision + GUARD_BITS) (`_fixed`).  Returns (block, diag, offprod)."""
     ks = basis_indices(bc, K)
     links = {}
     for row, col in cells:
@@ -461,12 +512,23 @@ def _chain(cells: dict, bc: BoundaryCondition, K: int, anchor: int, precision: i
                     f"the {bc.value} block through k={ks[anchor]} is not a chain: "
                     f"k={ks[i]} couples to k={ks[j]}, which is not its neighbour"
                 )
-    # a diagonal without a cell stays an int, which hashes and rounds cheaply
-    diag = [free_eigenvalue(bc, ks[i]) + cells.get((i, i), 0) for i in order]
+    bits = precision + GUARD_BITS
+    rounded = {}
+
+    def fixed(value):
+        if value not in rounded:
+            rounded[value] = _fixed(value, bits)
+        return rounded[value]
+
+    # the cells of one line share one value object, so the identities of a
+    # link's two cells name its product without hashing a Fraction per link
     zero = GaussianRational()
-    offprod = [cells.get((i, j), zero) * cells.get((j, i), zero) for i, j in zip(order, order[1:])]
-    rounded = {value: to_mpc(value, precision) for value in {*diag, *offprod}}
-    return block, [rounded[v] for v in diag], [rounded[v] for v in offprod]
+    pairs = [(cells.get((i, j), zero), cells.get((j, i), zero)) for i, j in zip(order, order[1:])]
+    distinct = {(id(x), id(y)): (x, y) for x, y in pairs}
+    products = {key: fixed(x * y) for key, (x, y) in distinct.items()}
+    # a diagonal without a cell stays an int, which hashes and rounds cheaply
+    diag = [fixed(free_eigenvalue(bc, ks[i]) + cells.get((i, i), 0)) for i in order]
+    return block, diag, [products[id(x), id(y)] for x, y in pairs]
 
 
 def _disc_anchors(bc: BoundaryCondition, K: int, n: int, count: int) -> list:
@@ -513,13 +575,13 @@ def refined_pair(
     first, second = _disc_anchors(bc, K, n, 2)
     cells = _potential_cells(pot, bc, K)
     block, diag, offprod = _chain(cells, bc, K, first, precision)
-    eigs = eigenvalues(assemble(pot, bc, K))
+    eigs = eigenvalues(_operator(cells, bc, K))
     near = sorted(eigs, key=lambda w: abs(w - n * n))[:2]
     seed = 0.5 * (near[0] + near[1])
     with mpmath.workprec(precision):
         if second in block:
             mid = _newton(diag, offprod, seed, precision, 1, "critical-point Newton")
-            p, _, p2 = _chain_det(diag, offprod, mid)
+            p, _, p2 = _chain_det(diag, offprod, mid, precision)
             h = mpmath.sqrt(-2 * p / p2) if p2 != 0 else 0
             chains, seeds = [(diag, offprod)] * 2, (mid - h, mid + h)
         else:
@@ -552,7 +614,8 @@ def refined_dirichlet(
     check_precision(precision)
     bc = BoundaryCondition.DIRICHLET
     (anchor,) = _disc_anchors(bc, K, n, 1)
-    _, diag, offprod = _chain(_potential_cells(pot, bc, K), bc, K, anchor, precision)
-    seed = dirichlet_close(pot, K, n)
+    cells = _potential_cells(pot, bc, K)
+    _, diag, offprod = _chain(cells, bc, K, anchor, precision)
+    seed = _dirichlet_in_disc(eigenvalues(_operator(cells, bc, K)), n)
     with mpmath.workprec(precision):
         return _root(diag, offprod, seed, precision)

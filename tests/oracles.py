@@ -8,6 +8,7 @@ from fractions import Fraction
 from math import comb
 from typing import List
 
+import mpmath
 import numpy as np
 
 from hillwalk.spectra import BoundaryCondition, basis_indices, free_eigenvalue
@@ -40,6 +41,27 @@ def dense_assemble(pot, bc, K) -> np.ndarray:
                 entry += free_eigenvalue(bc, ki)
             M[i, j] = entry
     return M
+
+
+def chain_det(diag, offprod, lam):
+    """det(T - lam), d/dlam, d2/dlam2 for a tridiagonal chain, in mpmath
+    arithmetic at the context precision.
+
+    diag: mpf/mpc diagonal entries; offprod[i]: sub*super product coupling
+    entries i and i+1."""
+    d_prev2, d_prev = mpmath.mpf(1), diag[0] - lam
+    d1_prev2, d1_prev = mpmath.mpf(0), mpmath.mpf(-1)
+    d2_prev2, d2_prev = mpmath.mpf(0), mpmath.mpf(0)
+    for i in range(1, len(diag)):
+        a = diag[i] - lam
+        ss = offprod[i - 1]
+        d = a * d_prev - ss * d_prev2
+        d1 = -d_prev + a * d1_prev - ss * d1_prev2
+        d2 = -2 * d1_prev + a * d2_prev - ss * d2_prev2
+        d_prev2, d_prev = d_prev, d
+        d1_prev2, d1_prev = d1_prev, d1
+        d2_prev2, d2_prev = d2_prev, d2
+    return d_prev, d1_prev, d2_prev
 
 
 def is_admissible(walk: Walk) -> bool:

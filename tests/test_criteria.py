@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hillwalk import criteria
+from hillwalk import criteria, spectra
 from hillwalk.beta import beta_minus, beta_plus
 from hillwalk.criteria import (
     BasisVerdict,
@@ -420,6 +420,22 @@ def test_concordance_gaps_track_refinement(concordance_12):
     frozen = (1.08e-6, 7.68e-11, 1.85e-15, 1.92e-20)
     for got, want in zip(gaps, frozen):
         assert got == pytest.approx(want, rel=1e-2)
+
+
+def test_concordance_determinant_count(monkeypatch):
+    """concordance_report(1, 2) refines four pairs and four Dirichlet
+    eigenvalues in at most 68 chain determinants.  The count does not
+    depend on timing, so a change to the Newton path shows here."""
+    calls = []
+    kernel = spectra._chain_det
+
+    def counted(*args):
+        calls.append(None)
+        return kernel(*args)
+
+    monkeypatch.setattr(spectra, "_chain_det", counted)
+    concordance_report(1, 2)
+    assert 0 < len(calls) <= 68
 
 
 def test_concordance_symmetric_potential_all_three_bounded(concordance_11):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hillwalk.numerics import GaussianRational, complex_to_gaussian, mpc_abs, to_mpc
@@ -15,6 +15,7 @@ from hillwalk.spectra import (
     BoundaryCondition,
     ConvergenceError,
     DirichletUniquenessError,
+    GUARD_BITS,
     LocalizationError,
     MAX_K,
     NEWTON_ITERATIONS,
@@ -31,8 +32,8 @@ from hillwalk.spectra import (
     refined_pair,
     spectrum_csv,
 )
-from hillwalk.spectra import _newton
-from oracles import dense_assemble
+from hillwalk.spectra import _chain_det, _fixed, _newton
+from oracles import chain_det, dense_assemble
 
 BC = BoundaryCondition
 ZERO = FourierPotential.of({})
@@ -387,9 +388,10 @@ class TestRefinement:
     def test_newton_polish_raises_when_iterations_run_out(self):
         # det(T - lam) = lam^2 + 1 has roots +-i; from a real seed Newton
         # never leaves the real line
+        one = 1 << (320 + GUARD_BITS)
         with mpmath.workprec(320):
             with pytest.raises(ConvergenceError) as err:
-                _newton([mpmath.mpf(0)] * 2, [mpmath.mpf(-1)], 0.5, 320, 0, "Newton polish")
+                _newton([(0, 0)] * 2, [(-one, 0)], 0.5, 320, 0, "Newton polish")
         assert err.value.iterations == NEWTON_ITERATIONS
         assert err.value.step > 0
         assert f"Newton polish did not converge in {NEWTON_ITERATIONS} iterations" in str(err.value)
@@ -398,9 +400,10 @@ class TestRefinement:
     def test_cluster_roots_raises_when_iterations_run_out(self):
         # det(T - lam) = -lam^3 - 3 lam, whose derivative -3(lam^2 + 1) has
         # no real root for the critical-point Newton to reach
+        one = 1 << (320 + GUARD_BITS)
         with mpmath.workprec(320):
             with pytest.raises(ConvergenceError) as err:
-                _newton([mpmath.mpf(0)] * 3, [mpmath.mpf(-1), mpmath.mpf(-2)], 0.5, 320, 1,
+                _newton([(0, 0)] * 3, [(-one, 0), (-2 * one, 0)], 0.5, 320, 1,
                         "critical-point Newton")
         assert err.value.iterations == NEWTON_ITERATIONS
         assert "critical-point Newton did not converge" in str(err.value)
@@ -416,6 +419,20 @@ class TestRefinement:
             assert rp.multiplicity_flag == flag
             assert abs(float(rp.gap) / 3.5677e-49 - 1) < 1e-4
 
+    def test_near_double_pair_resolves_at_higher_precision(self):
+        """At 640 and 1280 bits the n = 22 pair (gap 3.6e-49) is simple and
+        its roots agree with the 800-bit ones to 2^-300.  Near this
+        near-double root d and d' are far smaller than d'', so each keeps
+        its own exponent in the determinant kernel."""
+        pot, _ = two_term(1, 2, 1, 1)
+        ref = refined_pair(pot, BC.PER_PLUS, 22, 32, 800)
+        for precision in (640, 1280):
+            rp = refined_pair(pot, BC.PER_PLUS, 22, 32, precision)
+            assert rp.multiplicity_flag == "simple-pair"
+            with mpmath.workprec(precision):
+                assert abs(rp.lam_minus - ref.lam_minus) <= mpmath.mpf(2) ** -300
+                assert abs(rp.lam_plus - ref.lam_plus) <= mpmath.mpf(2) ** -300
+
     def test_real_chain_gives_real_roots(self):
         """a=1, b=2 gives a real symmetric chain: the imaginary parts below
         the Newton tolerance are zeroed, not carried from the seed."""
@@ -425,6 +442,49 @@ class TestRefinement:
             assert rp.lam_minus.imag == 0 and rp.lam_plus.imag == 0
             assert rp.z_star.imag == 0
             assert rp.lam_minus.real < rp.lam_plus.real
+
+
+gaussian_st = st.builds(
+    GaussianRational,
+    st.fractions(min_value=-8, max_value=8, max_denominator=4),
+    st.fractions(min_value=-8, max_value=8, max_denominator=4),
+)
+
+
+class TestChainDeterminant:
+    """The fixed-point kernel against the mpmath recurrence of the oracle,
+    which runs 64 bits above the kernel's precision on the same exact chain."""
+
+    @given(
+        diag=st.lists(gaussian_st, min_size=1, max_size=5),
+        offprod=st.lists(gaussian_st, min_size=4, max_size=4),
+        lam=gaussian_st,
+        precision=st.sampled_from([320, 800]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_mpmath_recurrence(self, diag, offprod, lam, precision):
+        offprod = offprod[:len(diag) - 1]
+        # T with unit subdiagonal has det(T - lam) of this chain; keep lam
+        # 1e-3 away from every root of d, d' and d'' so that relative
+        # agreement is meaningful
+        T = np.diag([complex(v) for v in diag])
+        T += np.diag([complex(v) for v in offprod], 1) + np.diag([1.0] * len(offprod), -1)
+        poly = np.poly(T)
+        roots = [r for k in range(3) for r in np.roots(np.polyder(poly, k))]
+        assume(all(abs(complex(lam) - r) >= 1e-3 for r in roots))
+
+        bits = precision + GUARD_BITS
+        lam_mp = to_mpc(lam, precision)  # the same lam for both
+        with mpmath.workprec(precision + 64):
+            want = chain_det([to_mpc(v, precision + 64) for v in diag],
+                             [to_mpc(v, precision + 64) for v in offprod], lam_mp)
+        with mpmath.workprec(precision):
+            chain = [_fixed(v, bits) for v in diag], [_fixed(v, bits) for v in offprod]
+            got = _chain_det(*chain, lam_mp, precision)
+            assert _chain_det(*chain, lam_mp, precision, 1) == got[:2]
+        with mpmath.workprec(precision + 64):
+            for g, w in zip(got, want):
+                assert abs(g - w) <= mpmath.mpf(2) ** -(precision - 10) * abs(w)
 
 
 class TestDump:
