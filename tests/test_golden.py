@@ -25,6 +25,16 @@ CASES = {
     "verdict_thm5.json": ("verdict", "--preset", "thm5"),
     "verdict_prop20.json": ("verdict", "--preset", "prop20"),
     "verdict_crit-compare.json": ("verdict", "--preset", "crit-compare"),
+    # branches the presets do not reach
+    "verdict_c1_delta.json": (
+        "verdict", "--potential", '{"a":"1","b":"1","R":1,"S":3}', "--delta", "explicit:5,8,11,14"),
+    "verdict_prop20_per+.json": (
+        "verdict", "--preset", "prop20", "--bc", "per+", "--potential", '{"a":"1","b":"2","R":1,"S":1}'),
+    "verdict_thm31_per-_odd.json": ("verdict", "--preset", "thm31", "--bc", "per-"),
+    "verdict_thm31_per-_even.json": (
+        "verdict", "--preset", "thm31", "--bc", "per-", "--potential", '{"a":"1","b":"1","R":2,"S":4}'),
+    "verdict_thm5_even_s.json": (
+        "verdict", "--preset", "thm5", "--potential", '{"a":"1","b":"1","R":1,"S":4}'),
     "beta_two_term.csv": (
         "beta", "--potential", '{"a":"1","b":"1","R":1,"S":3}', "--range", "5,8,11"),
     "beta_three_term.csv": ("beta", "--potential", THREE_TERM, "--range", "1,2,3,5,8"),
