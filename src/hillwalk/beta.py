@@ -19,8 +19,8 @@ from .numerics import GaussianRational, ScalarLike, abs_value, gamma_product_ide
 from .potential import FourierPotential, TwoTermParams
 from .walks import WalkKind, closed_sum, shell_sums
 
-DEFAULT_X_CAP = 3
-DEFAULT_Y_CAP = 2
+# (X-walk, Y-walk) shell caps of beta_plus / beta_minus
+DEFAULT_SHELL_CAPS = (3, 2)
 
 
 def default_step_cap(params: TwoTermParams) -> int:
@@ -114,7 +114,7 @@ def beta_plus(
     params: Optional[TwoTermParams],
     n: int,
     z: ScalarLike = 0,
-    shell_cap: int = DEFAULT_X_CAP,
+    shell_cap: int = DEFAULT_SHELL_CAPS[0],
 ) -> BetaValue:
     """Exact sum of h(x, z) over X-walk shells 0..shell_cap."""
     return _beta(pot, params, n, z, shell_cap, WalkKind.X)
@@ -125,7 +125,7 @@ def beta_minus(
     params: Optional[TwoTermParams],
     n: int,
     z: ScalarLike = 0,
-    shell_cap: int = DEFAULT_Y_CAP,
+    shell_cap: int = DEFAULT_SHELL_CAPS[1],
 ) -> BetaValue:
     """Exact sum of h(y, z) over Y-walk shells 0..shell_cap."""
     return _beta(pot, params, n, z, shell_cap, WalkKind.Y)

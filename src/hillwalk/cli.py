@@ -16,6 +16,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .beta import (
+    DEFAULT_SHELL_CAPS,
     alpha_n,
     beta_equal_rs_leading_exact,
     beta_minus,
@@ -186,7 +187,7 @@ def _read_positive(config: dict, key: str, default: int) -> int:
 
 
 def _read_caps(config: dict) -> tuple:
-    raw = config.get("caps", "3,2")
+    raw = config.get("caps", DEFAULT_SHELL_CAPS)
     if isinstance(raw, str):
         parts = raw.split(",")
     elif isinstance(raw, (list, tuple)):
@@ -313,10 +314,8 @@ def _dump(payload, config: dict) -> None:
 
 # -- subcommands -----------------------------------------------------------
 
-_BETA_COLUMNS = (
-    "n,beta_plus,beta_plus_float,tail_plus,beta_minus,beta_minus_float,"
-    "tail_minus,alpha,alpha_float,closed_plus"
-)
+_BETA_COLUMNS = ("n", "beta_plus", "beta_plus_float", "tail_plus", "beta_minus",
+                 "beta_minus_float", "tail_minus", "alpha", "alpha_float", "closed_plus")
 
 
 def _closed_plus(params: Optional[TwoTermParams], n: int, z: GaussianRational):
@@ -360,21 +359,11 @@ def cmd_beta(config: dict) -> int:
     if config.get("format", "csv") == "json":
         _dump({"z": z, "caps": [x_cap, y_cap], "rows": rows}, config)
         return EXIT_OK
-    lines = [_BETA_COLUMNS]
+    lines = [",".join(_BETA_COLUMNS)]
     for r in rows:
-        cells = [str(r["n"])]
-        for key in ("beta_plus", "beta_plus_float", "tail_plus", "beta_minus",
-                    "beta_minus_float", "tail_minus", "alpha", "alpha_float", "closed_plus"):
-            v = r[key]
-            if v is None:
-                cells.append("")
-            elif isinstance(v, complex):
-                cells.append(repr(v))
-            elif isinstance(v, float):
-                cells.append(repr(v))
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
+        cells = (r[key] for key in _BETA_COLUMNS)
+        lines.append(",".join("" if v is None else repr(v) if isinstance(v, (complex, float))
+                              else str(v) for v in cells))
     _emit("\n".join(lines) + "\n", config)
     return EXIT_OK
 
@@ -431,30 +420,37 @@ def cmd_spectrum(config: dict) -> int:
 
 def cmd_verdict(config: dict) -> int:
     report = config.get("report")
-    thresholds = _read_thresholds(config)
     caps = _read_caps(config)
     if report is None:
         pot, params = _read_potential(config)
         iset = _read_delta(config)
         verdict = criterion1_verdict(pot, params, iset, z_choice=_read_z(config),
-                                     shell_caps=caps, thresholds=thresholds)
+                                     shell_caps=caps, thresholds=_read_thresholds(config))
         _dump(verdict.to_json_dict(), config)
         return EXIT_OK
+    if "thresholds" in config:
+        raise UsageError(f"the {report} report decides by rule and does not read thresholds")
     pot, params = _read_potential(config)
     if params is None:
         raise UsageError("analytic reports need a two-term potential")
+    # the bands each report is about; the report would read the others wrongly
+    held, need = {"shifted-collapse": (params.R == 1, "R = 1"),
+                  "equal-offsets": (params.R == params.S, "R = S"),
+                  "concordance": (params.R == params.S == 1, "R = S = 1")}.get(report, (True, ""))
+    if not held:
+        raise UsageError(f"the {report} report needs bands {need}, got R = {params.R}, S = {params.S}")
     if report == "ratio-collapse":
         lo, hi = config.get("m_range", [2, 6])
         verdict = theorem31_report(params.a, params.b, params.R, params.S,
                                    range(lo, hi + 1), shell_caps=caps,
-                                   bc=_read_bc(config), thresholds=thresholds)
+                                   bc=_read_bc(config))
     elif report == "shifted-collapse":
         lo, hi = config.get("m_range", [2, 7])
         verdict = theorem5_report(params.a, params.b, params.S, range(lo, hi + 1),
-                                  shell_caps=caps, thresholds=thresholds)
+                                  shell_caps=caps)
     elif report == "equal-offsets":
         verdict = prop20_verdict(params.a, params.b, params.R, _read_bc(config, "per-"),
-                                 shell_caps=caps, thresholds=thresholds)
+                                 shell_caps=caps)
     elif report == "concordance":
         ns = _read_range(config, default=[6, 8, 10, 12])
         rep = concordance_report(params.a, params.b, ns=tuple(ns),

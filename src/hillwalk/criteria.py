@@ -21,7 +21,7 @@ from typing import Optional, Sequence, Union
 
 import mpmath
 
-from .beta import beta_minus, beta_plus
+from .beta import DEFAULT_SHELL_CAPS, beta_minus, beta_plus
 from .numerics import GaussianRational, abs_value, complex_to_gaussian
 from .potential import FourierPotential, TwoTermParams, two_term
 from .spectra import (
@@ -33,7 +33,6 @@ from .spectra import (
 )
 from .walks import WalkKind, shell_step_counts
 
-DEFAULT_SHELL_CAPS = (3, 2)
 STABILITY_SAMPLES = (
     GaussianRational(Fraction(1)),
     GaussianRational(Fraction(-1)),
@@ -111,11 +110,13 @@ class IndexSet:
 
 @dataclass(frozen=True)
 class BasisVerdict:
-    criterion_used: str
+    """A first-criterion verdict; the analytic reports decide by rule and
+    carry the default thresholds only for display."""
+
     index_set: str
     rows: tuple
     conclusion: str
-    thresholds: VerdictThresholds
+    thresholds: VerdictThresholds = VerdictThresholds()
     caveats: tuple = ()
 
     def __post_init__(self) -> None:
@@ -124,7 +125,7 @@ class BasisVerdict:
 
     def to_json_dict(self) -> dict:
         return {
-            "criterion": self.criterion_used,
+            "criterion": "C1",
             "delta": self.index_set,
             "rows": [dict(r) for r in self.rows],
             "conclusion": self.conclusion,
@@ -142,6 +143,19 @@ DESK_SCALE_CAVEAT = (
 # -- elementary quantities -------------------------------------------------
 
 
+def _weights(pot, params, n, shell_caps, z=0):
+    """Exact (beta^+, beta^-) at z, each summed up to its own shell cap."""
+    x_cap, y_cap = shell_caps
+    return (beta_plus(pot, params, n, z=z, shell_cap=x_cap).value,
+            beta_minus(pot, params, n, z=z, shell_cap=y_cap).value)
+
+
+def _sqrt_float(q: Fraction) -> float:
+    """sqrt of an exact nonnegative rational, rounded through mpf:
+    float(q) overflows on the collapsed ratios, this does not."""
+    return abs_value(GaussianRational(q)) ** 0.5
+
+
 def t_n_squared(bp: GaussianRational, bm: GaussianRational) -> Fraction:
     """Exact t_n^2 = max(|b-/b+|, |b+/b-|)^2 as a rational."""
     p2, m2 = bp.abs2(), bm.abs2()
@@ -153,7 +167,7 @@ def t_n_squared(bp: GaussianRational, bm: GaussianRational) -> Fraction:
 
 def t_n(bp: GaussianRational, bm: GaussianRational) -> float:
     """max(|beta^-/beta^+|, |beta^+/beta^-|) >= 1, rounded from the exact t_n^2."""
-    return abs_value(GaussianRational(t_n_squared(bp, bm))) ** 0.5
+    return _sqrt_float(t_n_squared(bp, bm))
 
 
 def structurally_zero(params: TwoTermParams, n: int) -> bool:
@@ -186,10 +200,7 @@ def criterion2_quantity(
     if pair.multiplicity_flag != "simple-pair":
         raise DegenerateRatioError(f"pair at n={pair.n} is not simple")
     zg = complex_to_gaussian(complex(pair.z_star))
-    x_cap, y_cap = shell_caps
-    bp = beta_plus(pot, params, pair.n, z=zg, shell_cap=x_cap).value
-    bm = beta_minus(pot, params, pair.n, z=zg, shell_cap=y_cap).value
-    return t_n(bp, bm)
+    return t_n(*_weights(pot, params, pair.n, shell_caps, zg))
 
 
 # -- verdict aggregation ---------------------------------------------------
@@ -230,7 +241,6 @@ def criterion1_verdict(
     if not ns:
         raise ValueError(f"empty index set: {index_set.describe()}")
     zg = GaussianRational.of(z_choice)
-    x_cap, y_cap = shell_caps
     rows = []
     squares = []
     stability_failures = []
@@ -238,20 +248,17 @@ def criterion1_verdict(
         if structurally_zero(params, n):
             rows.append({"n": n, "class": "delta0", "t": None})
             continue
-        bp = beta_plus(pot, params, n, z=zg, shell_cap=x_cap).value
-        bm = beta_minus(pot, params, n, z=zg, shell_cap=y_cap).value
-        if bp.is_zero() or bm.is_zero():
+        base = _weights(pot, params, n, shell_caps, zg)
+        if any(w.is_zero() for w in base):
             raise DegenerateRatioError(
                 f"beta vanishes numerically at n={n} though walks exist"
             )
-        sq = t_n_squared(bp, bm)
+        sq = t_n_squared(*base)
         squares.append(sq)
-        rows.append({"n": n, "class": "delta1", "t": float(abs_value(GaussianRational(sq)) ** 0.5)})
+        rows.append({"n": n, "class": "delta1", "t": _sqrt_float(sq)})
         for z in STABILITY_SAMPLES:
-            bpz = beta_plus(pot, params, n, z=z, shell_cap=x_cap).value
-            bmz = beta_minus(pot, params, n, z=z, shell_cap=y_cap).value
-            for base, moved in ((bp, bpz), (bm, bmz)):
-                if not (4 * moved.abs2() >= base.abs2() and moved.abs2() <= 4 * base.abs2()):
+            for fixed, moved in zip(base, _weights(pot, params, n, shell_caps, z)):
+                if not (4 * moved.abs2() >= fixed.abs2() and moved.abs2() <= 4 * fixed.abs2()):
                     stability_failures.append((n, str(z)))
     caveats = [DESK_SCALE_CAVEAT, "two-sided z-stability sampled at z in {0, 1, -1, i, -i} only"]
     if stability_failures:
@@ -262,7 +269,6 @@ def criterion1_verdict(
     else:
         conclusion = _threshold_conclusion(squares, thresholds)
     return BasisVerdict(
-        criterion_used="C1",
         index_set=index_set.describe(),
         rows=tuple(rows),
         conclusion=conclusion,
@@ -274,19 +280,23 @@ def criterion1_verdict(
 # -- analytic reports ------------------------------------------------------
 
 
-def _ratio_rows(pot, params, ns, shell_caps):
-    """Exact |beta^-(0)/beta^+(0)|^2 per n, plus display floats."""
-    x_cap, y_cap = shell_caps
+def _ratio_rows(pot, params, m_range, index_of, shell_caps):
+    """Exact |beta^-(0)/beta^+(0)|^2 over n = index_of(m), plus display rows.
+
+    Returns the sorted distinct m values, the rows and the exact squares."""
+    ms = sorted(set(int(m) for m in m_range))
+    if len(ms) < 2 or ms[0] < 1:
+        raise ValueError("need at least two positive m values")
     rows, squares = [], []
-    for n in ns:
-        bp = beta_plus(pot, params, n, shell_cap=x_cap).value
-        bm = beta_minus(pot, params, n, shell_cap=y_cap).value
+    for m in ms:
+        n = index_of(m)
+        bp, bm = _weights(pot, params, n, shell_caps)
         if bp.is_zero() or bm.is_zero():
             raise DegenerateRatioError(f"vanishing weight sum at n={n}")
         sq = bm.abs2() / bp.abs2()
         squares.append(sq)
-        rows.append({"n": n, "ratio": abs_value(GaussianRational(sq)) ** 0.5})
-    return rows, squares
+        rows.append({"n": n, "m": m, "ratio": _sqrt_float(sq)})
+    return ms, rows, squares
 
 
 def theorem31_report(
@@ -297,7 +307,6 @@ def theorem31_report(
     m_range: Sequence[int],
     shell_caps: tuple = DEFAULT_SHELL_CAPS,
     bc: Union[str, BoundaryCondition] = BoundaryCondition.PER_PLUS,
-    thresholds: VerdictThresholds = VerdictThresholds(),
 ) -> BasisVerdict:
     """Band-ratio collapse over n = r s d m for unequal offsets R != S.
 
@@ -312,14 +321,8 @@ def theorem31_report(
     if bc == BoundaryCondition.DIRICHLET:
         raise ValueError("basis verdicts apply to per+ / per- only")
     pot, params = two_term(a, b, R, S)
-    ms = sorted(set(int(m) for m in m_range))
-    if len(ms) < 2 or ms[0] < 1:
-        raise ValueError("need at least two positive m values")
     step = params.r * params.s * params.d
-    ns = [step * m for m in ms]
-    rows, squares = _ratio_rows(pot, params, ns, shell_caps)
-    for row, m in zip(rows, ms):
-        row["m"] = m
+    ms, rows, squares = _ratio_rows(pot, params, m_range, lambda m: step * m, shell_caps)
     # corroboration: strict collapse with the advertised per-step decrement
     drop = abs(params.r - params.s)
     decay_ok = all(squares[i + 1] < squares[i] for i in range(len(squares) - 1))
@@ -350,11 +353,9 @@ def theorem31_report(
             "class is untouched by this family"
         )
     return BasisVerdict(
-        criterion_used="C1",
         index_set=f"multiples of r*s*d = {step}, m in {ms}",
         rows=tuple(rows),
         conclusion=conclusion,
-        thresholds=thresholds,
         caveats=tuple(caveats),
     )
 
@@ -365,7 +366,6 @@ def theorem5_report(
     s: int,
     m_range: Sequence[int],
     shell_caps: tuple = DEFAULT_SHELL_CAPS,
-    thresholds: VerdictThresholds = VerdictThresholds(),
 ) -> BasisVerdict:
     """Ratio collapse over n = s m - 1 for the bands at -2 and 2s, s >= 3.
 
@@ -375,18 +375,10 @@ def theorem5_report(
     if not isinstance(s, int) or s < 3:
         raise ValueError(f"s must be an int >= 3, got {s!r}")
     pot, params = two_term(a, b, 1, s)
-    ms = sorted(set(int(m) for m in m_range))
-    if len(ms) < 2 or ms[0] < 1:
-        raise ValueError("need at least two positive m values")
-    ns = [s * m - 1 for m in ms]
-    rows, squares = _ratio_rows(pot, params, ns, shell_caps)
-    factor_ok = True
-    for i, m in enumerate(ms):
-        rows[i]["m"] = m
-        if i + 1 < len(ms):
-            # each step must beat the m^2 collapse floor: ratio^2 by m^4
-            if squares[i + 1] * Fraction(ms[i]) ** 4 > squares[i]:
-                factor_ok = False
+    ms, rows, squares = _ratio_rows(pot, params, m_range, lambda m: s * m - 1, shell_caps)
+    # each step must beat the m^2 collapse floor: ratio^2 by m^4
+    factor_ok = all(squares[i + 1] * Fraction(ms[i]) ** 4 <= squares[i]
+                    for i in range(len(ms) - 1))
     caveats = [DESK_SCALE_CAVEAT]
     if s % 2 == 0:
         caveats.append("even s: every index n = s m - 1 is odd")
@@ -395,11 +387,9 @@ def theorem5_report(
     if not factor_ok:
         caveats.append("numeric corroboration failed: collapse slower than m^2 per step")
     return BasisVerdict(
-        criterion_used="C1",
         index_set=f"n = {s} m - 1, m in {ms}",
         rows=tuple(rows),
         conclusion="no-basis",
-        thresholds=thresholds,
         caveats=tuple(caveats),
     )
 
@@ -411,7 +401,6 @@ def prop20_verdict(
     bc: Union[str, BoundaryCondition],
     n_max: int = 12,
     shell_caps: tuple = DEFAULT_SHELL_CAPS,
-    thresholds: VerdictThresholds = VerdictThresholds(),
 ) -> BasisVerdict:
     """Equal band offsets: bands at -2R and 2R.
 
@@ -424,55 +413,37 @@ def prop20_verdict(
         raise ValueError("basis verdicts apply to per+ / per- only")
     pot, params = two_term(a, b, R, R)
     parity = 0 if bc == BoundaryCondition.PER_PLUS else 1
-    caveats = []
+    # structural: no odd n is a multiple of an even R
+    degenerate = parity == 1 and R % 2 == 0
+    a2, b2 = params.a.abs2(), params.b.abs2()
+    q2 = max(a2 / b2, b2 / a2)
     rows = []
-    if bc == BoundaryCondition.PER_MINUS and R % 2 == 0:
-        # structural: no odd n is a multiple of an even R
-        for n in range(1, n_max + 1, 2):
+    corroborated = True
+    for n in range(2 - parity, n_max + 1, 2):
+        if degenerate:
             assert structurally_zero(params, n)
             rows.append({"n": n, "class": "delta0", "t": None})
-        caveats.append("even offset, antiperiodic class: every index degenerates structurally")
+        elif n % R == 0:
+            # corroboration: t_n against the leading modulus ratio power
+            sq = t_n_squared(*_weights(pot, params, n, shell_caps))
+            lead2 = q2 ** (n // R)
+            corroborated &= Fraction(1, 4) <= sq / lead2 <= 4  # within factor 2 on t itself
+            rows.append({"n": n, "class": "delta1", "t": _sqrt_float(sq),
+                         "leading": _sqrt_float(lead2)})
+    if degenerate:
         return BasisVerdict(
-            criterion_used="C1",
             index_set=f"odd n <= {n_max}",
             rows=tuple(rows),
             conclusion="contains-basis",
-            thresholds=thresholds,
-            caveats=tuple(caveats),
+            caveats=("even offset, antiperiodic class: every index degenerates structurally",),
         )
-    ga, gb = GaussianRational.of(a), GaussianRational.of(b)
-    moduli_equal = ga.abs2() == gb.abs2()
-    conclusion = "contains-basis" if moduli_equal else "no-basis"
-    # corroboration: t_n against the leading modulus ratio power
-    q2 = max(ga.abs2() / gb.abs2(), gb.abs2() / ga.abs2())
-    x_cap, y_cap = shell_caps
-    active = [n for n in range(1, n_max + 1) if n % 2 == parity and n % R == 0]
-    corroborated = True
-    for n in active:
-        bp = beta_plus(pot, params, n, shell_cap=x_cap).value
-        bm = beta_minus(pot, params, n, shell_cap=y_cap).value
-        sq = t_n_squared(bp, bm)
-        m = n // R
-        lead2 = q2**m
-        ok = Fraction(1, 4) <= sq / lead2 <= 4  # within factor 2 on t itself
-        row = {
-            "n": n,
-            "class": "delta1",
-            "t": abs_value(GaussianRational(sq)) ** 0.5,
-            "leading": abs_value(GaussianRational(lead2)) ** 0.5,
-        }
-        rows.append(row)
-        if not ok:
-            corroborated = False
-    caveats.append("modulus rule decided exactly on |a|^2, |b|^2; t_n table attached")
+    caveats = ["modulus rule decided exactly on |a|^2, |b|^2; t_n table attached"]
     if not corroborated:
         caveats.append("numeric corroboration failed: t_n strays from the leading modulus power")
     return BasisVerdict(
-        criterion_used="C1",
         index_set=f"multiples of {R}, parity of {bc.value}, n <= {n_max}",
         rows=tuple(rows),
-        conclusion=conclusion,
-        thresholds=thresholds,
+        conclusion="contains-basis" if a2 == b2 else "no-basis",
         caveats=tuple(caveats),
     )
 
@@ -510,16 +481,13 @@ def concordance_report(
     range, so pairs and the Dirichlet eigenvalue are refined at high
     precision before the ratios are formed."""
     pot, params = two_term(a, b, 1, 1)
-    x_cap, y_cap = shell_caps
     rows = []
     for n in ns:
         pair = refined_pair(pot, BoundaryCondition.PER_PLUS, n, K, precision)
         mu = refined_dirichlet(pot, n, K, precision)
         with mpmath.workprec(precision):
             pair = replace(pair, mu=mu, deviation=abs(pair.lam_plus - mu))
-            bp0 = beta_plus(pot, params, n, shell_cap=x_cap).value
-            bm0 = beta_minus(pot, params, n, shell_cap=y_cap).value
-            c1 = t_n(bp0, bm0)
+            c1 = t_n(*_weights(pot, params, n, shell_caps))
             c2 = criterion2_quantity(pair, pot, params, shell_caps)
             c3 = criterion3_ratio(pair)
         rows.append({"n": n, "c1": c1, "c2": c2, "c3": c3, "gap": float(pair.gap)})

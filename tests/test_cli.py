@@ -209,6 +209,27 @@ def test_verdict_thresholds_flow_through_config(capsys, tmp_path):
     assert json.loads(out)["thresholds"]["divergence"] == 10.0
 
 
+def test_verdict_report_refuses_thresholds(capsys, tmp_path):
+    # the analytic reports decide by rule; thresholds would be printed unread
+    conf = tmp_path / "conf.json"
+    conf.write_text('{"thresholds": {"divergence": 10.0, "cap": 2.0, "monotone_points": 2}}')
+    code, out, err = run_cli(capsys, "verdict", "--preset", "thm31", "--config", str(conf))
+    assert code == 64 and out == ""
+    assert err == "hillwalk: the ratio-collapse report decides by rule and does not read thresholds\n"
+
+
+@pytest.mark.parametrize("preset,potential,need", [
+    ("thm5", '{"a":"1","b":"1","R":2,"S":3}', "R = 1"),
+    ("prop20", TWO_TERM_13, "R = S"),
+    ("crit-compare", TWO_TERM_13, "R = S = 1"),
+])
+def test_verdict_report_refuses_bands_it_does_not_cover(capsys, preset, potential, need):
+    code, out, err = run_cli(capsys, "verdict", "--preset", preset, "--potential", potential)
+    R, S = json.loads(potential)["R"], json.loads(potential)["S"]
+    assert code == 64 and out == ""
+    assert err.startswith("hillwalk: the ") and f"needs bands {need}, got R = {R}, S = {S}\n" in err
+
+
 def test_preset_overridden_by_config_then_flags(capsys, tmp_path):
     conf = tmp_path / "conf.json"
     conf.write_text('{"m_range": [2, 4]}')

@@ -290,7 +290,7 @@ def test_verdict_json_shape():
 
 def test_verdict_conclusion_validated():
     with pytest.raises(ValueError):
-        BasisVerdict("C1", "x", (), "maybe", VerdictThresholds())
+        BasisVerdict("x", (), "maybe", VerdictThresholds())
 
 
 # -- ratio-collapse reports ------------------------------------------------
