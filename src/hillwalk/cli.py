@@ -105,84 +105,83 @@ _FLAGS = {
     "range": {"help": "n values: comma list or 'lo:hi'"},
     "format": {"choices": ["json", "csv"]},
     "out": {"help": "output path; '-' or omitted for stdout"},
+    "inject_error": {"action": "store_const", "const": True,
+                     "help": "perturb one closed form (negative control)"},
 }
 
-# each subcommand registers only the flags its command reads; a --config
-# file may also set the keys that have no flag
-_SUBCOMMANDS = {
-    "beta": ("tabulate the crossing and closed-walk sums",
-             ("potential", "caps", "range", "format", "out"), ("z",)),
-    "spectrum": ("localized eigenvalue pairs from the truncated operator",
-                 ("potential", "bc", "K", "N", "range", "format", "out"), ()),
-    "verdict": ("basis verdict for a root-function system",
-                ("potential", "bc", "K", "caps", "precision", "delta", "range", "out"),
-                ("z", "thresholds", "m_range", "report")),
-    "verify": ("built-in cross-route identity suite", ("K", "precision", "out"),
-               ("inject_error",)),
+# the config keys each (command, report) path reads; a key that a flag or a
+# --config file sets and the chosen path does not read exits 64
+_READS = {
+    ("beta", None): {"potential", "caps", "range", "format", "z", "out"},
+    ("spectrum", None): {"potential", "bc", "K", "N", "range", "format", "out"},
+    ("verify", None): {"K", "precision", "inject_error", "out"},
+    ("verdict", None): {"report", "potential", "caps", "delta", "z", "thresholds", "out"},
+    ("verdict", "ratio-collapse"): {"report", "potential", "caps", "bc", "m_range", "out"},
+    ("verdict", "shifted-collapse"): {"report", "potential", "caps", "m_range", "out"},
+    ("verdict", "equal-offsets"): {"report", "potential", "caps", "bc", "out"},
+    ("verdict", "concordance"): {"report", "potential", "caps", "range", "K", "precision", "out"},
 }
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="hillwalk", description="walk functionals and basis verdicts for Hill operators")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (txt, keys, _) in _SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=txt)
-        for key in keys:
-            p.add_argument(f"--{key}", **_FLAGS[key])
+    for name, run in _COMMANDS.items():
+        p = sub.add_parser(name, help=run.__doc__)
+        # each subcommand registers only the flags one of its paths reads
+        read = set().union(*(keys for (command, _), keys in _READS.items() if command == name))
+        for key in (k for k in _FLAGS if k in read):
+            p.add_argument(f"--{key.replace('_', '-')}", **_FLAGS[key])
         p.add_argument("--preset", choices=sorted(PRESETS))
         p.add_argument("--config", help="JSON config file; flags override")
-        if name == "verify":
-            p.add_argument("--inject-error", action="store_true", help="perturb one closed form (negative control)")
     return parser
 
 
 def merged_config(args: argparse.Namespace) -> dict:
-    config: dict = {}
-    if args.preset:
-        config.update(PRESETS[args.preset])
+    given: dict = {}
     if args.config:
         try:
             with open(args.config) as fh:
-                loaded = json.load(fh)
+                given = json.load(fh)
         except OSError as err:
             raise UsageError(f"cannot read config: {err}")
         except json.JSONDecodeError as err:
             raise UsageError(f"config is not valid JSON: {err}")
-        if not isinstance(loaded, dict):
+        if not isinstance(given, dict):
             raise UsageError("config file must hold a JSON object")
-        _, keys, extra = _SUBCOMMANDS[args.command]
-        unread = sorted(set(loaded) - set(keys) - set(extra))
-        if unread:
-            raise UsageError(f"{args.command} does not read config keys {', '.join(unread)}")
-        config.update(loaded)
-    for key in _FLAGS:
-        value = getattr(args, key, None)
-        if value is not None:
-            config[key] = value
-    if getattr(args, "inject_error", False):
-        config["inject_error"] = True
+    given.update((key, getattr(args, key)) for key in _FLAGS if getattr(args, key, None) is not None)
+    config = {**PRESETS.get(args.preset, {}), **given}
+    report = config.get("report") if args.command == "verdict" else None
+    if not (report is None or isinstance(report, str)) or (args.command, report) not in _READS:
+        raise UsageError(f"unknown report kind {report!r}")
+    unread = sorted(set(given) - _READS[args.command, report])
+    if unread:
+        where = f"the {report} report" if report else args.command
+        raise UsageError(f"{where} does not read config keys {', '.join(unread)}")
     return config
 
 
 # -- config readers --------------------------------------------------------
 
 
-def _read_potential(config: dict, required: bool = True):
+def _read_potential(config: dict):
     spec = config.get("potential")
     if spec is None:
-        if required:
-            raise UsageError("--potential is required here")
-        return None, None
+        raise UsageError("--potential is required here")
     try:
         return parse_potential(spec)
     except (ValueError, TypeError, KeyError) as err:
         raise UsageError(f"bad potential literal: {err}")
 
 
-def _read_positive(config: dict, key: str, default: int) -> int:
+def _read_int(config: dict, key: str, default: Optional[int], least: int = 1) -> Optional[int]:
+    """An int >= least (0 or 1); a None default lets the key be left unset."""
     value = config.get(key, default)
-    if not isinstance(value, int) or value < 1:
-        raise UsageError(f"--{key} must be a positive integer, got {value!r}")
+    if value is None and default is None:
+        return None
+    if type(value) is not int or value < least:  # a JSON true is no integer
+        kind = ("nonnegative", "positive")[least]
+        raise UsageError(f"--{key} must be a {kind} integer, got {value!r}")
     return value
 
 
@@ -228,6 +227,13 @@ def _read_range(config: dict, default: Optional[list] = None) -> Optional[list]:
         return [int(p) for p in items]
     except (TypeError, ValueError):
         raise UsageError(f"bad range {raw!r}")
+
+
+def _read_m_range(config: dict, default: list) -> range:
+    raw = config.get("m_range", default)
+    if not (isinstance(raw, list) and len(raw) == 2 and all(type(m) is int for m in raw)):
+        raise UsageError(f"m_range must be two integers [lo, hi], got {raw!r}")
+    return range(raw[0], raw[1] + 1)
 
 
 def _read_bc(config: dict, default: str = "per+") -> BoundaryCondition:
@@ -332,6 +338,7 @@ def _closed_plus(params: Optional[TwoTermParams], n: int, z: GaussianRational):
 
 
 def cmd_beta(config: dict) -> int:
+    """tabulate the crossing and closed-walk sums"""
     pot, params = _read_potential(config)
     ns = _read_range(config, default=None)
     if ns is None:
@@ -369,14 +376,13 @@ def cmd_beta(config: dict) -> int:
 
 
 def cmd_spectrum(config: dict) -> int:
+    """localized eigenvalue pairs from the truncated operator"""
     pot, _ = _read_potential(config)
     bc = _read_bc(config)
-    K = _read_positive(config, "K", 32)
+    K = _read_int(config, "K", 32)
     ns = _read_range(config)
     n_max = max(ns) if ns else 12
-    N = config.get("N")
-    if N is not None and (not isinstance(N, int) or N < 0):
-        raise UsageError(f"--N must be a nonnegative integer, got {N!r}")
+    N = _read_int(config, "N", None, least=0)
     if N is None:
         _, result = find_working_N(pot, bc, K, n_max)
     else:
@@ -418,56 +424,53 @@ def cmd_spectrum(config: dict) -> int:
     return EXIT_OK
 
 
+# the bands each report is about; the report would read the others wrongly
+_BANDS = {
+    "ratio-collapse": (lambda R, S: R != S, "R != S"),
+    "shifted-collapse": (lambda R, S: R == 1 and S >= 3, "R = 1 and S >= 3"),
+    "equal-offsets": (lambda R, S: R == S, "R = S"),
+    "concordance": (lambda R, S: R == S == 1, "R = S = 1"),
+}
+
+
 def cmd_verdict(config: dict) -> int:
+    """basis verdict for a root-function system"""
     report = config.get("report")
     caps = _read_caps(config)
-    if report is None:
-        pot, params = _read_potential(config)
-        iset = _read_delta(config)
-        verdict = criterion1_verdict(pot, params, iset, z_choice=_read_z(config),
-                                     shell_caps=caps, thresholds=_read_thresholds(config))
-        _dump(verdict.to_json_dict(), config)
-        return EXIT_OK
-    if "thresholds" in config:
-        raise UsageError(f"the {report} report decides by rule and does not read thresholds")
     pot, params = _read_potential(config)
-    if params is None:
-        raise UsageError("analytic reports need a two-term potential")
-    # the bands each report is about; the report would read the others wrongly
-    held, need = {"shifted-collapse": (params.R == 1, "R = 1"),
-                  "equal-offsets": (params.R == params.S, "R = S"),
-                  "concordance": (params.R == params.S == 1, "R = S = 1")}.get(report, (True, ""))
-    if not held:
-        raise UsageError(f"the {report} report needs bands {need}, got R = {params.R}, S = {params.S}")
-    if report == "ratio-collapse":
-        lo, hi = config.get("m_range", [2, 6])
+    if report is not None:
+        if params is None:
+            raise UsageError("analytic reports need a two-term potential")
+        covers, need = _BANDS[report]
+        if not covers(params.R, params.S):
+            raise UsageError(f"the {report} report needs bands {need}, got R = {params.R}, S = {params.S}")
+    if report is None:
+        verdict = criterion1_verdict(pot, params, _read_delta(config), z_choice=_read_z(config),
+                                     shell_caps=caps, thresholds=_read_thresholds(config))
+    elif report == "ratio-collapse":
         verdict = theorem31_report(params.a, params.b, params.R, params.S,
-                                   range(lo, hi + 1), shell_caps=caps,
+                                   _read_m_range(config, [2, 6]), shell_caps=caps,
                                    bc=_read_bc(config))
     elif report == "shifted-collapse":
-        lo, hi = config.get("m_range", [2, 7])
-        verdict = theorem5_report(params.a, params.b, params.S, range(lo, hi + 1),
+        verdict = theorem5_report(params.a, params.b, params.S, _read_m_range(config, [2, 7]),
                                   shell_caps=caps)
     elif report == "equal-offsets":
         verdict = prop20_verdict(params.a, params.b, params.R, _read_bc(config, "per-"),
                                  shell_caps=caps)
-    elif report == "concordance":
-        ns = _read_range(config, default=[6, 8, 10, 12])
-        rep = concordance_report(params.a, params.b, ns=tuple(ns),
-                                 K=_read_positive(config, "K", 32), shell_caps=caps,
-                                 precision=_read_positive(config, "precision", REFINE_PRECISION))
-        _dump(rep.to_json_dict(), config)
-        return EXIT_OK
     else:
-        raise UsageError(f"unknown report kind {report!r}")
+        ns = _read_range(config, default=[6, 8, 10, 12])
+        verdict = concordance_report(params.a, params.b, ns=tuple(ns),
+                                     K=_read_int(config, "K", 32), shell_caps=caps,
+                                     precision=_read_int(config, "precision", REFINE_PRECISION))
     _dump(verdict.to_json_dict(), config)
     return EXIT_OK
 
 
 def cmd_verify(config: dict) -> int:
+    """built-in cross-route identity suite"""
     report = run_verify(
-        K=_read_positive(config, "K", 32),
-        precision=_read_positive(config, "precision", DEFAULT_PRECISION),
+        K=_read_int(config, "K", 32),
+        precision=_read_int(config, "precision", DEFAULT_PRECISION),
         inject_error=bool(config.get("inject_error")),
     )
     _emit("\n".join(report.lines()) + "\n", config)
@@ -482,30 +485,27 @@ _COMMANDS = {
 }
 
 
+# the exit code of each error class; the most derived listed class wins
+_EXIT_CODES = {
+    UsageError: EXIT_USAGE,
+    WalkSingularityError: EXIT_SINGULARITY,
+    LocalizationError: EXIT_LOCALIZATION,
+    DirichletUniquenessError: EXIT_LOCALIZATION,
+    ConvergenceError: EXIT_CRITERIA,
+    DegenerateRatioError: EXIT_CRITERIA,
+    ValueError: EXIT_CRITERIA,
+}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as err:
-        print(f"hillwalk: {err}", file=sys.stderr)
-        return EXIT_USAGE
+        args = build_parser().parse_args(argv)
+        return _COMMANDS[args.command](merged_config(args))
     except SystemExit as err:  # --help
         return int(err.code or 0)
-    try:
-        config = merged_config(args)
-        return _COMMANDS[args.command](config)
-    except UsageError as err:
+    except tuple(_EXIT_CODES) as err:
         print(f"hillwalk: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except WalkSingularityError as err:
-        print(f"hillwalk: {err}", file=sys.stderr)
-        return EXIT_SINGULARITY
-    except (LocalizationError, DirichletUniquenessError) as err:
-        print(f"hillwalk: {err}", file=sys.stderr)
-        return EXIT_LOCALIZATION
-    except (ConvergenceError, DegenerateRatioError, ValueError) as err:
-        print(f"hillwalk: {err}", file=sys.stderr)
-        return EXIT_CRITERIA
+        return next(_EXIT_CODES[cls] for cls in type(err).__mro__ if cls in _EXIT_CODES)
 
 
 if __name__ == "__main__":

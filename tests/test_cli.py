@@ -12,6 +12,7 @@ import hillwalk
 from hillwalk import cli
 from hillwalk.cli import main
 from hillwalk.spectra import ConvergenceError
+from test_golden import CASES, GOLDEN
 
 TWO_TERM_13 = '{"a":"1","b":"1","R":1,"S":3}'
 
@@ -98,6 +99,14 @@ def test_spectrum_json_pairs(capsys):
     flags = {p["n"]: p["flag"] for p in doc["pairs"]}
     assert flags[4] == "simple-pair" and flags[6] == "simple-pair"
     assert doc["K"] == 32 and doc["bc"] == "per+"
+
+
+def test_spectrum_rejects_boolean_K(capsys, tmp_path):
+    conf = tmp_path / "conf.json"
+    conf.write_text('{"K": true}')
+    code, out, err = run_cli(capsys, "spectrum", "--potential", TWO_TERM_13, "--config", str(conf))
+    assert code == 64 and out == ""
+    assert err == "hillwalk: --K must be a positive integer, got True\n"
 
 
 def test_spectrum_rejects_nonpositive_K(capsys):
@@ -215,19 +224,39 @@ def test_verdict_report_refuses_thresholds(capsys, tmp_path):
     conf.write_text('{"thresholds": {"divergence": 10.0, "cap": 2.0, "monotone_points": 2}}')
     code, out, err = run_cli(capsys, "verdict", "--preset", "thm31", "--config", str(conf))
     assert code == 64 and out == ""
-    assert err == "hillwalk: the ratio-collapse report decides by rule and does not read thresholds\n"
+    assert err == "hillwalk: the ratio-collapse report does not read config keys thresholds\n"
 
 
 @pytest.mark.parametrize("preset,potential,need", [
-    ("thm5", '{"a":"1","b":"1","R":2,"S":3}', "R = 1"),
+    ("thm5", '{"a":"1","b":"1","R":2,"S":3}', "R = 1 and S >= 3"),
     ("prop20", TWO_TERM_13, "R = S"),
     ("crit-compare", TWO_TERM_13, "R = S = 1"),
+    ("thm31", '{"a":"1","b":"1","R":1,"S":1}', "R != S"),
+    ("thm5", '{"a":"1","b":"1","R":1,"S":2}', "R = 1 and S >= 3"),
 ])
 def test_verdict_report_refuses_bands_it_does_not_cover(capsys, preset, potential, need):
     code, out, err = run_cli(capsys, "verdict", "--preset", preset, "--potential", potential)
     R, S = json.loads(potential)["R"], json.loads(potential)["S"]
     assert code == 64 and out == ""
     assert err.startswith("hillwalk: the ") and f"needs bands {need}, got R = {R}, S = {S}\n" in err
+
+
+@pytest.mark.parametrize("m_range", [[2, 3, 4], "ab", [True, 3]])
+def test_verdict_rejects_malformed_m_range(capsys, tmp_path, m_range):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"m_range": m_range}))
+    code, out, err = run_cli(capsys, "verdict", "--preset", "thm31", "--config", str(conf))
+    assert code == 64 and out == ""
+    assert err == f"hillwalk: m_range must be two integers [lo, hi], got {m_range!r}\n"
+
+
+@pytest.mark.parametrize("report", ["bogus", ["ratio-collapse"]])
+def test_verdict_rejects_unknown_report(capsys, tmp_path, report):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"report": report, "potential": TWO_TERM_13}))
+    code, out, err = run_cli(capsys, "verdict", "--config", str(conf))
+    assert code == 64 and out == ""
+    assert err == f"hillwalk: unknown report kind {report!r}\n"
 
 
 def test_preset_overridden_by_config_then_flags(capsys, tmp_path):
@@ -286,9 +315,11 @@ def test_config_keys_a_command_does_not_read_exit_64(capsys, tmp_path, command, 
     conf = tmp_path / "conf.json"
     conf.write_text('{"bogus": 1, "K": 16}')
     code, out, err = run_cli(capsys, command, *argv, "--config", str(conf))
-    unread = "K, bogus" if command == "beta" else "bogus"
+    # the equal-offsets report that prop20 picks reads no K either
+    unread = "K, bogus" if command in ("beta", "verdict") else "bogus"
+    where = "the equal-offsets report" if command == "verdict" else command
     assert code == 64 and out == ""
-    assert err == f"hillwalk: {command} does not read config keys {unread}\n"
+    assert err == f"hillwalk: {where} does not read config keys {unread}\n"
 
 
 def test_spectrum_config_has_no_dirichlet_key(capsys, tmp_path):
@@ -351,3 +382,67 @@ def test_convergence_error_exits_4(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "verdict", "--preset", "crit-compare")
     assert code == 4 and out == ""
     assert err == "hillwalk: Newton polish did not converge in 80 iterations (last step size 0.25)\n"
+
+
+# -- the input contract: which keys each path reads ------------------------
+
+# one command for each (command, report) path of cli._READS
+PATH_COMMANDS = {
+    ("beta", None): ("beta", "--potential", TWO_TERM_13, "--range", "5"),
+    ("spectrum", None): ("spectrum", "--potential", TWO_TERM_13, "--K", "16", "--range", "4"),
+    ("verify", None): ("verify",),
+    ("verdict", None): ("verdict", "--potential", TWO_TERM_13, "--delta", "explicit:5,8"),
+    ("verdict", "ratio-collapse"): ("verdict", "--preset", "thm31"),
+    ("verdict", "shifted-collapse"): ("verdict", "--preset", "thm5"),
+    ("verdict", "equal-offsets"): ("verdict", "--preset", "prop20"),
+    ("verdict", "concordance"): ("verdict", "--preset", "crit-compare"),
+}
+
+
+def _path_id(path):
+    return "-".join(p for p in path if p)
+
+
+def _as_config(argv):
+    """The path argv takes, and its preset's keys and its flags as one config."""
+    args = cli.build_parser().parse_args(list(argv))
+    config = cli.merged_config(args)
+    return (args.command, config.get("report") if args.command == "verdict" else None), config
+
+
+def test_every_path_has_a_command():
+    assert set(PATH_COMMANDS) == set(cli._READS)
+    assert all(_as_config(argv)[0] == path for path, argv in PATH_COMMANDS.items())
+
+
+@pytest.mark.parametrize("path", PATH_COMMANDS, ids=_path_id)
+def test_keys_a_path_does_not_read_exit_64(capsys, tmp_path, path):
+    argv = PATH_COMMANDS[path]
+    conf = tmp_path / "conf.json"
+    for key in sorted(set(cli._FLAGS).union(*cli._READS.values()) - cli._READS[path]):
+        conf.write_text(json.dumps({key: 1}))
+        code, out, err = run_cli(capsys, *argv, "--config", str(conf))
+        assert code == 64 and out == "", key
+        assert err.endswith(f" does not read config keys {key}\n"), key
+        if key in cli._FLAGS:
+            flag = [f"--{key.replace('_', '-')}"] + {"bc": ["per+"], "format": ["json"],
+                                                      "inject_error": []}.get(key, ["1"])
+            code, out, _ = run_cli(capsys, *argv, *flag)
+            assert code == 64 and out == "", key
+
+
+@pytest.mark.parametrize("path", PATH_COMMANDS, ids=_path_id)
+def test_keys_a_path_reads_are_accepted_from_config(capsys, tmp_path, path):
+    # the golden commands of the path, then its own command, each re-run with
+    # the preset's keys and the flags repeated in a --config file
+    runs = [(argv, (GOLDEN / name).read_bytes()) for name, argv in sorted(CASES.items())
+            if _as_config(argv)[0] == path]
+    runs.append((PATH_COMMANDS[path], None))
+    conf = tmp_path / "conf.json"
+    for argv, want in runs:
+        if want is None:
+            want = run_cli(capsys, *argv)[1].encode()
+        conf.write_text(json.dumps(_as_config(argv)[1]))
+        code, out, _ = run_cli(capsys, *argv, "--config", str(conf))
+        assert code == 0 and out.encode() == want, argv
+
