@@ -193,9 +193,9 @@ def _read_caps(config: dict) -> tuple:
         parts = list(raw)
     else:
         raise UsageError(f"bad caps {raw!r}")
-    try:
-        caps = tuple(int(p) for p in parts)
-    except (TypeError, ValueError):
+    try:  # str first: int() alone takes a JSON true as 1 and 2.7 as 2
+        caps = tuple(int(str(p)) for p in parts)
+    except ValueError:
         raise UsageError(f"bad caps {raw!r}")
     if len(caps) != 2 or any(c < 0 for c in caps):
         raise UsageError("caps must be two nonnegative integers 'p,q'")
@@ -223,9 +223,9 @@ def _read_range(config: dict, default: Optional[list] = None) -> Optional[list]:
         items = raw.split(",")
     else:
         raise UsageError(f"bad range {raw!r}")
-    try:
-        return [int(p) for p in items]
-    except (TypeError, ValueError):
+    try:  # str first: int() alone takes a JSON true as 1 and 2.7 as 2
+        return [int(str(p)) for p in items]
+    except ValueError:
         raise UsageError(f"bad range {raw!r}")
 
 

@@ -12,23 +12,18 @@ col - row = +-t and -w(t) on row + col = t - 2, summed exactly where lines
 cross.  Assembly rounds each exact cell to a double once and adds the free
 eigenvalue, so the fill costs O(dim |support|) cells.  The dense matrix is
 solved at hardware precision; eigenvalues near n^2 are grouped into unit
-discs D_n and paired.  The same map drives an arbitrary-precision
-refinement of a single pair (the gaps of interest shrink far below
-hardware resolution well before n = 12): the basis functions with free
-eigenvalue n^2 anchor blocks of positions linked through off-diagonal
-cells, and a block whose links only join neighbours in ascending basis
-index is a tridiagonal chain with a three-term determinant recurrence.
-The recurrence runs on fixed-point Gaussian integers: each chain entry is
-rounded once from its exact value to a multiple of 2^-(precision +
-GUARD_BITS), and only the final determinant and derivatives become mpmath
-values.  One Newton loop, on the determinant or on its first derivative,
-finds the roots, and each refined value keeps only the digits that loop
-resolved.
+discs D_n and paired.  Pair gaps shrink far below hardware resolution well
+before n = 12, so the same map also drives an arbitrary-precision
+refinement: the Schur complement S(z) onto the basis functions with free
+eigenvalue n^2 (2x2 for a pair, 1x1 for a Dirichlet disc) comes from one
+banded elimination of the other positions on fixed-point Gaussian
+integers, and Newton on the reduced equation z = S(z) gives n^2 + z.
 """
 
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 import mpmath
@@ -390,145 +385,11 @@ def reduction_residual(
 # -- arbitrary-precision refinement ----------------------------------------
 
 
-def _chain_det(diag, offprod, lam, precision, derivatives=2):
-    """det(T - lam) and its first `derivatives` (1 or 2) lam-derivatives
-    for a tridiagonal chain, as mpc values at the context precision.
-
-    diag and offprod hold Gaussian integers (re, im) scaled by 2^F, F =
-    precision + GUARD_BITS, as `_chain` rounds them; offprod[i] is the
-    sub*super product coupling entries i and i+1.  The recurrence runs on
-    ints: each of d, d', d'' keeps its (current, previous) pair over its own
-    power of two and is shifted back to F + GUARD_BITS bits after every
-    step; the coupling terms -d and -2d' are aligned to it by a shift.  A
-    shared exponent would let d'' drown d and d' near a near-double root."""
-    F = precision + GUARD_BITS
-    width = F + GUARD_BITS
-    lre, lim = to_fixed(lam.real._mpf_, F), to_fixed(lam.imag._mpf_, F)
-    (are, aim), one = diag[0], 1 << F
-    # per sequence: current re, im, previous re, im, binary exponent
-    seqs = [[are - lre, aim - lim, one, 0, -F], [-one, 0, 0, 0, -F], [0, 0, 0, 0, -F]]
-    del seqs[derivatives + 1:]
-    for (dre, dim), (sre, sim) in zip(diag[1:], offprod):
-        are, aim = dre - lre, dim - lim
-        lower = None  # the sequence below, before this step: re, im, exponent
-        for j, seq in enumerate(seqs):
-            cre, cim, pre, pim, e = seq
-            re = are * cre - aim * cim - sre * pre + sim * pim
-            im = are * cim + aim * cre - sre * pim - sim * pre
-            if lower:
-                bre, bim, k = lower
-                k += F - e
-                if k >= 0:
-                    re -= j * (bre << k)
-                    im -= j * (bim << k)
-                else:
-                    re -= j * (bre >> -k)
-                    im -= j * (bim >> -k)
-            lower = cre, cim, e
-            if not (re or im or cre or cim):  # a zero pair keeps its exponent
-                seq[:4] = 0, 0, 0, 0
-                continue
-            t = max(re.bit_length(), im.bit_length(),
-                    max(cre.bit_length(), cim.bit_length()) + F) - width
-            k = F - t
-            if t >= 0:
-                re, im = re >> t, im >> t
-            else:
-                re, im = re << -t, im << -t
-            if k >= 0:
-                seq[:] = re, im, cre << k, cim << k, e - k
-            else:
-                seq[:] = re, im, cre >> -k, cim >> -k, e - k
-    return tuple(mpmath.mpc(mpmath.mpf((re, e)), mpmath.mpf((im, e))) for re, im, _, _, e in seqs)
-
-
-def _newton(diag, offprod, lam, precision, order, what):
-    """Newton from `lam` on the order-th lam-derivative of det(T - lam):
-    order 0 polishes a root, order 1 finds the critical point between two.
-    Stops once a step is below 2^-(precision-16) max(1, |lam|)."""
-    lam = mpmath.mpc(lam)
-    tol = mpmath.mpf(2) ** (-(precision - 16))
-    for _ in range(NEWTON_ITERATIONS):
-        f, df = _chain_det(diag, offprod, lam, precision, order + 1)[order:]
-        if df == 0:
-            return lam
-        step = f / df
-        lam = lam - step
-        if mpc_abs(step) <= tol * max(mpmath.mpf(1), mpc_abs(lam)):
-            return lam
-    raise ConvergenceError(what, NEWTON_ITERATIONS, mpc_abs(step))
-
-
-def _resolved(z, scale, precision):
-    """z with every component below the Newton tolerance
-    2^-(precision-16) max(1, scale) set to zero: those digits were never
-    resolved and would follow the hardware seed, not the operator."""
-    tol = mpmath.mpf(2) ** (-(precision - 16)) * max(1, scale)
-    return mpmath.mpc(0 if abs(z.real) < tol else z.real, 0 if abs(z.imag) < tol else z.imag)
-
-
-def _root(diag, offprod, seed, precision):
-    """The chain determinant's root polished from `seed`, resolved digits only."""
-    lam = _newton(diag, offprod, seed, precision, 0, "Newton polish")
-    return _resolved(lam, abs(lam), precision)
-
-
 def _fixed(value, bits: int) -> tuple:
     """round(value 2^bits) of an exact scalar, as a Gaussian integer (re, im)."""
     g = GaussianRational.of(value)
     return tuple((2 * (q.numerator << bits) + q.denominator) // (2 * q.denominator)
                  for q in (g.re, g.im))
-
-
-def _chain(cells: dict, bc: BoundaryCondition, K: int, anchor: int, precision: int):
-    """The tridiagonal chain through basis position `anchor` of the cell map
-    `cells` (`_potential_cells(pot, bc, K)`).
-
-    The block is every position linked to the anchor through off-diagonal
-    cells, in ascending basis index k; unless every link joins neighbours
-    in that order the block is no chain and ValueError is raised.  The
-    diagonal is the free eigenvalue plus the diagonal cell, and offprod[i]
-    is cell(i, i+1) * cell(i+1, i), formed once per distinct pair of cells.
-    Each distinct exact value is rounded once to a Gaussian integer over
-    2^(precision + GUARD_BITS) (`_fixed`).  Returns (block, diag, offprod)."""
-    ks = basis_indices(bc, K)
-    links = {}
-    for row, col in cells:
-        if row != col:
-            links.setdefault(row, set()).add(col)
-            links.setdefault(col, set()).add(row)
-    block, frontier = {anchor}, [anchor]
-    while frontier:
-        for j in links.get(frontier.pop(), ()):
-            if j not in block:
-                block.add(j)
-                frontier.append(j)
-    order = sorted(block, key=lambda i: ks[i])
-    place = {i: p for p, i in enumerate(order)}
-    for i in order:
-        for j in links.get(i, ()):
-            if abs(place[i] - place[j]) != 1:
-                raise ValueError(
-                    f"the {bc.value} block through k={ks[anchor]} is not a chain: "
-                    f"k={ks[i]} couples to k={ks[j]}, which is not its neighbour"
-                )
-    bits = precision + GUARD_BITS
-    rounded = {}
-
-    def fixed(value):
-        if value not in rounded:
-            rounded[value] = _fixed(value, bits)
-        return rounded[value]
-
-    # the cells of one line share one value object, so the identities of a
-    # link's two cells name its product without hashing a Fraction per link
-    zero = GaussianRational()
-    pairs = [(cells.get((i, j), zero), cells.get((j, i), zero)) for i, j in zip(order, order[1:])]
-    distinct = {(id(x), id(y)): (x, y) for x, y in pairs}
-    products = {key: fixed(x * y) for key, (x, y) in distinct.items()}
-    # a diagonal without a cell stays an int, which hashes and rounds cheaply
-    diag = [fixed(free_eigenvalue(bc, ks[i]) + cells.get((i, i), 0)) for i in order]
-    return block, diag, [products[id(x), id(y)] for x, y in pairs]
 
 
 def _disc_anchors(bc: BoundaryCondition, K: int, n: int, count: int) -> list:
@@ -547,6 +408,147 @@ def _disc_anchors(bc: BoundaryCondition, K: int, n: int, count: int) -> list:
     return anchors
 
 
+def _reduction(pot: FourierPotential, bc: BoundaryCondition, n: int, K: int, count: int,
+               precision: int) -> tuple:
+    """(plan, seed z) for the Schur complement of the truncation onto the
+    `count` basis functions with free eigenvalue n^2 (`_disc_anchors`); the
+    seed is the hardware midpoint of the pair, or the Dirichlet eigenvalue.
+
+    A(z) = diag(n^2 + z - free) - V over Q, the other positions, is
+    eliminated in basis order without pivoting, which is stable when A is
+    strictly diagonally dominant: a row that is not, at the seed, raises
+    ValueError.  The fill pattern does not depend on z, so the plan gives
+    each of its entries a slot, holding A(0) with each exact cell rounded
+    once over 2^(precision + GUARD_BITS) (`_fixed`), or 0.  steps[j] = (slot
+    of A[j, j], ((q, slot of A[j, q], ((slot of A[j, k], slot of A[q, k])
+    for k > q)) for q < j in row j)); back[q] = ((k, slot of A[q, k]) for
+    k > q); mirror says whether the reflection J reverses Q or is 1."""
+    anchors = _disc_anchors(bc, K, n, count)
+    cells = _potential_cells(pot, bc, K)
+    eigs = eigenvalues(_operator(cells, bc, K))
+    seed = (_dirichlet_in_disc(eigs, n) if count == 1
+            else 0.5 * sum(sorted(eigs, key=lambda w: abs(w - n * n))[:2])) - n * n
+    ks = basis_indices(bc, K)
+    bits = precision + GUARD_BITS
+    Q = [i for i in range(len(ks)) if i not in anchors]
+    at = {i: q for q, i in enumerate(Q)}
+    distinct = {id(v): v for v in cells.values()}  # the cells of one line share one object
+    rounded = {key: _fixed(v, bits) for key, v in distinct.items()}
+    approx = {key: complex(v) for key, v in distinct.items()}
+    rows = [{} for _ in Q]  # off the diagonal: column -> id of the cell value
+    for (i, j), value in cells.items():
+        if i != j and i in at and j in at:
+            rows[at[i]][at[j]] = id(value)
+    pattern, slot, values = [], {}, []
+    for j, i in enumerate(Q):
+        cell, free = id(cells.get((i, i))), n * n - free_eigenvalue(bc, ks[i])
+        off = sum(abs(approx[v]) for v in rows[j].values())
+        if not abs(free + seed - approx.get(cell, 0)) > off:
+            raise ValueError(f"{bc.value} reduction at n={n}: row k={ks[i]} of A(z) is not strictly "
+                             "diagonally dominant at the seed, so elimination may be unstable")
+        cols = set(rows[j]) | {j}
+        for q in range(min(cols), j):
+            if q in cols:
+                cols |= {k for k in pattern[q] if k > q}
+        pattern.append(sorted(cols))
+        for k in pattern[j]:
+            slot[j, k] = len(values)
+            re, im = rounded.get(cell if k == j else rows[j].get(k), (0, 0))
+            values.append(((free << bits) - re, -im) if k == j else (-re, -im))
+    upper = [[k for k in cols if k > q] for q, cols in enumerate(pattern)]
+    back = [[(k, slot[q, k]) for k in cols] for q, cols in enumerate(upper)]
+    steps = [(slot[j, j], [(q, slot[j, q], [(slot[j, k], slot[q, k]) for k in upper[q]])
+                           for q in cols if q < j]) for j, cols in enumerate(pattern)]
+    coupling = [[rounded.get(id(cells.get((i, p))), (0, 0)) for p in anchors] for i in range(len(ks))]
+    columns = tuple(tuple(zip(*(coupling[i][p] for i in Q))) for p in range(len(anchors)))
+    vpp = tuple(tuple((re << bits, im << bits) for re, im in coupling[i]) for i in anchors)
+    mirror = bc != BoundaryCondition.DIRICHLET
+    return (bits, *zip(*values), steps, back, columns, vpp, mirror), mpmath.mpc(seed)
+
+
+def _dot(a, b, start=(0, 0)):
+    """start + sum a_k b_k for Gaussian-integer vectors held as (re, im) lists."""
+    (ar, ai), (br, bi) = a, b
+    return (sum(map(mul, ar, br), start[0]) - sum(map(mul, ai, bi)),
+            sum(map(mul, ar, bi), start[1]) + sum(map(mul, ai, br)))
+
+
+def _schur(plan: tuple, z) -> tuple:
+    """(S(z), S'(z)) on the layout `plan` of `_reduction`, as lists of rows
+    of mpc values: S = V_PP + V_PQ A(z)^-1 V_QP, S' = -V_PQ A(z)^-2 V_QP.
+
+    One elimination solves x_p = A^-1 V_QP for each anchor p; V_PQ[p] A^-1
+    needs no second solve, since A^T = J A J for the reflection J of the
+    basis (k -> -k under per+, k -> -k-1 under per-, the identity for the
+    symmetric sine matrix) and J swaps the anchors: V_PQ[p] A^-1 is
+    (J x_{Jp})^T.  Products are shifted back to 2^-bits as they are formed;
+    the final dot products are summed exactly and rounded once."""
+    F, re, im, steps, back, columns, vpp, mirror = plan
+    re, im = list(re), list(im)
+    zr, zi = to_fixed(z.real._mpf_, F), to_fixed(z.imag._mpf_, F)
+    for s, _ in steps:
+        re[s] += zr
+        im[s] += zi
+    xs = [(list(cr), list(ci)) for cr, ci in columns]
+    inverse = []
+    for j, (d, eliminations) in enumerate(steps):
+        for q, s, updates in eliminations:
+            (ir, ii), ar, ai = inverse[q], re[s], im[s]
+            lr, li = (ar * ir - ai * ii) >> F, (ar * ii + ai * ir) >> F
+            for t, u in updates:
+                ur, ui = re[u], im[u]
+                re[t] -= (lr * ur - li * ui) >> F
+                im[t] -= (lr * ui + li * ur) >> F
+            for xr, xi in xs:
+                ur, ui = xr[q], xi[q]
+                xr[j] -= (lr * ur - li * ui) >> F
+                xi[j] -= (lr * ui + li * ur) >> F
+        br, bi = re[d], im[d]
+        norm = br * br + bi * bi
+        inverse.append(((br << 2 * F) // norm, (-bi << 2 * F) // norm))
+    for q in reversed(range(len(steps))):
+        ir, ii = inverse[q]
+        for xr, xi in xs:
+            vr, vi = xr[q], xi[q]
+            for k, s in back[q]:
+                ar, ai, ur, ui = re[s], im[s], xr[k], xi[k]
+                vr -= (ar * ur - ai * ui) >> F
+                vi -= (ar * ui + ai * ur) >> F
+            xr[q], xi[q] = (vr * ir - vi * ii) >> F, (vr * ii + vi * ir) >> F
+    unit = mpmath.ldexp(1, -2 * F)
+    lefts = [(xr[::-1], xi[::-1]) if mirror else (xr, xi) for xr, xi in reversed(xs)]
+    return ([[mpmath.mpc(*_dot(left, c, v)) * unit for c, v in zip(columns, row)]
+             for left, row in zip(lefts, vpp)],
+            [[-mpmath.mpc(*_dot(left, x)) * unit for x in xs] for left in lefts])
+
+
+def _newton(step, z, tol, what):
+    """Newton from z, where step(z) returns the step f(z)/f'(z).
+
+    Stops after the first step s with |s| <= 2^-16 sqrt(tol), without
+    evaluating again: Newton's error after a step s is about |f''/2f'| s^2,
+    so less than tol is left while |f''/2f'| < 2^32.  For the reduced
+    equations below, f' = 1 - O(|S'|) and f'' is of the size of S'' =
+    2 V_PQ A(z)^-3 V_QP, at most 2 |V|^2 / delta^3 for couplings up to |V|
+    and the margin delta > 0 of the diagonal dominance `_reduction` checks;
+    away from a zero of d, where the two roots meet, sqrt(d)'' is sqrt(d)
+    times squared log-derivatives of S and adds no more."""
+    stop = mpmath.sqrt(tol) / 2**16
+    for _ in range(NEWTON_ITERATIONS):
+        s = step(z)
+        z -= s
+        if mpc_abs(s) <= stop:
+            return z
+    raise ConvergenceError(what, NEWTON_ITERATIONS, mpc_abs(s))
+
+
+def _resolved(z, tol):
+    """z with every component below the Newton resolution tol set to zero:
+    those digits were never resolved and would follow the hardware seed,
+    not the operator."""
+    return mpmath.mpc(0 if abs(z.real) < tol else z.real, 0 if abs(z.imag) < tol else z.imag)
+
+
 def refined_pair(
     pot: FourierPotential,
     bc: BoundaryCondition,
@@ -556,51 +558,43 @@ def refined_pair(
 ) -> SpectralPair:
     """The D_n pair at arbitrary precision, as a SpectralPair of mpmath values.
 
-    Hardware eigenvalues seed a Newton iteration on the chain determinants
-    through the two basis functions with free eigenvalue n^2.  When both lie
-    in one chain the near-double pair is split first: the quadratic-model
-    discriminant at the seed cancels to (gap/seed error)^2 and drowns once
-    gaps fall below the square of the hardware error, so Newton drives det'
-    to zero (the critical point sits between the two roots and is reached at
-    full precision), then steps +-sqrt(-2 p / p'').  Needed because the pair
-    gaps shrink super-exponentially in n while the eigenvalues themselves
-    stay of size n^2.
-
-    Roots and z* keep only their resolved digits (`_resolved`): when ab is
-    real, z* is real, and a denormal imaginary part would put every exact sum
-    at z* over a 1074-bit denominator.  The pair is simple when its gap
-    exceeds 2^-(precision/2), below which the split is not resolved."""
+    lam = n^2 + z, where z = S(z) for the 2x2 Schur complement S onto the
+    basis functions with free eigenvalue n^2 (`_schur`); its entries are
+    alpha, beta+ and beta- summed over every walk of the cut-off lattice.
+    Each root solves one branch z = m(z) +- sqrt(d(z)), m = (S11 + S22)/2,
+    d = ((S11 - S22)/2)^2 + S12 S21.  Newton runs on the first branch from
+    the hardware midpoint, then on the second from m - sqrt(d) of the first
+    branch's last evaluation, each with the square root of d that continues
+    its last one.  The gap is |z+ - z-|, so no step subtracts numbers of
+    size n^2.  Roots and z* keep only their resolved digits (`_resolved`;
+    when ab is real, a denormal imaginary part of z* would put every exact
+    sum at z* over a 1074-bit denominator), and the pair is double when its
+    gap is below that resolution, 2^-(precision-16) max(1, |lam|)."""
     check_precision(precision)
-    bc = BoundaryCondition(bc)
-    first, second = _disc_anchors(bc, K, n, 2)
-    cells = _potential_cells(pot, bc, K)
-    block, diag, offprod = _chain(cells, bc, K, first, precision)
-    eigs = eigenvalues(_operator(cells, bc, K))
-    near = sorted(eigs, key=lambda w: abs(w - n * n))[:2]
-    seed = 0.5 * (near[0] + near[1])
+    plan, seed = _reduction(pot, BoundaryCondition(bc), n, K, 2, precision)
     with mpmath.workprec(precision):
-        if second in block:
-            mid = _newton(diag, offprod, seed, precision, 1, "critical-point Newton")
-            p, _, p2 = _chain_det(diag, offprod, mid, precision)
-            h = mpmath.sqrt(-2 * p / p2) if p2 != 0 else 0
-            chains, seeds = [(diag, offprod)] * 2, (mid - h, mid + h)
-        else:
-            chains = [(diag, offprod), _chain(cells, bc, K, second, precision)[1:]]
-            seeds = (seed, seed)
-        lam_minus, lam_plus = sorted(
-            (_root(d, o, s, precision) for (d, o), s in zip(chains, seeds)),
-            key=lambda w: (w.real, w.imag))
-        gap = abs(lam_plus - lam_minus)
-        z = (lam_minus + lam_plus) / 2 - n**2
-        return SpectralPair(
-            n=n,
-            lam_minus=lam_minus,
-            lam_plus=lam_plus,
-            z_star=_resolved(z, max(abs(lam_minus), abs(lam_plus)), precision),
-            gap=gap,
-            multiplicity_flag="simple-pair" if gap > mpmath.mpf(2) ** (-(precision // 2))
-            else "double",
-        )
+        tol = mpmath.ldexp(max(1, abs(seed + n * n)), 16 - precision)
+        last = [None, None]  # m and sqrt(d) at the latest evaluation
+
+        def step(z):
+            ((s11, s12), (s21, s22)), ((t11, t12), (t21, t22)) = _schur(plan, z)
+            m, h = (s11 + s22) / 2, (s11 - s22) / 2
+            w = mpmath.sqrt(h * h + s12 * s21)
+            if last[1] is not None and (w * mpmath.conj(last[1])).real < 0:
+                w = -w
+            dw = (h * (t11 - t22) + t12 * s21 + s12 * t21) / (2 * w) if w else 0
+            last[:] = m, w
+            return (z - m - w) / (1 - (t11 + t22) / 2 - dw)
+
+        first = _newton(step, seed, tol, f"Newton on the first branch at n={n}")
+        m, w = last
+        last[1] = -w
+        second = _newton(step, m - w, tol, f"Newton on the second branch at n={n}")
+        lo, hi = sorted((_resolved(n * n + z, tol) for z in (first, second)),
+                        key=lambda v: (v.real, v.imag))
+        gap = abs(first - second)
+        return SpectralPair(n, lo, hi, _resolved((lo + hi) / 2 - n**2, tol), gap,
+                            "simple-pair" if gap > tol else "double")
 
 
 def refined_dirichlet(
@@ -609,13 +603,16 @@ def refined_dirichlet(
     K: int,
     precision: int = REFINE_PRECISION,
 ) -> mpmath.mpc:
-    """mu_n at arbitrary precision, by Newton on the chain through sin(nx)
-    seeded from the hardware solve."""
+    """mu_n at arbitrary precision, mu = n^2 + z: Newton on the 1x1
+    reduction z = S(z) onto sin(nx), seeded from the hardware solve."""
     check_precision(precision)
-    bc = BoundaryCondition.DIRICHLET
-    (anchor,) = _disc_anchors(bc, K, n, 1)
-    cells = _potential_cells(pot, bc, K)
-    _, diag, offprod = _chain(cells, bc, K, anchor, precision)
-    seed = _dirichlet_in_disc(eigenvalues(_operator(cells, bc, K)), n)
+    plan, seed = _reduction(pot, BoundaryCondition.DIRICHLET, n, K, 1, precision)
     with mpmath.workprec(precision):
-        return _root(diag, offprod, seed, precision)
+        tol = mpmath.ldexp(max(1, abs(seed + n * n)), 16 - precision)
+
+        def step(z):
+            ((s,),), ((t,),) = _schur(plan, z)
+            return (z - s) / (1 - t)
+
+        z = _newton(step, seed, tol, f"Newton on the Dirichlet equation at n={n}")
+        return _resolved(n * n + z, tol)

@@ -43,25 +43,37 @@ def dense_assemble(pot, bc, K) -> np.ndarray:
     return M
 
 
-def chain_det(diag, offprod, lam):
-    """det(T - lam), d/dlam, d2/dlam2 for a tridiagonal chain, in mpmath
-    arithmetic at the context precision.
+def schur_complement(pot, bc, K, n, z):
+    """S(z) = V_PP + V_PQ A^-1 V_QP and S'(z) = -V_PQ A^-2 V_QP, as lists of
+    rows of mpc values at the context precision, for the basis functions P
+    with free eigenvalue n^2 and A = (n^2 + z) - T over the other positions Q.
 
-    diag: mpf/mpc diagonal entries; offprod[i]: sub*super product coupling
-    entries i and i+1."""
-    d_prev2, d_prev = mpmath.mpf(1), diag[0] - lam
-    d1_prev2, d1_prev = mpmath.mpf(0), mpmath.mpf(-1)
-    d2_prev2, d2_prev = mpmath.mpf(0), mpmath.mpf(0)
-    for i in range(1, len(diag)):
-        a = diag[i] - lam
-        ss = offprod[i - 1]
-        d = a * d_prev - ss * d_prev2
-        d1 = -d_prev + a * d1_prev - ss * d1_prev2
-        d2 = -2 * d1_prev + a * d2_prev - ss * d2_prev2
-        d_prev2, d_prev = d_prev, d
-        d1_prev2, d1_prev = d1_prev, d1
-        d2_prev2, d2_prev = d2_prev, d2
-    return d_prev, d1_prev, d2_prev
+    Every coupling comes from its definition, as in `dense_assemble`, but in
+    mpmath; A is dense, solved by mpmath's LU, and A^-2 by a second solve."""
+    bc = BoundaryCondition(bc)
+    ks = basis_indices(bc, K)
+
+    def coupling(ki, kj):
+        if bc == BoundaryCondition.DIRICHLET:
+            total = (pot.coefficient(ki - kj) + pot.coefficient(kj - ki)
+                     - pot.coefficient(ki + kj) - pot.coefficient(-ki - kj)) * Fraction(1, 2)
+        else:
+            total = pot.coefficient(2 * (ki - kj))
+        return mpmath.mpc(mpmath.mpf(total.re.numerator) / total.re.denominator,
+                          mpmath.mpf(total.im.numerator) / total.im.denominator)
+
+    P = [k for k in ks if free_eigenvalue(bc, k) == n * n]
+    Q = [k for k in ks if free_eigenvalue(bc, k) != n * n]
+    A = mpmath.matrix(len(Q), len(Q))
+    for a, ki in enumerate(Q):
+        for b, kj in enumerate(Q):
+            A[a, b] = (n * n + z - free_eigenvalue(bc, ki) if a == b else 0) - coupling(ki, kj)
+    x = {q: mpmath.lu_solve(A, mpmath.matrix([coupling(k, q) for k in Q])) for q in P}
+    xx = {q: mpmath.lu_solve(A, x[q]) for q in P}
+    S = [[coupling(p, q) + sum(coupling(p, k) * x[q][i] for i, k in enumerate(Q)) for q in P]
+         for p in P]
+    dS = [[-sum(coupling(p, k) * xx[q][i] for i, k in enumerate(Q)) for q in P] for p in P]
+    return S, dS
 
 
 def is_admissible(walk: Walk) -> bool:

@@ -109,6 +109,17 @@ def test_spectrum_rejects_boolean_K(capsys, tmp_path):
     assert err == "hillwalk: --K must be a positive integer, got True\n"
 
 
+@pytest.mark.parametrize("key, value", [
+    ("range", [True, 2.7]), ("range", [6, 8.0]), ("caps", [True, 2]), ("caps", [3, 2.5]),
+])
+def test_beta_list_items_must_be_integers(capsys, tmp_path, key, value):
+    conf = tmp_path / "conf.json"
+    conf.write_text(json.dumps({"range": [6], key: value}))
+    code, out, err = run_cli(capsys, "beta", "--potential", TWO_TERM_13, "--config", str(conf))
+    assert code == 64 and out == ""
+    assert err.startswith("hillwalk: ") and key in err
+
+
 def test_spectrum_rejects_nonpositive_K(capsys):
     code, _, err = run_cli(capsys, "spectrum", "--potential", '{"terms": []}', "--K", "0")
     assert code == 64

@@ -424,18 +424,19 @@ def test_concordance_gaps_track_refinement(concordance_12):
 
 def test_concordance_determinant_count(monkeypatch):
     """concordance_report(1, 2) refines four pairs and four Dirichlet
-    eigenvalues in at most 68 chain determinants.  The count does not
-    depend on timing, so a change to the Newton path shows here."""
+    eigenvalues in at most 37 evaluations of the Schur-complement kernel.
+    The count does not depend on timing, so a change to the Newton path
+    shows here."""
     calls = []
-    kernel = spectra._chain_det
+    kernel = spectra._schur
 
     def counted(*args):
         calls.append(None)
         return kernel(*args)
 
-    monkeypatch.setattr(spectra, "_chain_det", counted)
+    monkeypatch.setattr(spectra, "_schur", counted)
     concordance_report(1, 2)
-    assert 0 < len(calls) <= 68
+    assert 0 < len(calls) <= 37
 
 
 def test_concordance_symmetric_potential_all_three_bounded(concordance_11):

@@ -76,10 +76,10 @@ def _refined_roots_text():
 
 
 def test_refined_roots():
-    """Refined pairs and Dirichlet eigenvalues to 90 digits: the cluster
-    split (both anchors in one chain), separate chains, a complex ab, the
-    n = 22 pair below the 320-bit simplicity threshold, and the sine chain
-    through sin(x) and through sin(2x)."""
+    """Refined pairs and Dirichlet eigenvalues to 90 digits: anchors that
+    the band links to each other, anchors it keeps apart (a structural
+    double), a complex ab, the n = 22 pair with gap 3.6e-49, and the sine
+    reduction for odd n, whose rows reach sin(x), and for even n."""
     assert _refined_roots_text().encode() == (GOLDEN / "refined_roots.txt").read_bytes()
 
 

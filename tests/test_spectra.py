@@ -15,7 +15,6 @@ from hillwalk.spectra import (
     BoundaryCondition,
     ConvergenceError,
     DirichletUniquenessError,
-    GUARD_BITS,
     LocalizationError,
     MAX_K,
     NEWTON_ITERATIONS,
@@ -32,8 +31,9 @@ from hillwalk.spectra import (
     refined_pair,
     spectrum_csv,
 )
-from hillwalk.spectra import _chain_det, _fixed, _newton
-from oracles import chain_det, dense_assemble
+from hillwalk import spectra
+from hillwalk.spectra import _newton, _reduction, _schur
+from oracles import dense_assemble, schur_complement
 
 BC = BoundaryCondition
 ZERO = FourierPotential.of({})
@@ -356,27 +356,49 @@ class TestRefinement:
         assert float(rp.gap) < 1e-80
 
     def test_refined_dirichlet_matches_hardware(self):
-        # odd n runs the chain through the corner j = 1, even n the plain one
+        # odd n couples through the corner j = 1, even n does not
         pot, _ = two_term(1, 2, 1, 1)
         for n in (5, 6):
             hw = dirichlet_close(pot, 64, n)
             mu = refined_dirichlet(pot, n, 64)
             assert abs(complex(mu) - hw) < 1e-9
 
-    def test_refinement_requires_a_chain(self):
-        # bands 1 and 3 couple k to k - 1 and k + 3: no neighbour order
+    def test_refinement_covers_unequal_bands_and_every_dirichlet_n(self):
+        # bands 1 and 3 couple k to k - 1 and k + 3: no tridiagonal chain,
+        # but the same reduction, and a gap the hardware still resolves
         pot13, _ = two_term(1, 1, 1, 3)
-        with pytest.raises(ValueError, match="not a chain"):
-            refined_pair(pot13, BC.PER_PLUS, 6, 64)
-        # w(4) couples sin(jx) to sin((j +- 4)x), and the anti-diagonal
-        # j + k = 4 couples sin(x) to sin(3x) as well: the odd block through
-        # sin(5x) links 1 to both 3 and 5
+        hw = find_working_N(pot13, BC.PER_PLUS, 64, 8)[1].pair(6)
+        rp = refined_pair(pot13, BC.PER_PLUS, 6, 64)
+        assert rp.multiplicity_flag == "simple-pair"
+        assert abs(float(rp.gap) - hw.gap) < 1e-11
+        # w(4) couples sin(5x) to sin(x), sin(3x) and sin(9x); the even block
+        # through sin(6x) has stride 4
         pot22, _ = two_term(1, 1, 2, 2)
-        with pytest.raises(ValueError, match="not a chain"):
-            refined_dirichlet(pot22, 5, 64)
-        # the even block through sin(6x) is 2, 6, 10, ... with stride 4
-        mu = refined_dirichlet(pot22, 6, 64)
-        assert abs(complex(mu) - dirichlet_close(pot22, 64, 6)) < 1e-9
+        for n in (5, 6):
+            assert abs(complex(refined_dirichlet(pot22, n, 64)) - dirichlet_close(pot22, 64, n)) < 1e-9
+
+    def test_unequal_band_gaps_beat_the_hardware(self):
+        """per- (1, 3) at n = 9, K = 32: the 200-bit eigenvalues of the same
+        truncation (mpmath.eig, held as a constant since it takes 9 s) give
+        gap 2.6911442e-9; the hardware eigensolver prints 6.8e-11."""
+        pot, _ = two_term(1, 1, 1, 3)
+        rp = refined_pair(pot, BC.PER_MINUS, 9, 32)
+        assert float(rp.gap) == pytest.approx(2.6911442e-9, rel=1e-6)
+
+    @pytest.mark.parametrize("n, gap", [(8, 8.6116606e-9), (12, 1.8877276e-14), (20, 1.2024911e-31)])
+    def test_unequal_band_gaps_do_not_move_with_the_cutoff(self, n, gap):
+        """per+ (1, 3): beta+ beta- < 0, so the pair splits along the imaginary
+        axis; n = 12 and 20 lie below the hardware floor of 1e-13."""
+        pot, _ = two_term(1, 1, 1, 3)
+        at32, at48 = (float(refined_pair(pot, BC.PER_PLUS, n, K).gap) for K in (32, 48))
+        assert at32 == pytest.approx(gap, rel=1e-7)
+        assert at48 == pytest.approx(at32, rel=1e-7)
+
+    def test_reduction_refuses_a_row_without_diagonal_dominance(self):
+        pot, _ = two_term(30, 30, 1, 1)
+        refusal = r"per\+ reduction at n=2: row k=3 of A\(z\) is not strictly diagonally dominant"
+        with pytest.raises(ValueError, match=refusal):
+            refined_pair(pot, BC.PER_PLUS, 2, 16)
 
     def test_parity_validation(self):
         pot, _ = two_term(1, 1, 1, 1)
@@ -386,44 +408,47 @@ class TestRefinement:
             refined_pair(pot, BC.PER_MINUS, 6, 64)
 
     def test_newton_polish_raises_when_iterations_run_out(self):
-        # det(T - lam) = lam^2 + 1 has roots +-i; from a real seed Newton
-        # never leaves the real line
-        one = 1 << (320 + GUARD_BITS)
+        # z^2 + 1 has roots +-i; from a real seed Newton never leaves the real line
         with mpmath.workprec(320):
             with pytest.raises(ConvergenceError) as err:
-                _newton([(0, 0)] * 2, [(-one, 0)], 0.5, 320, 0, "Newton polish")
+                _newton(lambda z: (z * z + 1) / (2 * z), mpmath.mpc(0.5), mpmath.ldexp(1, -304),
+                        "Newton polish")
         assert err.value.iterations == NEWTON_ITERATIONS
         assert err.value.step > 0
         assert f"Newton polish did not converge in {NEWTON_ITERATIONS} iterations" in str(err.value)
         assert "last step size" in str(err.value)
 
-    def test_cluster_roots_raises_when_iterations_run_out(self):
-        # det(T - lam) = -lam^3 - 3 lam, whose derivative -3(lam^2 + 1) has
-        # no real root for the critical-point Newton to reach
-        one = 1 << (320 + GUARD_BITS)
-        with mpmath.workprec(320):
-            with pytest.raises(ConvergenceError) as err:
-                _newton([(0, 0)] * 3, [(-one, 0), (-2 * one, 0)], 0.5, 320, 1,
-                        "critical-point Newton")
-        assert err.value.iterations == NEWTON_ITERATIONS
-        assert "critical-point Newton did not converge" in str(err.value)
-        assert "last step size" in str(err.value)
+    def test_pair_branch_raises_when_iterations_run_out(self, monkeypatch):
+        # S = m(z) I with m(z) = z - e^z: the branch equation z - m = e^z has
+        # no root, and every Newton step is 1
+        def schur(plan, z):
+            m, dm = z - mpmath.exp(z), 1 - mpmath.exp(z)
+            return [[m, 0], [0, m]], [[dm, 0], [0, dm]]
+
+        monkeypatch.setattr(spectra, "_schur", schur)
+        pot, _ = two_term(1, 2, 1, 1)
+        with pytest.raises(ConvergenceError) as err:
+            refined_pair(pot, BC.PER_PLUS, 6, 32)
+        assert f"first branch at n=6 did not converge in {NEWTON_ITERATIONS}" in str(err.value)
+        assert abs(err.value.step - 1) < 1e-60
 
     def test_simplicity_is_decided_at_the_working_precision(self):
-        """The n = 22 gap of a=1, b=2 lies below 2^-160, so at 320 bits the
-        pair is not known to be simple; at 800 bits the same gap is."""
+        """The n = 22 gap of a=1, b=2 is 3.5677e-49 (the 800-bit value):
+        simple at 320 and 800 bits, where the roots resolve below 2^-290,
+        and double at 128 bits, where their resolution 2^-112 * 484 is not."""
         pot, _ = two_term(1, 2, 1, 1)
-        for precision, flag in ((320, "double"), (800, "simple-pair")):
+        for precision in (320, 800):
             rp = refined_pair(pot, BC.PER_PLUS, 22, 32, precision)
             assert isinstance(rp, SpectralPair)
-            assert rp.multiplicity_flag == flag
+            assert rp.multiplicity_flag == "simple-pair"
             assert abs(float(rp.gap) / 3.5677e-49 - 1) < 1e-4
+        rp = refined_pair(pot, BC.PER_PLUS, 22, 32, 128)
+        assert rp.multiplicity_flag == "double"
+        assert rp.gap <= mpmath.ldexp(484, -112)
 
     def test_near_double_pair_resolves_at_higher_precision(self):
         """At 640 and 1280 bits the n = 22 pair (gap 3.6e-49) is simple and
-        its roots agree with the 800-bit ones to 2^-300.  Near this
-        near-double root d and d' are far smaller than d'', so each keeps
-        its own exponent in the determinant kernel."""
+        its roots agree with the 800-bit ones to 2^-300."""
         pot, _ = two_term(1, 2, 1, 1)
         ref = refined_pair(pot, BC.PER_PLUS, 22, 32, 800)
         for precision in (640, 1280):
@@ -434,7 +459,7 @@ class TestRefinement:
                 assert abs(rp.lam_plus - ref.lam_plus) <= mpmath.mpf(2) ** -300
 
     def test_real_chain_gives_real_roots(self):
-        """a=1, b=2 gives a real symmetric chain: the imaginary parts below
+        """a=1, b=2 gives a real symmetric truncation: the imaginary parts below
         the Newton tolerance are zeroed, not carried from the seed."""
         pot, _ = two_term(1, 2, 1, 1)
         for n in (6, 8):
@@ -444,47 +469,45 @@ class TestRefinement:
             assert rp.lam_minus.real < rp.lam_plus.real
 
 
-gaussian_st = st.builds(
-    GaussianRational,
-    st.fractions(min_value=-8, max_value=8, max_denominator=4),
-    st.fractions(min_value=-8, max_value=8, max_denominator=4),
-)
+_small = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 4))
 
 
-class TestChainDeterminant:
-    """The fixed-point kernel against the mpmath recurrence of the oracle,
-    which runs 64 bits above the kernel's precision on the same exact chain."""
+class TestSchurKernel:
+    """The fixed-point banded kernel against the dense mpmath Schur
+    complement of the oracle, 64 bits above the kernel's precision.  Complex
+    coefficients make A non-symmetric, so the reflection that stands in for
+    a second solve is checked too."""
 
     @given(
-        diag=st.lists(gaussian_st, min_size=1, max_size=5),
-        offprod=st.lists(gaussian_st, min_size=4, max_size=4),
-        lam=gaussian_st,
-        precision=st.sampled_from([320, 800]),
+        bc=st.sampled_from(list(BC)),
+        K=st.integers(5, 7),
+        m=st.integers(1, 3),
+        coeffs=st.dictionaries(st.sampled_from([-6, -4, -2, 2, 4, 6]),
+                               st.builds(GaussianRational, _small, _small), min_size=1, max_size=3),
+        z=st.builds(GaussianRational, _small, _small).map(lambda g: g * Fraction(1, 4)),
+        precision=st.sampled_from([128, 320]),
     )
     @settings(max_examples=60, deadline=None)
-    def test_matches_the_mpmath_recurrence(self, diag, offprod, lam, precision):
-        offprod = offprod[:len(diag) - 1]
-        # T with unit subdiagonal has det(T - lam) of this chain; keep lam
-        # 1e-3 away from every root of d, d' and d'' so that relative
-        # agreement is meaningful
-        T = np.diag([complex(v) for v in diag])
-        T += np.diag([complex(v) for v in offprod], 1) + np.diag([1.0] * len(offprod), -1)
-        poly = np.poly(T)
-        roots = [r for k in range(3) for r in np.roots(np.polyder(poly, k))]
-        assume(all(abs(complex(lam) - r) >= 1e-3 for r in roots))
-
-        bits = precision + GUARD_BITS
-        lam_mp = to_mpc(lam, precision)  # the same lam for both
-        with mpmath.workprec(precision + 64):
-            want = chain_det([to_mpc(v, precision + 64) for v in diag],
-                             [to_mpc(v, precision + 64) for v in offprod], lam_mp)
+    def test_matches_the_dense_schur_complement(self, bc, K, m, coeffs, z, precision):
+        pot = FourierPotential.of(coeffs)
+        assume(not pot.is_empty())
+        n = {BC.PER_PLUS: 2 * m + 2, BC.PER_MINUS: 2 * m + 1, BC.DIRICHLET: m + 2}[bc]
+        count = 1 if bc == BC.DIRICHLET else 2
+        try:
+            plan, _ = _reduction(pot, bc, n, K, count, precision)
+        except (ValueError, DirichletUniquenessError):  # no dominance, or no unique mu
+            assume(False)
+        zp = to_mpc(z, precision)  # the same z for both
         with mpmath.workprec(precision):
-            chain = [_fixed(v, bits) for v in diag], [_fixed(v, bits) for v in offprod]
-            got = _chain_det(*chain, lam_mp, precision)
-            assert _chain_det(*chain, lam_mp, precision, 1) == got[:2]
+            got = _schur(plan, zp)
         with mpmath.workprec(precision + 64):
-            for g, w in zip(got, want):
-                assert abs(g - w) <= mpmath.mpf(2) ** -(precision - 10) * abs(w)
+            want = schur_complement(pot, bc, K, n, zp)
+            entries = [(g, w) for ms in zip(got, want) for rows in zip(*ms) for g, w in zip(*rows)]
+            assert len(entries) == 2 * count**2
+            # the kernel works in fixed point, so entries below 1 are held
+            # to an absolute 2^-precision
+            for g, w in entries:
+                assert abs(g - w) <= mpmath.mpf(2) ** -precision * max(1, abs(w))
 
 
 class TestDump:
