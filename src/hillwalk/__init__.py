@@ -55,6 +55,7 @@ from .spectra import (
     eigenvalues,
     find_working_N,
     localize_pairs,
+    pair_couplings,
     reduction_residual,
     refined_dirichlet,
     refined_pair,
@@ -68,11 +69,9 @@ from .criteria import (
     VerdictThresholds,
     concordance_report,
     criterion1_verdict,
-    criterion2_quantity,
     criterion3_ratio,
     prop20_verdict,
     structurally_zero,
-    t_n,
     t_n_squared,
     theorem31_report,
     theorem5_report,

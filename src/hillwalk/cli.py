@@ -119,7 +119,7 @@ _READS = {
     ("verdict", "ratio-collapse"): {"report", "potential", "caps", "bc", "m_range", "out"},
     ("verdict", "shifted-collapse"): {"report", "potential", "caps", "m_range", "out"},
     ("verdict", "equal-offsets"): {"report", "potential", "caps", "bc", "out"},
-    ("verdict", "concordance"): {"report", "potential", "caps", "range", "K", "precision", "out"},
+    ("verdict", "concordance"): {"report", "potential", "range", "K", "precision", "out"},
 }
 
 
@@ -231,8 +231,9 @@ def _read_range(config: dict, default: Optional[list] = None) -> Optional[list]:
 
 def _read_m_range(config: dict, default: list) -> range:
     raw = config.get("m_range", default)
-    if not (isinstance(raw, list) and len(raw) == 2 and all(type(m) is int for m in raw)):
-        raise UsageError(f"m_range must be two integers [lo, hi], got {raw!r}")
+    if not (isinstance(raw, list) and len(raw) == 2 and all(type(m) is int for m in raw)
+            and 1 <= raw[0] < raw[1]):
+        raise UsageError(f"m_range must be two integers [lo, hi] with 1 <= lo < hi, got {raw!r}")
     return range(raw[0], raw[1] + 1)
 
 
@@ -460,7 +461,7 @@ def cmd_verdict(config: dict) -> int:
     else:
         ns = _read_range(config, default=[6, 8, 10, 12])
         verdict = concordance_report(params.a, params.b, ns=tuple(ns),
-                                     K=_read_int(config, "K", 32), shell_caps=caps,
+                                     K=_read_int(config, "K", 32),
                                      precision=_read_int(config, "precision", REFINE_PRECISION))
     _dump(verdict.to_json_dict(), config)
     return EXIT_OK

@@ -6,6 +6,11 @@ Three routes to the same question, evaluated over an index family Delta:
   2. the same ratio at the pair midpoint z * of the disc D_n,
   3. the Dirichlet deviation |lam^+ - mu_n| against the pair gap.
 
+Criterion-1 verdicts and the analytic reports take beta^+- at z = 0 as
+exact walk sums up to fixed shell caps.  The concordance takes them for
+routes 1 and 2 from the pair's 2x2 Schur complement at z = 0 and at z *
+(`pair_couplings`): sums over every walk of the cut-off lattice.
+
 Boundedness of the monitored quantity along the simple-pair indices marks
 a basis; divergence rules one out.  The asymptotic statements behind the
 analytic verdicts cannot be decided from finitely many n, so numeric
@@ -22,12 +27,14 @@ from typing import Optional, Sequence, Union
 import mpmath
 
 from .beta import DEFAULT_SHELL_CAPS, beta_minus, beta_plus
-from .numerics import GaussianRational, abs_value, complex_to_gaussian
+from .numerics import GaussianRational, abs_value
 from .potential import FourierPotential, TwoTermParams, two_term
 from .spectra import (
     REFINE_PRECISION,
     BoundaryCondition,
+    DegenerateRatioError,
     SpectralPair,
+    pair_couplings,
     refined_dirichlet,
     refined_pair,
 )
@@ -39,10 +46,6 @@ STABILITY_SAMPLES = (
     GaussianRational(Fraction(0), Fraction(1)),
     GaussianRational(Fraction(0), Fraction(-1)),
 )
-
-
-class DegenerateRatioError(Exception):
-    """A weight ratio was requested where one side vanishes."""
 
 
 @dataclass(frozen=True)
@@ -165,11 +168,6 @@ def t_n_squared(bp: GaussianRational, bm: GaussianRational) -> Fraction:
     return max(q, 1 / q)
 
 
-def t_n(bp: GaussianRational, bm: GaussianRational) -> float:
-    """max(|beta^-/beta^+|, |beta^+/beta^-|) >= 1, rounded from the exact t_n^2."""
-    return _sqrt_float(t_n_squared(bp, bm))
-
-
 def structurally_zero(params: TwoTermParams, n: int) -> bool:
     """Whether beta_n^+- vanish identically: no walk reaches -n from n.
 
@@ -188,19 +186,6 @@ def criterion3_ratio(pair: SpectralPair) -> float:
     if gap == 0:
         raise DegenerateRatioError("zero gap: double pair, ratio undefined")
     return float(abs(pair.lam_plus - pair.mu) / gap)
-
-
-def criterion2_quantity(
-    pair: SpectralPair,
-    pot: FourierPotential,
-    params: TwoTermParams,
-    shell_caps: tuple = DEFAULT_SHELL_CAPS,
-) -> float:
-    """t_n evaluated at the disc midpoint z* instead of z = 0."""
-    if pair.multiplicity_flag != "simple-pair":
-        raise DegenerateRatioError(f"pair at n={pair.n} is not simple")
-    zg = complex_to_gaussian(complex(pair.z_star))
-    return t_n(*_weights(pot, params, pair.n, shell_caps, zg))
 
 
 # -- verdict aggregation ---------------------------------------------------
@@ -459,12 +444,7 @@ class ConcordanceReport:
     rows: tuple
 
     def to_json_dict(self) -> dict:
-        return {
-            "potential": self.potential,
-            "K": self.K,
-            "precision": self.precision,
-            "rows": [dict(r) for r in self.rows],
-        }
+        return {**asdict(self), "rows": [dict(r) for r in self.rows]}
 
 
 def concordance_report(
@@ -472,23 +452,26 @@ def concordance_report(
     b,
     ns: Sequence[int] = (6, 8, 10, 12),
     K: int = 32,
-    shell_caps: tuple = DEFAULT_SHELL_CAPS,
     precision: int = REFINE_PRECISION,
 ) -> ConcordanceReport:
     """All three criteria side by side for bands at -2 and 2.
 
     The pair gaps shrink below hardware resolution inside the tested
     range, so pairs and the Dirichlet eigenvalue are refined at high
-    precision before the ratios are formed."""
-    pot, params = two_term(a, b, 1, 1)
+    precision before the ratios are formed.  c1 and c2 are t_n at z = 0
+    and at z* of the same simple pair, from its Schur complement."""
+    pot, _ = two_term(a, b, 1, 1)
     rows = []
     for n in ns:
         pair = refined_pair(pot, BoundaryCondition.PER_PLUS, n, K, precision)
         mu = refined_dirichlet(pot, n, K, precision)
+        if pair.multiplicity_flag != "simple-pair":
+            raise DegenerateRatioError(f"pair at n={n} is not simple")
+        weights = pair_couplings(pot, BoundaryCondition.PER_PLUS, n, K, (0, pair.z_star), precision)
         with mpmath.workprec(precision):
             pair = replace(pair, mu=mu, deviation=abs(pair.lam_plus - mu))
-            c1 = t_n(*_weights(pot, params, n, shell_caps))
-            c2 = criterion2_quantity(pair, pot, params, shell_caps)
+            # max(|beta-/beta+|, |beta+/beta-|) at z = 0, then at z*
+            c1, c2 = (float(max(q, 1 / q)) for q in (abs(bm / bp) for bp, bm in weights))
             c3 = criterion3_ratio(pair)
         rows.append({"n": n, "c1": c1, "c2": c2, "c3": c3, "gap": float(pair.gap)})
     return ConcordanceReport(

@@ -208,11 +208,6 @@ def abs_value(value: ScalarLike, precision: int = DEFAULT_PRECISION) -> float:
         return float(mpmath.sqrt(fraction_to_mpf(g.abs2(), precision)))
 
 
-def complex_to_gaussian(z: complex) -> GaussianRational:
-    """Exact dyadic GaussianRational of a hardware complex value."""
-    return GaussianRational(Fraction(z.real), Fraction(z.imag))
-
-
 # -- telescoped Gamma ratio -----------------------------------------------
 
 

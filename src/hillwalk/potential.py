@@ -158,7 +158,7 @@ def parse_potential(text_or_obj: Union[str, dict]) -> Tuple[FourierPotential, Op
         a = _scalar_from_json(obj["a"])
         b = _scalar_from_json(obj["b"])
         R, S = obj["R"], obj["S"]
-        if not isinstance(R, int) or not isinstance(S, int):
+        if type(R) is not int or type(S) is not int:  # a JSON true is no integer
             raise ValueError("R and S must be integers")
         return two_term(a, b, R, S)
     raise ValueError("potential literal needs either 'terms' or {'a','b','R','S'}")

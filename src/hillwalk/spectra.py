@@ -34,7 +34,6 @@ from .beta import alpha_n, beta_minus, beta_plus, default_step_cap
 from .numerics import (
     GaussianRational,
     check_precision,
-    complex_to_gaussian,
     mpc_abs,
     to_mpc,
 )
@@ -76,6 +75,10 @@ class DirichletUniquenessError(Exception):
         super().__init__(
             f"disc around {n}^2 holds {len(self.found)} Dirichlet eigenvalues, expected 1"
         )
+
+
+class DegenerateRatioError(Exception):
+    """A weight ratio was requested where one side vanishes."""
 
 
 class ConvergenceError(ArithmeticError):
@@ -371,7 +374,7 @@ def reduction_residual(
     z = complex(lam) - n * n
     if abs(z) >= n / 4:
         raise ValueError(f"need |lam - n^2| < n/4, got |z| = {abs(z):.3g} at n = {n}")
-    zg = complex_to_gaussian(z)
+    zg = GaussianRational(Fraction(z.real), Fraction(z.imag))
     if params is None and not pot.is_empty():
         params = TwoTermParams.from_potential(pot)
     cap = default_step_cap(params) if params else 2
@@ -566,10 +569,9 @@ def refined_pair(
     the hardware midpoint, then on the second from m - sqrt(d) of the first
     branch's last evaluation, each with the square root of d that continues
     its last one.  The gap is |z+ - z-|, so no step subtracts numbers of
-    size n^2.  Roots and z* keep only their resolved digits (`_resolved`;
-    when ab is real, a denormal imaginary part of z* would put every exact
-    sum at z* over a 1074-bit denominator), and the pair is double when its
-    gap is below that resolution, 2^-(precision-16) max(1, |lam|)."""
+    size n^2.  Roots and z* keep only their resolved digits (`_resolved`),
+    and the pair is double when its gap is below that resolution,
+    2^-(precision-16) max(1, |lam|)."""
     check_precision(precision)
     plan, seed = _reduction(pot, BoundaryCondition(bc), n, K, 2, precision)
     with mpmath.workprec(precision):
@@ -595,6 +597,23 @@ def refined_pair(
         gap = abs(first - second)
         return SpectralPair(n, lo, hi, _resolved((lo + hi) / 2 - n**2, tol), gap,
                             "simple-pair" if gap > tol else "double")
+
+
+def pair_couplings(pot: FourierPotential, bc: BoundaryCondition, n: int, K: int, zs: Sequence,
+                   precision: int = REFINE_PRECISION) -> list:
+    """(beta+, beta-) = (S12, S21) of the 2x2 Schur complement S(z) onto the
+    D_n basis functions (`_schur`) at each z of zs, from one layout of the
+    reduction: mpmath sums over every walk of the cut-off lattice.  The kernel
+    resolves an entry to about 2^-(precision-16), so an entry at or below that
+    raises DegenerateRatioError instead of handing a ratio of noise on."""
+    check_precision(precision)
+    plan, _ = _reduction(pot, BoundaryCondition(bc), n, K, 2, precision)
+    with mpmath.workprec(precision):
+        couplings = [(s12, s21) for (_, s12), (s21, _) in (_schur(plan, mpmath.mpc(z))[0] for z in zs)]
+        if min(mpc_abs(s) for pair in couplings for s in pair) <= mpmath.ldexp(1, 16 - precision):
+            raise DegenerateRatioError(f"beta+ or beta- at n={n} is at or below the resolution "
+                                       f"2^-{precision - 16} of the reduction")
+        return couplings
 
 
 def refined_dirichlet(

@@ -1,11 +1,14 @@
-"""The names the benchmark harness under bench/ binds in hillwalk.
+"""The names and keywords the benchmark harness under bench/ binds in hillwalk.
 
 bench/tracer.py patches the functions its LAYERS map names, and the
-workloads call `hw.<name>` on the package; a name missing here breaks
-`bench/run.py` (with or without `--trace 1`) rather than any test."""
+workloads call `hw.<name>(..., keyword=...)` on the package; a name or a
+keyword missing here breaks `bench/run.py` (with or without `--trace 1`)
+rather than any test."""
 
+import ast
 import importlib
 import importlib.util
+import inspect
 import re
 from pathlib import Path
 
@@ -37,6 +40,39 @@ def test_bench_package_names_resolve():
     assert sorted(n for n in names if not hasattr(hillwalk, n)) == []
     # bench/baseline.py prints the matrix dimension
     assert isinstance(hillwalk.TruncatedOperator.dim, property)
+
+
+def _bench_keywords():
+    """(dotted name under hw, keyword) for every keyword argument bench/
+    passes to a call of `hw.<name>(...)` or `self.hw.<name>(...)`."""
+    found = set()
+    for path in BENCH.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            chain, func = [], node.func
+            while isinstance(func, ast.Attribute):
+                chain.insert(0, func.attr)
+                func = func.value
+            chain.insert(0, getattr(func, "id", None))
+            if "hw" in chain[:-1]:
+                name = ".".join(chain[chain.index("hw") + 1:])
+                found.update((name, kw.arg) for kw in node.keywords if kw.arg is not None)
+    return found
+
+
+def test_bench_keywords_are_parameters():
+    # a renamed or removed parameter breaks bench/run.py, not any other test
+    found = _bench_keywords()
+    assert {kw for _, kw in found} >= {"ns", "shell_cap", "step_cap", "parity", "explicit"}
+    missing = []
+    for name, kw in sorted(found):
+        target = hillwalk
+        for part in name.split("."):
+            target = getattr(target, part)
+        if kw not in inspect.signature(target).parameters:
+            missing.append(f"hw.{name}({kw}=...)")
+    assert missing == []
 
 
 def test_traced_calls_feed_the_layer_figures():

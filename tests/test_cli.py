@@ -120,6 +120,15 @@ def test_beta_list_items_must_be_integers(capsys, tmp_path, key, value):
     assert err.startswith("hillwalk: ") and key in err
 
 
+@pytest.mark.parametrize("potential", ['{"a":"1","b":"1","R":true,"S":3}',
+                                       '{"a":"1","b":"1","R":1,"S":false}'])
+def test_beta_rejects_boolean_band_offsets(capsys, potential):
+    # a JSON true is no integer: it used to tabulate R = 1
+    code, out, err = run_cli(capsys, "beta", "--potential", potential, "--range", "5")
+    assert code == 64 and out == ""
+    assert err == "hillwalk: bad potential literal: R and S must be integers\n"
+
+
 def test_spectrum_rejects_nonpositive_K(capsys):
     code, _, err = run_cli(capsys, "spectrum", "--potential", '{"terms": []}', "--K", "0")
     assert code == 64
@@ -252,13 +261,13 @@ def test_verdict_report_refuses_bands_it_does_not_cover(capsys, preset, potentia
     assert err.startswith("hillwalk: the ") and f"needs bands {need}, got R = {R}, S = {S}\n" in err
 
 
-@pytest.mark.parametrize("m_range", [[2, 3, 4], "ab", [True, 3]])
+@pytest.mark.parametrize("m_range", [[2, 3, 4], "ab", [True, 3], [5, 2], [0, 3]])
 def test_verdict_rejects_malformed_m_range(capsys, tmp_path, m_range):
     conf = tmp_path / "conf.json"
     conf.write_text(json.dumps({"m_range": m_range}))
     code, out, err = run_cli(capsys, "verdict", "--preset", "thm31", "--config", str(conf))
     assert code == 64 and out == ""
-    assert err == f"hillwalk: m_range must be two integers [lo, hi], got {m_range!r}\n"
+    assert err == f"hillwalk: m_range must be two integers [lo, hi] with 1 <= lo < hi, got {m_range!r}\n"
 
 
 @pytest.mark.parametrize("report", ["bogus", ["ratio-collapse"]])

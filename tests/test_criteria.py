@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from hillwalk import criteria, spectra
+from hillwalk import spectra, walks
 from hillwalk.beta import beta_minus, beta_plus
 from hillwalk.criteria import (
     BasisVerdict,
@@ -13,21 +13,24 @@ from hillwalk.criteria import (
     VerdictThresholds,
     concordance_report,
     criterion1_verdict,
-    criterion2_quantity,
     criterion3_ratio,
     prop20_verdict,
     structurally_zero,
-    t_n,
     t_n_squared,
     theorem31_report,
     theorem5_report,
 )
-from hillwalk.criteria import _threshold_conclusion
+from hillwalk.criteria import _sqrt_float, _threshold_conclusion
 from hillwalk.numerics import GaussianRational
 from hillwalk.potential import two_term
-from hillwalk.spectra import SpectralPair
+from hillwalk.spectra import SpectralPair, refined_pair
 
 GR = GaussianRational.of
+
+
+def t_n(bp, bm):
+    """max(|beta^-/beta^+|, |beta^+/beta^-|) >= 1, rounded from the exact t_n^2."""
+    return _sqrt_float(t_n_squared(bp, bm))
 
 
 # -- t_n -------------------------------------------------------------------
@@ -143,14 +146,14 @@ def test_no_structural_zero_when_gcd_is_one():
 # -- criteria 2 and 3 on synthetic pairs -----------------------------------
 
 
-def _pair(n, lo, hi, mu=None, flag="simple-pair"):
+def _pair(n, lo, hi, mu=None):
     return SpectralPair(
         n=n,
         lam_minus=lo,
         lam_plus=hi,
         z_star=0.5 * (lo + hi) - n**2,
         gap=abs(hi - lo),
-        multiplicity_flag=flag,
+        multiplicity_flag="simple-pair",
         mu=mu,
         deviation=None if mu is None else abs(hi - mu),
     )
@@ -175,18 +178,17 @@ def test_criterion3_rejects_zero_gap():
 
 
 def test_criterion2_symmetric_potential_gives_one():
-    # equal coefficients balance the two weight sums shell by shell; the
-    # asymmetric default caps leave a truncation residue around 1e-7
-    pot, params = two_term(1, 1, 1, 1)
-    pair = _pair(6, 36.0 - 1e-7, 36.0 + 1e-7)
-    assert abs(criterion2_quantity(pair, pot, params) - 1.0) < 1e-6
+    # equal coefficients balance beta^+ and beta^- at every z, and the Schur
+    # complement sums every walk, so no truncation residue is left
+    row, = concordance_report(1, 1, ns=(6,)).rows
+    assert row["c2"] == 1.0
 
 
 def test_criterion2_refuses_double_pairs():
-    pot, params = two_term(1, 1, 1, 1)
-    pair = _pair(6, 36.0, 36.0, flag="double")
-    with pytest.raises(DegenerateRatioError):
-        criterion2_quantity(pair, pot, params)
+    # at 128 bits the n = 22 gap 3.57e-49 lies below the pair's resolution
+    assert refined_pair(two_term(1, 2, 1, 1)[0], "per+", 22, 32, 128).multiplicity_flag == "double"
+    with pytest.raises(DegenerateRatioError, match="pair at n=22 is not simple"):
+        concordance_report(1, 2, ns=(22,), precision=128)
 
 
 # -- index families --------------------------------------------------------
@@ -424,9 +426,9 @@ def test_concordance_gaps_track_refinement(concordance_12):
 
 def test_concordance_determinant_count(monkeypatch):
     """concordance_report(1, 2) refines four pairs and four Dirichlet
-    eigenvalues in at most 37 evaluations of the Schur-complement kernel.
-    The count does not depend on timing, so a change to the Newton path
-    shows here."""
+    eigenvalues and takes beta+- at z = 0 and z* of each pair in at most 45
+    evaluations of the Schur-complement kernel.  The count does not depend
+    on timing, so a change to the Newton path shows here."""
     calls = []
     kernel = spectra._schur
 
@@ -436,7 +438,7 @@ def test_concordance_determinant_count(monkeypatch):
 
     monkeypatch.setattr(spectra, "_schur", counted)
     concordance_report(1, 2)
-    assert 0 < len(calls) <= 37
+    assert 0 < len(calls) <= 45
 
 
 def test_concordance_symmetric_potential_all_three_bounded(concordance_11):
@@ -466,20 +468,50 @@ def test_concordance_rejects_odd_indices():
         concordance_report(1, 2, ns=(5,))
 
 
-def test_concordance_z_star_drops_unresolved_imaginary_part(monkeypatch):
+def test_concordance_z_star_drops_unresolved_imaginary_part():
     """ab = -1 is real, so z* is real; the refined midpoint used to carry a
     denormal imaginary part (2.26e-314) into criterion 2."""
-    seen = []
-
-    def spy_beta_plus(pot, params, n, z=0, **kwargs):
-        seen.append(GR(z))
-        return beta_plus(pot, params, n, z=z, **kwargs)
-
-    monkeypatch.setattr(criteria, "beta_plus", spy_beta_plus)
     a = GaussianRational(Fraction(3, 5), Fraction(-4, 5))
     b = GaussianRational(Fraction(-3, 5), Fraction(-4, 5))
+    z_star = refined_pair(two_term(a, b, 1, 1)[0], "per+", 20, 32).z_star
+    assert z_star != 0 and z_star.imag == 0
     row = concordance_report(a, b, ns=(20,)).rows[0]
-    z_star = seen[-1]
-    assert not z_star.is_zero() and z_star.im == 0
-    # the value before the imaginary noise was dropped, to the last bit
-    assert row["c2"] == 1.000000000019059
+    # |a| = |b|: beta^+ and beta^- have one modulus at every z
+    assert row["c2"] == 1.0
+
+
+def test_concordance_sums_no_walks(monkeypatch):
+    """c1 and c2 come from the pair's Schur complement, not from walk sums."""
+    calls = []
+    engine = walks._walk_sums
+
+    def counted(*args):
+        calls.append(None)
+        return engine(*args)
+
+    monkeypatch.setattr(walks, "_walk_sums", counted)
+    concordance_report(1, 2, ns=(6, 8))
+    assert calls == []
+
+
+# coefficient pairs of the refine-concordance benchmark family: the fixed
+# real-ab pair, then two with unequal moduli and ab not real
+FAMILY_PAIRS = [
+    ((Fraction(3, 5), Fraction(-4, 5)), (Fraction(-3, 5), Fraction(-4, 5))),
+    ((Fraction(-4, 5), Fraction(4, 5)), (Fraction(-6, 5), Fraction(-3, 5))),
+    ((Fraction(3, 5), Fraction(4, 5)), (Fraction(6, 5), Fraction(-3, 5))),
+]
+
+
+@pytest.mark.parametrize("a,b", FAMILY_PAIRS)
+def test_concordance_c1_and_c2_are_the_modulus_power(a, b):
+    """For bands at -2 and 2 a diagonal similarity balances the two
+    couplings, so beta^+/beta^- = (b/a)^n at every z over the whole cut-off
+    lattice: c1 = c2 = max(|a/b|, |b/a|)^n.  The capped walk sums missed
+    it, by 5e-7 relative for a = 1, b = 2 at n = 6."""
+    a, b = GaussianRational(*a), GaussianRational(*b)
+    q2 = max(a.abs2() / b.abs2(), b.abs2() / a.abs2())
+    for row in concordance_report(a, b, ns=tuple(range(6, 21, 2))).rows:
+        want = _sqrt_float(q2 ** row["n"])
+        assert row["c1"] == pytest.approx(want, rel=1e-12)
+        assert row["c2"] == pytest.approx(want, rel=1e-12)

@@ -8,12 +8,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hillwalk.numerics import GaussianRational, complex_to_gaussian, mpc_abs, to_mpc
+from hillwalk.numerics import GaussianRational, mpc_abs, to_mpc
 from hillwalk.potential import FourierPotential, two_term
 from hillwalk.beta import beta_minus, beta_plus
 from hillwalk.spectra import (
     BoundaryCondition,
     ConvergenceError,
+    DegenerateRatioError,
     DirichletUniquenessError,
     LocalizationError,
     MAX_K,
@@ -26,6 +27,7 @@ from hillwalk.spectra import (
     eigenvalues,
     find_working_N,
     localize_pairs,
+    pair_couplings,
     reduction_residual,
     refined_dirichlet,
     refined_pair,
@@ -330,7 +332,8 @@ class TestRefinement:
         pot, params = two_term(1, 2, 1, 1)
         rp = refined_pair(pot, BC.PER_PLUS, n, 64)
         with mpmath.workprec(320):
-            zg = complex_to_gaussian(complex(rp.z_star))
+            z_star = complex(rp.z_star)
+            zg = GaussianRational(Fraction(z_star.real), Fraction(z_star.imag))
             bp = beta_plus(pot, params, n, z=zg, shell_cap=3).value
             bm = beta_minus(pot, params, n, z=zg, shell_cap=2).value
             pred = mpc_abs(2 * mpmath.sqrt(to_mpc(bp * bm, 320)))
@@ -508,6 +511,58 @@ class TestSchurKernel:
             # to an absolute 2^-precision
             for g, w in entries:
                 assert abs(g - w) <= mpmath.mpf(2) ** -precision * max(1, abs(w))
+
+
+class TestPairCouplings:
+    @pytest.mark.parametrize("bc,n", [(BC.PER_PLUS, 8), (BC.PER_MINUS, 9)])
+    def test_match_the_walk_sums_as_the_shell_cap_grows(self, bc, n):
+        """S12 and S21 sum every walk of the cut-off lattice, so the capped
+        crossing sums approach them shell by shell; for bands at -2 and 6,
+        n = 8, they are -7.7160490727e-6 and 2.40280891521e-12."""
+        pot, params = two_term(1, 1, 1, 3)
+        (plus, minus), = pair_couplings(pot, bc, n, 32, (0,))
+        with mpmath.workprec(320):
+            errors = []
+            for cap in (3, 8, 12):
+                walk_plus = to_mpc(beta_plus(pot, params, n, shell_cap=cap).value, 320)
+                walk_minus = to_mpc(beta_minus(pot, params, n, shell_cap=cap).value, 320)
+                errors.append(max(abs(plus - walk_plus) / abs(walk_plus),
+                                  abs(minus - walk_minus) / abs(walk_minus)))
+        assert errors[0] > errors[1] > errors[2]
+        assert errors[2] < 1e-80
+        if (bc, n) == (BC.PER_PLUS, 8):
+            assert complex(plus) == pytest.approx(-7.7160490727e-6, rel=1e-10)
+            assert complex(minus) == pytest.approx(2.40280891521e-12, rel=1e-10)
+
+    def test_one_layout_serves_every_z(self, monkeypatch):
+        pot, _ = two_term(1, 2, 1, 1)
+        layouts = []
+        monkeypatch.setattr(spectra, "_reduction",
+                            lambda *args: layouts.append(None) or _reduction(*args))
+        zs = (0, mpmath.mpf("0.01"), mpmath.mpc("0.01", "-0.02"))
+        couplings = pair_couplings(pot, BC.PER_PLUS, 6, 32, zs)
+        assert len(layouts) == 1 and len(couplings) == 3
+        assert len({complex(plus) for plus, _ in couplings}) == 3
+
+    @pytest.mark.parametrize("entry", [(0, 1), (1, 0)])
+    def test_entries_at_the_resolution_raise(self, monkeypatch, entry):
+        """A coupling the kernel cannot resolve is refused, never turned
+        into a ratio: 2^-(precision-16) itself is refused, twice it is not."""
+        pot, _ = two_term(1, 2, 1, 1)
+        kernel = spectra._schur
+        scale = [1]
+
+        def tiny(plan, z):
+            S, T = kernel(plan, z)
+            S[entry[0]][entry[1]] = mpmath.ldexp(scale[0], 16 - 128)
+            return S, T
+
+        monkeypatch.setattr(spectra, "_schur", tiny)
+        with pytest.raises(DegenerateRatioError, match="at or below the resolution 2\\^-112"):
+            pair_couplings(pot, BC.PER_PLUS, 6, 32, (0,), precision=128)
+        scale[0] = 2
+        (plus, minus), = pair_couplings(pot, BC.PER_PLUS, 6, 32, (0,), precision=128)
+        assert min(abs(plus), abs(minus)) == mpmath.ldexp(1, -111)
 
 
 class TestDump:
