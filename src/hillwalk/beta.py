@@ -23,23 +23,15 @@ from .walks import WalkKind, closed_sum, shell_sums
 DEFAULT_SHELL_CAPS = (3, 2)
 
 
-def default_step_cap(params: TwoTermParams) -> int:
-    """Default closed-walk step budget: two full W shells."""
-    return 2 * (params.r + params.s)
-
-
 @dataclass(frozen=True)
 class BetaValue:
     """Exact truncated walk sum plus a heuristic tail estimate.
 
-    `value` is the exact sum over all shells up to `shells_used`;
-    `tail_estimate` is a nonnegative float (math.inf when the geometric
-    heuristic does not apply), never silently added to the value."""
+    `value` is the exact sum over the computed shells; `tail_estimate` is
+    a nonnegative float (math.inf when the geometric heuristic does not
+    apply), never silently added to the value."""
 
-    n: int
-    z: GaussianRational
     value: GaussianRational
-    shells_used: int
     tail_estimate: float
 
     def __post_init__(self) -> None:
@@ -93,20 +85,20 @@ def _beta(
         raise ValueError(f"shell_cap must be >= 0, got {shell_cap}")
     zg = GaussianRational.of(z)
     if pot.is_empty():
-        return BetaValue(n, zg, GaussianRational(), shell_cap, 0.0)
+        return BetaValue(GaussianRational(), 0.0)
     if params is None:
         params = TwoTermParams.from_potential(pot)
     if (pot.coefficient(-2 * params.R), pot.coefficient(2 * params.S)) != (params.a, params.b):
         raise ValueError("params do not match the potential coefficients")
     if n % params.d != 0:
         # no step-count solution at all: identically zero, exact at any cap
-        return BetaValue(n, zg, GaussianRational(), shell_cap, 0.0)
+        return BetaValue(GaussianRational(), 0.0)
     sums = shell_sums(params, n, kind, range(shell_cap + 1), zg)
     total = GaussianRational()
     for s_k in sums:
         total = total + s_k
     tail = tail_bound_report(params, n, kind, sums)
-    return BetaValue(n, zg, total, shell_cap, tail)
+    return BetaValue(total, tail)
 
 
 def beta_plus(
@@ -158,7 +150,7 @@ def alpha_n(
             tail = math.inf
         else:
             tail = tail_bound_report(params, n, WalkKind.X, [total])
-    return BetaValue(n, zg, total, step_cap, tail)
+    return BetaValue(total, tail)
 
 
 # -- closed forms ----------------------------------------------------------

@@ -377,7 +377,7 @@ def cmd_beta(config: dict) -> int:
 
 
 def cmd_spectrum(config: dict) -> int:
-    """localized eigenvalue pairs from the truncated operator"""
+    """localized eigenvalue pairs; gaps and flags are hardware values (see refined_pair)"""
     pot, _ = _read_potential(config)
     bc = _read_bc(config)
     K = _read_int(config, "K", 32)

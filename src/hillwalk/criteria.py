@@ -36,7 +36,6 @@ from .spectra import (
     SpectralPair,
     pair_couplings,
     refined_dirichlet,
-    refined_pair,
 )
 from .walks import WalkKind, shell_step_counts
 
@@ -463,11 +462,8 @@ def concordance_report(
     pot, _ = two_term(a, b, 1, 1)
     rows = []
     for n in ns:
-        pair = refined_pair(pot, BoundaryCondition.PER_PLUS, n, K, precision)
+        pair, weights = pair_couplings(pot, BoundaryCondition.PER_PLUS, n, K, precision)
         mu = refined_dirichlet(pot, n, K, precision)
-        if pair.multiplicity_flag != "simple-pair":
-            raise DegenerateRatioError(f"pair at n={n} is not simple")
-        weights = pair_couplings(pot, BoundaryCondition.PER_PLUS, n, K, (0, pair.z_star), precision)
         with mpmath.workprec(precision):
             pair = replace(pair, mu=mu, deviation=abs(pair.lam_plus - mu))
             # max(|beta-/beta+|, |beta+/beta-|) at z = 0, then at z*

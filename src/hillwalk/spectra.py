@@ -18,6 +18,8 @@ refinement: the Schur complement S(z) onto the basis functions with free
 eigenvalue n^2 (2x2 for a pair, 1x1 for a Dirichlet disc) comes from one
 banded elimination of the other positions on fixed-point Gaussian
 integers, and Newton on the reduced equation z = S(z) gives n^2 + z.
+One layout of that elimination per disc also gives the pair couplings
+beta+- = S12, S21 and the residual |det(z - S(z))| of a hardware root.
 """
 
 from dataclasses import dataclass, replace
@@ -30,14 +32,8 @@ import mpmath
 import numpy as np
 from mpmath.libmp import to_fixed
 
-from .beta import alpha_n, beta_minus, beta_plus, default_step_cap
-from .numerics import (
-    GaussianRational,
-    check_precision,
-    mpc_abs,
-    to_mpc,
-)
-from .potential import FourierPotential, TwoTermParams
+from .numerics import GaussianRational, check_precision, mpc_abs
+from .potential import FourierPotential
 
 MAX_K = 256
 N_CAP = 10
@@ -360,29 +356,24 @@ def spectrum_csv(result: LocalizationResult) -> str:
 # -- cross-path residual ---------------------------------------------------
 
 
-def reduction_residual(
-    pot: FourierPotential,
-    params: Optional[TwoTermParams],
-    n: int,
-    lam: complex,
-) -> float:
-    """|(z - alpha_n(z))^2 - beta^-(z) beta^+(z)| at z = lam - n^2.
+def reduction_residual(pot: FourierPotential, n: int, K: int, lam: complex) -> float:
+    """|det(z - S(z))| at z = lam - n^2, for the 2x2 Schur complement S of the
+    cutoff-K truncation onto the D_n basis functions (`_schur`), under per+
+    for even n and per- for odd n.
 
-    Vanishes exactly when lam solves the reduced 2x2 eigenvalue problem;
-    at truncated shell caps it measures cross-path agreement between the
-    dense solver and the walk sums."""
+    Vanishes exactly when lam is an eigenvalue of that truncation, so at a
+    hardware eigenvalue it measures how far the dense solver and the
+    reduction agree.  |det| is about |lam - lam+| |lam - lam-|, so it scales
+    with the gap of the pair."""
     z = complex(lam) - n * n
     if abs(z) >= n / 4:
         raise ValueError(f"need |lam - n^2| < n/4, got |z| = {abs(z):.3g} at n = {n}")
-    zg = GaussianRational(Fraction(z.real), Fraction(z.imag))
-    if params is None and not pot.is_empty():
-        params = TwoTermParams.from_potential(pot)
-    cap = default_step_cap(params) if params else 2
-    alpha = alpha_n(pot, n, z=zg, step_cap=cap).value
-    bplus = beta_plus(pot, params, n, z=zg).value
-    bminus = beta_minus(pot, params, n, z=zg).value
-    residual = (zg - alpha) ** 2 - bminus * bplus
-    return float(mpc_abs(to_mpc(residual)))
+    bc = BoundaryCondition.PER_MINUS if n % 2 else BoundaryCondition.PER_PLUS
+    plan, _ = _reduction(pot, bc, n, K, 2, REFINE_PRECISION)
+    with mpmath.workprec(REFINE_PRECISION):
+        z = mpmath.mpc(z)
+        ((s11, s12), (s21, s22)), _ = _schur(plan, z)
+        return float(mpc_abs((z - s11) * (z - s22) - s12 * s21))
 
 
 # -- arbitrary-precision refinement ----------------------------------------
@@ -573,7 +564,11 @@ def refined_pair(
     and the pair is double when its gap is below that resolution,
     2^-(precision-16) max(1, |lam|)."""
     check_precision(precision)
-    plan, seed = _reduction(pot, BoundaryCondition(bc), n, K, 2, precision)
+    return _pair(*_reduction(pot, BoundaryCondition(bc), n, K, 2, precision), n, precision)
+
+
+def _pair(plan: tuple, seed, n: int, precision: int) -> SpectralPair:
+    """`refined_pair` on the layout `plan` and seed of `_reduction`."""
     with mpmath.workprec(precision):
         tol = mpmath.ldexp(max(1, abs(seed + n * n)), 16 - precision)
         last = [None, None]  # m and sqrt(d) at the latest evaluation
@@ -599,21 +594,26 @@ def refined_pair(
                             "simple-pair" if gap > tol else "double")
 
 
-def pair_couplings(pot: FourierPotential, bc: BoundaryCondition, n: int, K: int, zs: Sequence,
-                   precision: int = REFINE_PRECISION) -> list:
-    """(beta+, beta-) = (S12, S21) of the 2x2 Schur complement S(z) onto the
-    D_n basis functions (`_schur`) at each z of zs, from one layout of the
-    reduction: mpmath sums over every walk of the cut-off lattice.  The kernel
-    resolves an entry to about 2^-(precision-16), so an entry at or below that
-    raises DegenerateRatioError instead of handing a ratio of noise on."""
+def pair_couplings(pot: FourierPotential, bc: BoundaryCondition, n: int, K: int,
+                   precision: int = REFINE_PRECISION) -> tuple:
+    """(pair, [(beta+, beta-) at z = 0 and at z*]): the refined D_n pair
+    (`refined_pair`) and the entries (S12, S21) of its 2x2 Schur complement
+    (`_schur`), sums over every walk of the cut-off lattice, from one layout
+    of the reduction.  A pair that is not simple raises DegenerateRatioError,
+    and so does an entry at or below the kernel's resolution 2^-(precision-16),
+    instead of handing a ratio of noise on."""
     check_precision(precision)
-    plan, _ = _reduction(pot, BoundaryCondition(bc), n, K, 2, precision)
+    plan, seed = _reduction(pot, BoundaryCondition(bc), n, K, 2, precision)
+    pair = _pair(plan, seed, n, precision)
+    if pair.multiplicity_flag != "simple-pair":
+        raise DegenerateRatioError(f"pair at n={n} is not simple")
     with mpmath.workprec(precision):
-        couplings = [(s12, s21) for (_, s12), (s21, _) in (_schur(plan, mpmath.mpc(z))[0] for z in zs)]
-        if min(mpc_abs(s) for pair in couplings for s in pair) <= mpmath.ldexp(1, 16 - precision):
+        couplings = [(s12, s21) for (_, s12), (s21, _) in
+                     (_schur(plan, mpmath.mpc(z))[0] for z in (0, pair.z_star))]
+        if min(mpc_abs(s) for c in couplings for s in c) <= mpmath.ldexp(1, 16 - precision):
             raise DegenerateRatioError(f"beta+ or beta- at n={n} is at or below the resolution "
                                        f"2^-{precision - 16} of the reduction")
-        return couplings
+        return pair, couplings
 
 
 def refined_dirichlet(

@@ -3,8 +3,8 @@
 Every check here compares two independently coded routes to the same
 quantity: walk sums against closed forms, coefficient identities
 against their generating function, and truncated-operator eigenvalues
-against the reduced quadratic equation.  The suite needs no fixtures and
-is the backing for the `verify` subcommand."""
+against the Schur-complement reduction of their disc.  The suite needs
+no fixtures and is the backing for the `verify` subcommand."""
 
 import math
 from dataclasses import dataclass
@@ -165,14 +165,14 @@ def check_factorial_identity(precision: int) -> list:
 
 
 def check_reduction_residual(K: int) -> list:
-    """Truncated-operator eigenvalues near n^2 = 36 plugged into the
-    reduced quadratic; residual at most 1e-6."""
-    pot, params = two_term(1, 1, 1, 1)
+    """Truncated-operator eigenvalues near n^2 = 36 plugged into the same
+    truncation's Schur-complement equation det(z - S(z)) = 0; residual at most 1e-6."""
+    pot, _ = two_term(1, 1, 1, 1)
     _, result = find_working_N(pot, BoundaryCondition.PER_PLUS, K, n_max=8)
     pair = result.pair(6)
     out = []
     for tag, lam in (("lam-", pair.lam_minus), ("lam+", pair.lam_plus)):
-        res = reduction_residual(pot, params, 6, lam)
+        res = reduction_residual(pot, 6, K, lam)
         out.append(CheckResult(
             f"reduction-residual[n=6,{tag},K={K}]",
             res <= 1e-6,

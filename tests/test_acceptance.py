@@ -99,8 +99,8 @@ def test_acceptance_3_gamma_ratio():
 
 
 def test_acceptance_4_reduction_residual():
-    gate = _Gate(4, "eigenvalues satisfy the reduced quadratic", 60.0)
-    pot, params = two_term(1, 1, 1, 1)
+    gate = _Gate(4, "eigenvalues satisfy the reduced equation det(z - S(z)) = 0", 60.0)
+    pot, _ = two_term(1, 1, 1, 1)
     worst = 0.0
     ok = True
     for bc, ns in ((BoundaryCondition.PER_PLUS, (6, 8, 10, 12)),
@@ -109,10 +109,10 @@ def test_acceptance_4_reduction_residual():
         for n in ns:
             pair = result.pair(n)
             for lam in (pair.lam_minus, pair.lam_plus):
-                res = reduction_residual(pot, params, n, lam)
+                res = reduction_residual(pot, n, 64, lam)
                 worst = max(worst, res)
                 ok &= res <= 1e-6
-    gate.finish(ok, f"n in 6..12, K=64, caps (3,2); worst residual {worst:.2e}")
+    gate.finish(ok, f"n in 6..12, K=64, Schur complement at all shells; worst residual {worst:.2e}")
 
 
 def test_acceptance_5_localization():

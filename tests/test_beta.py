@@ -17,7 +17,6 @@ from hillwalk.beta import (
     beta_plus,
     beta_plus_leading,
     beta_plus_leading_exact,
-    default_step_cap,
     h_star_minus,
     h_star_plus,
     ratio_H,
@@ -100,9 +99,8 @@ class TestAlpha:
         assert val.value.is_zero()
 
     def test_alpha_default_cap(self):
-        pot, params = two_term(1, 1, 1, 3)
-        assert default_step_cap(params) == 8
-        val = alpha_n(pot, 7, step_cap=default_step_cap(params))
+        pot, _ = two_term(1, 1, 1, 3)
+        val = alpha_n(pot, 7, step_cap=8)
         assert val.tail_estimate >= 0.0
 
 

@@ -494,6 +494,21 @@ def test_concordance_sums_no_walks(monkeypatch):
     assert calls == []
 
 
+def test_concordance_lays_out_one_pair_reduction_per_n(monkeypatch):
+    """The pair and its couplings at z = 0 and z* share one per+ layout;
+    the Dirichlet eigenvalue takes the other."""
+    layouts = []
+    reduction = spectra._reduction
+
+    def counted(pot, bc, *args):
+        layouts.append(bc)
+        return reduction(pot, bc, *args)
+
+    monkeypatch.setattr(spectra, "_reduction", counted)
+    concordance_report(1, 2, ns=(6,))
+    assert sorted(layouts) == [spectra.BoundaryCondition.DIRICHLET, spectra.BoundaryCondition.PER_PLUS]
+
+
 # coefficient pairs of the refine-concordance benchmark family: the fixed
 # real-ab pair, then two with unequal moduli and ab not real
 FAMILY_PAIRS = [

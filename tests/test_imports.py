@@ -1,6 +1,7 @@
 """No library or test module imports a name it never uses (`__init__`
-re-exports), and the library defines no top-level name that nothing in
-src/, tests/ or bench/ refers to."""
+re-exports), the library defines no top-level name that nothing in
+src/, tests/ or bench/ refers to, and each library module imports only
+the `hillwalk` modules of its layer."""
 
 import ast
 import functools
@@ -83,3 +84,35 @@ def test_no_dead_definitions(path):
     dead = [name for name in _top_level_names(ast.parse(path.read_text()))
             if name not in _references() and not (name.startswith("__") and name.endswith("__"))]
     assert dead == []
+
+
+# the hillwalk modules each library module may import: spectra solves its
+# reductions with the Schur-complement kernel and sums no walks
+LAYERS = {
+    "__init__": {"beta", "criteria", "numerics", "potential", "spectra", "verify", "walks"},
+    "__main__": {"cli"},
+    "numerics": set(),
+    "potential": {"numerics"},
+    "walks": {"numerics", "potential"},
+    "beta": {"numerics", "potential", "walks"},
+    "spectra": {"numerics", "potential"},
+    "criteria": {"beta", "numerics", "potential", "spectra", "walks"},
+    "verify": {"beta", "numerics", "potential", "spectra", "walks"},
+    "cli": {"beta", "criteria", "numerics", "potential", "spectra", "verify", "walks"},
+}
+
+
+def _hillwalk_imports(tree):
+    """The hillwalk modules a module imports, relatively or by package name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:  # from .x import y, from . import x
+            yield from [node.module] if node.module else [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("hillwalk."):
+            yield node.module.split(".")[1]
+        elif isinstance(node, ast.Import):
+            yield from (a.name.split(".")[1] for a in node.names if a.name.startswith("hillwalk."))
+
+
+@pytest.mark.parametrize("path", sorted(Path(hillwalk.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+def test_module_layers(path):
+    assert set(_hillwalk_imports(ast.parse(path.read_text()))) == LAYERS[path.stem]

@@ -291,28 +291,40 @@ class TestDirichlet:
 
 class TestReductionResidual:
     def test_zero_potential_exact(self):
-        assert reduction_residual(ZERO, None, 5, 25.0) == 0.0
+        assert reduction_residual(ZERO, 5, 16, 25.0) == 0.0  # per-
+        assert reduction_residual(ZERO, 6, 16, 36.0) == 0.0  # per+
 
     def test_cross_path_agreement(self):
-        pot, params = two_term(1, 1, 1, 1)
-        N, res = find_working_N(pot, BC.PER_PLUS, 64, 12)
-        for n in (6, 8, 10, 12):
-            p = res.pair(n)
-            for lam in (p.lam_minus, p.lam_plus):
-                assert reduction_residual(pot, params, n, lam) <= 1e-6
+        pot, _ = two_term(1, 1, 1, 1)
+        for bc, ns in ((BC.PER_PLUS, (6, 8, 10, 12)), (BC.PER_MINUS, (7, 9, 11))):
+            N, res = find_working_N(pot, bc, 64, max(ns))
+            for n in ns:
+                p = res.pair(n)
+                for lam in (p.lam_minus, p.lam_plus):
+                    assert reduction_residual(pot, n, 64, lam) <= 1e-6
+
+    def test_hardware_roots_solve_the_reduction_of_their_truncation(self):
+        """|det(z - S(z))| is about |lam - lam+| |lam - lam-|: a LAPACK root
+        off by 1e-14 in a pair of gap 1e-7 leaves 1e-21.  The capped walk
+        sums left 7.0e-15 here, their own truncation error."""
+        pot, _ = two_term(1, 1, 1, 1)
+        N, res = find_working_N(pot, BC.PER_PLUS, 32, 8)
+        p = res.pair(6)
+        for lam in (p.lam_minus, p.lam_plus):
+            assert reduction_residual(pot, 6, 32, lam) <= 1e-18
 
     def test_perturbation_increases_residual(self):
-        pot, params = two_term(1, 1, 1, 1)
+        pot, _ = two_term(1, 1, 1, 1)
         N, res = find_working_N(pot, BC.PER_PLUS, 64, 8)
         p = res.pair(6)
-        base = reduction_residual(pot, params, 6, p.lam_plus)
-        moved = reduction_residual(pot, params, 6, p.lam_plus + 0.1)
+        base = reduction_residual(pot, 6, 64, p.lam_plus)
+        moved = reduction_residual(pot, 6, 64, p.lam_plus + 0.1)
         assert moved > base
 
     def test_domain_guard(self):
-        pot, params = two_term(1, 1, 1, 1)
+        pot, _ = two_term(1, 1, 1, 1)
         with pytest.raises(ValueError):
-            reduction_residual(pot, params, 4, 16.0 + 2.0)
+            reduction_residual(pot, 4, 32, 16.0 + 2.0)
 
 
 class TestRefinement:
@@ -520,7 +532,7 @@ class TestPairCouplings:
         crossing sums approach them shell by shell; for bands at -2 and 6,
         n = 8, they are -7.7160490727e-6 and 2.40280891521e-12."""
         pot, params = two_term(1, 1, 1, 3)
-        (plus, minus), = pair_couplings(pot, bc, n, 32, (0,))
+        _, ((plus, minus), _) = pair_couplings(pot, bc, n, 32)
         with mpmath.workprec(320):
             errors = []
             for cap in (3, 8, 12):
@@ -534,15 +546,22 @@ class TestPairCouplings:
             assert complex(plus) == pytest.approx(-7.7160490727e-6, rel=1e-10)
             assert complex(minus) == pytest.approx(2.40280891521e-12, rel=1e-10)
 
-    def test_one_layout_serves_every_z(self, monkeypatch):
+    def test_one_layout_serves_the_pair_and_both_couplings(self, monkeypatch):
         pot, _ = two_term(1, 2, 1, 1)
+        want = refined_pair(pot, BC.PER_PLUS, 6, 32)
         layouts = []
         monkeypatch.setattr(spectra, "_reduction",
                             lambda *args: layouts.append(None) or _reduction(*args))
-        zs = (0, mpmath.mpf("0.01"), mpmath.mpc("0.01", "-0.02"))
-        couplings = pair_couplings(pot, BC.PER_PLUS, 6, 32, zs)
-        assert len(layouts) == 1 and len(couplings) == 3
-        assert len({complex(plus) for plus, _ in couplings}) == 3
+        pair, couplings = pair_couplings(pot, BC.PER_PLUS, 6, 32)
+        assert len(layouts) == 1 and len(couplings) == 2
+        assert pair == want and pair.z_star != 0
+        assert len({complex(plus) for plus, _ in couplings}) == 2
+
+    def test_refuses_a_pair_that_is_not_simple(self):
+        # at 128 bits the n = 22 gap 3.57e-49 lies below the pair's resolution
+        pot, _ = two_term(1, 2, 1, 1)
+        with pytest.raises(DegenerateRatioError, match="pair at n=22 is not simple"):
+            pair_couplings(pot, BC.PER_PLUS, 22, 32, precision=128)
 
     @pytest.mark.parametrize("entry", [(0, 1), (1, 0)])
     def test_entries_at_the_resolution_raise(self, monkeypatch, entry):
@@ -552,16 +571,17 @@ class TestPairCouplings:
         kernel = spectra._schur
         scale = [1]
 
-        def tiny(plan, z):
+        def tiny(plan, z):  # only at z = 0, which no Newton step of the pair visits
             S, T = kernel(plan, z)
-            S[entry[0]][entry[1]] = mpmath.ldexp(scale[0], 16 - 128)
+            if z == 0:
+                S[entry[0]][entry[1]] = mpmath.ldexp(scale[0], 16 - 128)
             return S, T
 
         monkeypatch.setattr(spectra, "_schur", tiny)
         with pytest.raises(DegenerateRatioError, match="at or below the resolution 2\\^-112"):
-            pair_couplings(pot, BC.PER_PLUS, 6, 32, (0,), precision=128)
+            pair_couplings(pot, BC.PER_PLUS, 6, 32, precision=128)
         scale[0] = 2
-        (plus, minus), = pair_couplings(pot, BC.PER_PLUS, 6, 32, (0,), precision=128)
+        _, ((plus, minus), _) = pair_couplings(pot, BC.PER_PLUS, 6, 32, precision=128)
         assert min(abs(plus), abs(minus)) == mpmath.ldexp(1, -111)
 
 
