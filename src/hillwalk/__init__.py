@@ -66,7 +66,6 @@ from .criteria import (
     ConcordanceReport,
     DegenerateRatioError,
     IndexSet,
-    VerdictThresholds,
     concordance_report,
     criterion1_verdict,
     criterion3_ratio,

@@ -26,20 +26,20 @@ from .beta import (
 from .criteria import (
     DegenerateRatioError,
     IndexSet,
-    VerdictThresholds,
     concordance_report,
     criterion1_verdict,
     prop20_verdict,
     theorem31_report,
     theorem5_report,
 )
-from .numerics import DEFAULT_PRECISION, GaussianRational
+from .numerics import DEFAULT_PRECISION, MIN_PRECISION, GaussianRational
 from .potential import TwoTermParams, _scalar_from_json, parse_potential, potential_to_json
 from .spectra import (
     BoundaryCondition,
     ConvergenceError,
     DirichletUniquenessError,
     LocalizationError,
+    MAX_K,
     REFINE_PRECISION,
     assemble,
     eigenvalues,
@@ -99,7 +99,6 @@ _FLAGS = {
     "bc": {"choices": ["per+", "per-", "dirichlet"]},
     "K": {"type": int, "help": "Galerkin truncation half-width"},
     "N": {"type": int, "help": "low-block cutoff; scanned when omitted"},
-    "caps": {"help": "shell caps 'p,q' for the crossing sums"},
     "precision": {"type": int, "help": "working precision in bits"},
     "delta": {"help": "index family 'kind:lo:hi[:parity]' or 'explicit:5,8,11'"},
     "range": {"help": "n values: comma list or 'lo:hi'"},
@@ -112,13 +111,13 @@ _FLAGS = {
 # the config keys each (command, report) path reads; a key that a flag or a
 # --config file sets and the chosen path does not read exits 64
 _READS = {
-    ("beta", None): {"potential", "caps", "range", "format", "z", "out"},
+    ("beta", None): {"potential", "range", "format", "z", "out"},
     ("spectrum", None): {"potential", "bc", "K", "N", "range", "format", "out"},
     ("verify", None): {"K", "precision", "inject_error", "out"},
-    ("verdict", None): {"report", "potential", "caps", "delta", "z", "thresholds", "out"},
-    ("verdict", "ratio-collapse"): {"report", "potential", "caps", "bc", "m_range", "out"},
-    ("verdict", "shifted-collapse"): {"report", "potential", "caps", "m_range", "out"},
-    ("verdict", "equal-offsets"): {"report", "potential", "caps", "bc", "out"},
+    ("verdict", None): {"report", "potential", "delta", "out"},
+    ("verdict", "ratio-collapse"): {"report", "potential", "bc", "m_range", "out"},
+    ("verdict", "shifted-collapse"): {"report", "potential", "m_range", "out"},
+    ("verdict", "equal-offsets"): {"report", "potential", "bc", "out"},
     ("verdict", "concordance"): {"report", "potential", "range", "K", "precision", "out"},
 }
 
@@ -174,32 +173,24 @@ def _read_potential(config: dict):
         raise UsageError(f"bad potential literal: {err}")
 
 
-def _read_int(config: dict, key: str, default: Optional[int], least: int = 1) -> Optional[int]:
-    """An int >= least (0 or 1); a None default lets the key be left unset."""
+# the least and the greatest value of each integer key, as the library bounds it
+_INT_BOUNDS = {"K": (1, MAX_K), "N": (0, None), "precision": (MIN_PRECISION, None)}
+
+
+def _read_int(config: dict, key: str, default: Optional[int]) -> Optional[int]:
+    """An int within the key's bounds; a None default lets the key be left unset."""
     value = config.get(key, default)
     if value is None and default is None:
         return None
-    if type(value) is not int or value < least:  # a JSON true is no integer
-        kind = ("nonnegative", "positive")[least]
+    least, most = _INT_BOUNDS[key]
+    if type(value) is not int or value < min(least, 1):  # a JSON true is no integer
+        kind = ("nonnegative", "positive")[least > 0]
         raise UsageError(f"--{key} must be a {kind} integer, got {value!r}")
+    if value < least:
+        raise UsageError(f"--{key} must be at least {least}, got {value}")
+    if most is not None and value > most:
+        raise UsageError(f"--{key} must be at most {most}, got {value}")
     return value
-
-
-def _read_caps(config: dict) -> tuple:
-    raw = config.get("caps", DEFAULT_SHELL_CAPS)
-    if isinstance(raw, str):
-        parts = raw.split(",")
-    elif isinstance(raw, (list, tuple)):
-        parts = list(raw)
-    else:
-        raise UsageError(f"bad caps {raw!r}")
-    try:  # str first: int() alone takes a JSON true as 1 and 2.7 as 2
-        caps = tuple(int(str(p)) for p in parts)
-    except ValueError:
-        raise UsageError(f"bad caps {raw!r}")
-    if len(caps) != 2 or any(c < 0 for c in caps):
-        raise UsageError("caps must be two nonnegative integers 'p,q'")
-    return caps
 
 
 def _read_range(config: dict, default: Optional[list] = None) -> Optional[list]:
@@ -210,8 +201,6 @@ def _read_range(config: dict, default: Optional[list] = None) -> Optional[list]:
         items = list(raw)
     elif isinstance(raw, str):
         raw = raw.strip()
-        if not raw:
-            return []
         if ":" in raw:
             try:
                 lo, hi = (int(p) for p in raw.split(":"))
@@ -219,14 +208,18 @@ def _read_range(config: dict, default: Optional[list] = None) -> Optional[list]:
                 raise UsageError(f"bad range {raw!r}")
             if hi < lo:
                 raise UsageError(f"bad range {raw!r}")
-            return list(range(lo, hi + 1))
-        items = raw.split(",")
+            items = range(lo, hi + 1)
+        else:
+            items = raw.split(",") if raw else []
     else:
         raise UsageError(f"bad range {raw!r}")
     try:  # str first: int() alone takes a JSON true as 1 and 2.7 as 2
-        return [int(str(p)) for p in items]
+        ns = [int(str(p)) for p in items]
     except ValueError:
         raise UsageError(f"bad range {raw!r}")
+    if any(n < 1 for n in ns):
+        raise UsageError(f"--range must hold positive integers, got {min(ns)}")
+    return ns
 
 
 def _read_m_range(config: dict, default: list) -> range:
@@ -272,18 +265,6 @@ def _read_delta(config: dict) -> IndexSet:
         return IndexSet(kind, int(parts[1]), int(parts[2]), parity=parity)
     except ValueError as err:
         raise UsageError(f"bad delta {raw!r}: {err}")
-
-
-def _read_thresholds(config: dict) -> VerdictThresholds:
-    raw = config.get("thresholds")
-    if raw is None:
-        return VerdictThresholds()
-    if not isinstance(raw, dict):
-        raise UsageError("thresholds must be an object")
-    try:
-        return VerdictThresholds(**raw)
-    except TypeError as err:
-        raise UsageError(f"bad thresholds: {err}")
 
 
 # -- serialization ---------------------------------------------------------
@@ -345,11 +326,10 @@ def cmd_beta(config: dict) -> int:
     if ns is None:
         raise UsageError("--range is required: which n to tabulate")
     z = _read_z(config)
-    x_cap, y_cap = _read_caps(config)
     rows = []
     for n in ns:
-        bp = beta_plus(pot, params, n, z=z, shell_cap=x_cap) if params else None
-        bm = beta_minus(pot, params, n, z=z, shell_cap=y_cap) if params else None
+        bp = beta_plus(pot, params, n, z=z) if params else None
+        bm = beta_minus(pot, params, n, z=z) if params else None
         al = alpha_n(pot, n, z=z)
         closed = _closed_plus(params, n, z)
         rows.append({
@@ -365,7 +345,7 @@ def cmd_beta(config: dict) -> int:
             "closed_plus": closed,
         })
     if config.get("format", "csv") == "json":
-        _dump({"z": z, "caps": [x_cap, y_cap], "rows": rows}, config)
+        _dump({"z": z, "caps": list(DEFAULT_SHELL_CAPS), "rows": rows}, config)
         return EXIT_OK
     lines = [",".join(_BETA_COLUMNS)]
     for r in rows:
@@ -383,7 +363,7 @@ def cmd_spectrum(config: dict) -> int:
     K = _read_int(config, "K", 32)
     ns = _read_range(config)
     n_max = max(ns) if ns else 12
-    N = _read_int(config, "N", None, least=0)
+    N = _read_int(config, "N", None)
     if N is None:
         _, result = find_working_N(pot, bc, K, n_max)
     else:
@@ -437,7 +417,6 @@ _BANDS = {
 def cmd_verdict(config: dict) -> int:
     """basis verdict for a root-function system"""
     report = config.get("report")
-    caps = _read_caps(config)
     pot, params = _read_potential(config)
     if report is not None:
         if params is None:
@@ -446,18 +425,14 @@ def cmd_verdict(config: dict) -> int:
         if not covers(params.R, params.S):
             raise UsageError(f"the {report} report needs bands {need}, got R = {params.R}, S = {params.S}")
     if report is None:
-        verdict = criterion1_verdict(pot, params, _read_delta(config), z_choice=_read_z(config),
-                                     shell_caps=caps, thresholds=_read_thresholds(config))
+        verdict = criterion1_verdict(pot, params, _read_delta(config))
     elif report == "ratio-collapse":
         verdict = theorem31_report(params.a, params.b, params.R, params.S,
-                                   _read_m_range(config, [2, 6]), shell_caps=caps,
-                                   bc=_read_bc(config))
+                                   _read_m_range(config, [2, 6]), bc=_read_bc(config))
     elif report == "shifted-collapse":
-        verdict = theorem5_report(params.a, params.b, params.S, _read_m_range(config, [2, 7]),
-                                  shell_caps=caps)
+        verdict = theorem5_report(params.a, params.b, params.S, _read_m_range(config, [2, 7]))
     elif report == "equal-offsets":
-        verdict = prop20_verdict(params.a, params.b, params.R, _read_bc(config, "per-"),
-                                 shell_caps=caps)
+        verdict = prop20_verdict(params.a, params.b, params.R, _read_bc(config, "per-"))
     else:
         ns = _read_range(config, default=[6, 8, 10, 12])
         verdict = concordance_report(params.a, params.b, ns=tuple(ns),

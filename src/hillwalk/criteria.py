@@ -26,7 +26,7 @@ from typing import Optional, Sequence, Union
 
 import mpmath
 
-from .beta import DEFAULT_SHELL_CAPS, beta_minus, beta_plus
+from .beta import beta_minus, beta_plus
 from .numerics import GaussianRational, abs_value
 from .potential import FourierPotential, TwoTermParams, two_term
 from .spectra import (
@@ -46,14 +46,10 @@ STABILITY_SAMPLES = (
     GaussianRational(Fraction(0), Fraction(-1)),
 )
 
-
-@dataclass(frozen=True)
-class VerdictThresholds:
-    """Desk-scale surrogate for an asymptotic boundedness criterion."""
-
-    divergence: float = 1e3
-    cap: float = 1e2
-    monotone_points: int = 3
+# the desk-scale surrogate for an asymptotic boundedness criterion: no-basis
+# when t_n passes the divergence and its last monotone_points values grow,
+# contains-basis when every t_n is within the cap
+THRESHOLDS = {"divergence": 1e3, "cap": 1e2, "monotone_points": 3}
 
 
 @dataclass(frozen=True)
@@ -112,13 +108,12 @@ class IndexSet:
 
 @dataclass(frozen=True)
 class BasisVerdict:
-    """A first-criterion verdict; the analytic reports decide by rule and
-    carry the default thresholds only for display."""
+    """A basis verdict.  Criterion 1 decides by the fixed THRESHOLDS; the
+    analytic reports decide by rule and print the thresholds only for display."""
 
     index_set: str
     rows: tuple
     conclusion: str
-    thresholds: VerdictThresholds = VerdictThresholds()
     caveats: tuple = ()
 
     def __post_init__(self) -> None:
@@ -131,7 +126,7 @@ class BasisVerdict:
             "delta": self.index_set,
             "rows": [dict(r) for r in self.rows],
             "conclusion": self.conclusion,
-            "thresholds": asdict(self.thresholds),
+            "thresholds": dict(THRESHOLDS),
             "caveats": list(self.caveats),
         }
 
@@ -145,11 +140,10 @@ DESK_SCALE_CAVEAT = (
 # -- elementary quantities -------------------------------------------------
 
 
-def _weights(pot, params, n, shell_caps, z=0):
-    """Exact (beta^+, beta^-) at z, each summed up to its own shell cap."""
-    x_cap, y_cap = shell_caps
-    return (beta_plus(pot, params, n, z=z, shell_cap=x_cap).value,
-            beta_minus(pot, params, n, z=z, shell_cap=y_cap).value)
+def _weights(pot, params, n, z=0):
+    """Exact (beta^+, beta^-) at z, each summed up to its fixed shell cap."""
+    return (beta_plus(pot, params, n, z=z).value,
+            beta_minus(pot, params, n, z=z).value)
 
 
 def _sqrt_float(q: Fraction) -> float:
@@ -190,13 +184,13 @@ def criterion3_ratio(pair: SpectralPair) -> float:
 # -- verdict aggregation ---------------------------------------------------
 
 
-def _threshold_conclusion(exact_squares: Sequence[Fraction], thresholds: VerdictThresholds) -> str:
-    """Apply the divergence/cap thresholds to exact t^2 values in index order."""
+def _threshold_conclusion(exact_squares: Sequence[Fraction]) -> str:
+    """Apply the THRESHOLDS to exact t^2 values in index order."""
     if not exact_squares:
         return "inconclusive"
-    div2 = Fraction(thresholds.divergence) ** 2
-    cap2 = Fraction(thresholds.cap) ** 2
-    k = thresholds.monotone_points
+    div2 = Fraction(THRESHOLDS["divergence"]) ** 2
+    cap2 = Fraction(THRESHOLDS["cap"]) ** 2
+    k = THRESHOLDS["monotone_points"]
     tail = list(exact_squares[-k:])
     monotone = len(tail) == k and all(tail[i] < tail[i + 1] for i in range(k - 1))
     if max(exact_squares) > div2 and monotone:
@@ -210,21 +204,17 @@ def criterion1_verdict(
     pot: FourierPotential,
     params: TwoTermParams,
     index_set: IndexSet,
-    z_choice=0,
-    shell_caps: tuple = DEFAULT_SHELL_CAPS,
-    thresholds: VerdictThresholds = VerdictThresholds(),
 ) -> BasisVerdict:
-    """t_n(z_choice) over Delta, with the structural-zero indices split off.
+    """t_n(0) over Delta, with the structural-zero indices split off.
 
     Indices where both functionals vanish identically carry automatic
     doubles and never obstruct a basis; if every index lands there the
     verdict is contains-basis outright.  The remaining indices are judged
-    by the thresholds.  The two-sided bound hypothesis behind the z = 0
+    by the fixed THRESHOLDS.  The two-sided bound hypothesis behind the z = 0
     reduction is spot-checked at z in {1, -1, i, -i}."""
     ns = index_set.indices(params)
     if not ns:
         raise ValueError(f"empty index set: {index_set.describe()}")
-    zg = GaussianRational.of(z_choice)
     rows = []
     squares = []
     stability_failures = []
@@ -232,7 +222,7 @@ def criterion1_verdict(
         if structurally_zero(params, n):
             rows.append({"n": n, "class": "delta0", "t": None})
             continue
-        base = _weights(pot, params, n, shell_caps, zg)
+        base = _weights(pot, params, n)
         if any(w.is_zero() for w in base):
             raise DegenerateRatioError(
                 f"beta vanishes numerically at n={n} though walks exist"
@@ -241,7 +231,7 @@ def criterion1_verdict(
         squares.append(sq)
         rows.append({"n": n, "class": "delta1", "t": _sqrt_float(sq)})
         for z in STABILITY_SAMPLES:
-            for fixed, moved in zip(base, _weights(pot, params, n, shell_caps, z)):
+            for fixed, moved in zip(base, _weights(pot, params, n, z)):
                 if not (4 * moved.abs2() >= fixed.abs2() and moved.abs2() <= 4 * fixed.abs2()):
                     stability_failures.append((n, str(z)))
     caveats = [DESK_SCALE_CAVEAT, "two-sided z-stability sampled at z in {0, 1, -1, i, -i} only"]
@@ -251,12 +241,11 @@ def criterion1_verdict(
         conclusion = "contains-basis"
         caveats.append("all indices structurally degenerate: weight functionals vanish identically")
     else:
-        conclusion = _threshold_conclusion(squares, thresholds)
+        conclusion = _threshold_conclusion(squares)
     return BasisVerdict(
         index_set=index_set.describe(),
         rows=tuple(rows),
         conclusion=conclusion,
-        thresholds=thresholds,
         caveats=tuple(caveats),
     )
 
@@ -264,7 +253,7 @@ def criterion1_verdict(
 # -- analytic reports ------------------------------------------------------
 
 
-def _ratio_rows(pot, params, m_range, index_of, shell_caps):
+def _ratio_rows(pot, params, m_range, index_of):
     """Exact |beta^-(0)/beta^+(0)|^2 over n = index_of(m), plus display rows.
 
     Returns the sorted distinct m values, the rows and the exact squares."""
@@ -274,7 +263,7 @@ def _ratio_rows(pot, params, m_range, index_of, shell_caps):
     rows, squares = [], []
     for m in ms:
         n = index_of(m)
-        bp, bm = _weights(pot, params, n, shell_caps)
+        bp, bm = _weights(pot, params, n)
         if bp.is_zero() or bm.is_zero():
             raise DegenerateRatioError(f"vanishing weight sum at n={n}")
         sq = bm.abs2() / bp.abs2()
@@ -289,7 +278,6 @@ def theorem31_report(
     R: int,
     S: int,
     m_range: Sequence[int],
-    shell_caps: tuple = DEFAULT_SHELL_CAPS,
     bc: Union[str, BoundaryCondition] = BoundaryCondition.PER_PLUS,
 ) -> BasisVerdict:
     """Band-ratio collapse over n = r s d m for unequal offsets R != S.
@@ -306,7 +294,7 @@ def theorem31_report(
         raise ValueError("basis verdicts apply to per+ / per- only")
     pot, params = two_term(a, b, R, S)
     step = params.r * params.s * params.d
-    ms, rows, squares = _ratio_rows(pot, params, m_range, lambda m: step * m, shell_caps)
+    ms, rows, squares = _ratio_rows(pot, params, m_range, lambda m: step * m)
     # corroboration: strict collapse with the advertised per-step decrement
     drop = abs(params.r - params.s)
     decay_ok = all(squares[i + 1] < squares[i] for i in range(len(squares) - 1))
@@ -349,7 +337,6 @@ def theorem5_report(
     b,
     s: int,
     m_range: Sequence[int],
-    shell_caps: tuple = DEFAULT_SHELL_CAPS,
 ) -> BasisVerdict:
     """Ratio collapse over n = s m - 1 for the bands at -2 and 2s, s >= 3.
 
@@ -359,7 +346,7 @@ def theorem5_report(
     if not isinstance(s, int) or s < 3:
         raise ValueError(f"s must be an int >= 3, got {s!r}")
     pot, params = two_term(a, b, 1, s)
-    ms, rows, squares = _ratio_rows(pot, params, m_range, lambda m: s * m - 1, shell_caps)
+    ms, rows, squares = _ratio_rows(pot, params, m_range, lambda m: s * m - 1)
     # each step must beat the m^2 collapse floor: ratio^2 by m^4
     factor_ok = all(squares[i + 1] * Fraction(ms[i]) ** 4 <= squares[i]
                     for i in range(len(ms) - 1))
@@ -383,10 +370,8 @@ def prop20_verdict(
     b,
     R: int,
     bc: Union[str, BoundaryCondition],
-    n_max: int = 12,
-    shell_caps: tuple = DEFAULT_SHELL_CAPS,
 ) -> BasisVerdict:
-    """Equal band offsets: bands at -2R and 2R.
+    """Equal band offsets: bands at -2R and 2R, over n <= 12.
 
     Antiperiodic with even R: every odd n is structurally degenerate, the
     root system is all doubles, basis automatic.  Otherwise the modulus
@@ -403,13 +388,14 @@ def prop20_verdict(
     q2 = max(a2 / b2, b2 / a2)
     rows = []
     corroborated = True
+    n_max = 12
     for n in range(2 - parity, n_max + 1, 2):
         if degenerate:
             assert structurally_zero(params, n)
             rows.append({"n": n, "class": "delta0", "t": None})
         elif n % R == 0:
             # corroboration: t_n against the leading modulus ratio power
-            sq = t_n_squared(*_weights(pot, params, n, shell_caps))
+            sq = t_n_squared(*_weights(pot, params, n))
             lead2 = q2 ** (n // R)
             corroborated &= Fraction(1, 4) <= sq / lead2 <= 4  # within factor 2 on t itself
             rows.append({"n": n, "class": "delta1", "t": _sqrt_float(sq),

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -110,7 +111,7 @@ def test_spectrum_rejects_boolean_K(capsys, tmp_path):
 
 
 @pytest.mark.parametrize("key, value", [
-    ("range", [True, 2.7]), ("range", [6, 8.0]), ("caps", [True, 2]), ("caps", [3, 2.5]),
+    ("range", [True, 2.7]), ("range", [6, 8.0]),
 ])
 def test_beta_list_items_must_be_integers(capsys, tmp_path, key, value):
     conf = tmp_path / "conf.json"
@@ -145,8 +146,23 @@ def test_spectrum_localization_violation_exits_3(capsys):
 def test_spectrum_rejects_range_without_discs(capsys):
     code, out, err = run_cli(capsys, "spectrum", "--potential", '{"a":"1","b":"1","R":1,"S":1}',
                              "--range", "0")
-    assert code == 4 and out == ""
-    assert err == "hillwalk: n_max must be >= 1, got 0\n"
+    assert code == 64 and out == ""
+    assert err == "hillwalk: --range must hold positive integers, got 0\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("spectrum", "--potential", TWO_TERM_13, "--K", "300"), "--K must be at most 256, got 300"),
+    (("verify", "--K", "300"), "--K must be at most 256, got 300"),
+    (("verdict", "--preset", "crit-compare", "--precision", "32"),
+     "--precision must be at least 64, got 32"),
+    (("beta", "--potential", TWO_TERM_13, "--range", "0,5"),
+     "--range must hold positive integers, got 0"),
+], ids=["spectrum", "verify", "verdict", "beta"])
+def test_out_of_range_integers_exit_64(capsys, argv, message):
+    # the readers refuse what the library would refuse as a criteria error
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 64 and out == ""
+    assert err == f"hillwalk: {message}\n"
 
 
 def _spectrum(capsys, *extra):
@@ -229,13 +245,17 @@ def test_verdict_concordance_rejects_odd_indices_exit_4(capsys):
     assert "even" in err
 
 
-def test_verdict_thresholds_flow_through_config(capsys, tmp_path):
+@pytest.mark.parametrize("setting", [
+    {"thresholds": {"divergence": 10.0, "cap": 2.0, "monotone_points": 2}}, {"z": "1/2"},
+], ids=["thresholds", "z"])
+def test_verdict_first_criterion_refuses_thresholds_and_z(capsys, tmp_path, setting):
+    # criterion 1 judges t_n(0) by fixed thresholds
     conf = tmp_path / "conf.json"
-    conf.write_text('{"thresholds": {"divergence": 10.0, "cap": 2.0, "monotone_points": 2}}')
-    code, out, _ = run_cli(capsys, "verdict", "--potential", '{"a":"1","b":"2","R":5,"S":5}',
-                           "--delta", "R-multiples:1:50:even", "--config", str(conf))
-    assert code == 0
-    assert json.loads(out)["thresholds"]["divergence"] == 10.0
+    conf.write_text(json.dumps(setting))
+    code, out, err = run_cli(capsys, "verdict", "--potential", '{"a":"1","b":"2","R":5,"S":5}',
+                             "--delta", "R-multiples:1:50:even", "--config", str(conf))
+    assert code == 64 and out == ""
+    assert err == f"hillwalk: verdict does not read config keys {', '.join(setting)}\n"
 
 
 def test_verdict_report_refuses_thresholds(capsys, tmp_path):
@@ -312,9 +332,9 @@ def test_unknown_subcommand_exits_64(capsys):
 
 
 @pytest.mark.parametrize("command,flags", [
-    ("beta", ("--bc", "--K", "--N", "--precision", "--delta")),
+    ("beta", ("--bc", "--K", "--N", "--precision", "--delta", "--caps")),
     ("spectrum", ("--caps", "--precision", "--delta")),
-    ("verdict", ("--N", "--format")),
+    ("verdict", ("--N", "--format", "--caps")),
     ("verify", ("--potential", "--bc", "--N", "--caps", "--delta", "--range", "--format")),
 ])
 def test_flags_a_command_does_not_read_exit_64(capsys, command, flags):
@@ -435,11 +455,15 @@ def test_every_path_has_a_command():
     assert all(_as_config(argv)[0] == path for path, argv in PATH_COMMANDS.items())
 
 
+# keys no path reads: the shell caps and the verdict thresholds are fixed
+REMOVED_KEYS = {"caps", "thresholds"}
+
+
 @pytest.mark.parametrize("path", PATH_COMMANDS, ids=_path_id)
 def test_keys_a_path_does_not_read_exit_64(capsys, tmp_path, path):
     argv = PATH_COMMANDS[path]
     conf = tmp_path / "conf.json"
-    for key in sorted(set(cli._FLAGS).union(*cli._READS.values()) - cli._READS[path]):
+    for key in sorted(set(cli._FLAGS).union(REMOVED_KEYS, *cli._READS.values()) - cli._READS[path]):
         conf.write_text(json.dumps({key: 1}))
         code, out, err = run_cli(capsys, *argv, "--config", str(conf))
         assert code == 64 and out == "", key
@@ -466,3 +490,24 @@ def test_keys_a_path_reads_are_accepted_from_config(capsys, tmp_path, path):
         code, out, _ = run_cli(capsys, *argv, "--config", str(conf))
         assert code == 0 and out.encode() == want, argv
 
+
+def _readme_reads():
+    """{(command, report): keys} from the per-path bullets of the README's
+    command-line section, which names `out` and `report` once in prose."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    prose = " ".join(section.split())
+    assert "every path reads `out`" in prose and "`report` picks the `verdict` path" in prose
+    reads = {}
+    for bullet in re.findall(r"^- (`.*(?:\n  .*)*)", section, re.M):
+        label, keys = bullet.split(":", 1)
+        names = re.findall(r"`([\w-]+)`", label)
+        path = (names[0], names[1] if len(names) > 1 else None)
+        reads[path] = set(re.findall(r"`(\w+)`", keys)) | {"out"}
+        if path[0] == "verdict":
+            reads[path].add("report")
+    return reads
+
+
+def test_readme_lists_the_keys_each_path_reads():
+    assert _readme_reads() == cli._READS

@@ -10,7 +10,6 @@ from hillwalk.criteria import (
     BasisVerdict,
     DegenerateRatioError,
     IndexSet,
-    VerdictThresholds,
     concordance_report,
     criterion1_verdict,
     criterion3_ratio,
@@ -230,23 +229,23 @@ def test_generated_kinds_need_parameters():
 
 def test_thresholds_cap_gives_contains_basis():
     sq = [Fraction(1), Fraction(16), Fraction(9)]
-    assert _threshold_conclusion(sq, VerdictThresholds()) == "contains-basis"
+    assert _threshold_conclusion(sq) == "contains-basis"
 
 
 def test_thresholds_divergent_monotone_gives_no_basis():
     sq = [Fraction(10) ** k for k in (2, 4, 6, 8)]
-    assert _threshold_conclusion(sq, VerdictThresholds()) == "no-basis"
+    assert _threshold_conclusion(sq) == "no-basis"
 
 
 def test_thresholds_divergent_but_wobbly_is_inconclusive():
     sq = [Fraction(10) ** 8, Fraction(10) ** 7, Fraction(10) ** 8]
-    assert _threshold_conclusion(sq, VerdictThresholds()) == "inconclusive"
+    assert _threshold_conclusion(sq) == "inconclusive"
 
 
 def test_thresholds_middle_ground_is_inconclusive():
     sq = [Fraction(10) ** 5, Fraction(10) ** 5, Fraction(10) ** 5]
-    assert _threshold_conclusion(sq, VerdictThresholds()) == "inconclusive"
-    assert _threshold_conclusion([], VerdictThresholds()) == "inconclusive"
+    assert _threshold_conclusion(sq) == "inconclusive"
+    assert _threshold_conclusion([]) == "inconclusive"
 
 
 # -- criterion 1 verdicts --------------------------------------------------
@@ -292,7 +291,7 @@ def test_verdict_json_shape():
 
 def test_verdict_conclusion_validated():
     with pytest.raises(ValueError):
-        BasisVerdict("x", (), "maybe", VerdictThresholds())
+        BasisVerdict("x", (), "maybe")
 
 
 # -- ratio-collapse reports ------------------------------------------------

@@ -584,6 +584,25 @@ class TestPairCouplings:
         _, ((plus, minus), _) = pair_couplings(pot, BC.PER_PLUS, 6, 32, precision=128)
         assert min(abs(plus), abs(minus)) == mpmath.ldexp(1, -111)
 
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_equal_bands_give_equal_couplings(self, data):
+        """For a = b and R = S, reflecting j -> -j maps the X walks from n to -n
+        onto the Y walks with the same weights, so beta+ = beta- over all shells
+        of the lattice, at z = 0 and at z*.  The capped crossing sums are not
+        symmetric: their X and Y shell caps differ."""
+        bc = data.draw(st.sampled_from([BC.PER_PLUS, BC.PER_MINUS]))
+        parity = 0 if bc == BC.PER_PLUS else 1
+        # per- discs sit at odd n, which no even R divides
+        R = data.draw(st.sampled_from([1, 2, 3] if parity == 0 else [1, 3]))
+        n = data.draw(st.sampled_from([n for n in range(6, 13) if n % R == 0 and n % 2 == parity]))
+        part = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+        a = data.draw(st.builds(GaussianRational, part, part).filter(lambda g: not g.is_zero()))
+        pot, _ = two_term(a, a, R, R)
+        _, couplings = pair_couplings(pot, bc, n, 32)
+        for plus, minus in couplings:
+            assert abs(plus - minus) <= mpmath.ldexp(1, 16 - 320)
+
 
 class TestDump:
     def test_csv_layout_and_stability(self):
