@@ -10,6 +10,7 @@ configs; rationals serialize as 'p/q' strings and complex values as
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -42,8 +43,10 @@ from .spectra import (
     MAX_K,
     REFINE_PRECISION,
     assemble,
+    basis_indices,
     eigenvalues,
     find_working_N,
+    free_eigenvalue,
     localize_pairs,
     spectrum_csv,
 )
@@ -364,6 +367,13 @@ def cmd_spectrum(config: dict) -> int:
     ns = _read_range(config)
     n_max = max(ns) if ns else 12
     N = _read_int(config, "N", None)
+    if N is not None and N >= n_max:
+        raise UsageError(f"--N must be below the largest n of the scan, {n_max}, got {N}")
+    # a disc n needs a basis function with free eigenvalue n^2; discs of one
+    # parity sit two apart, so the disc after the last one is reach + 2
+    reach = max(math.isqrt(free_eigenvalue(bc, k)) for k in basis_indices(bc, K))
+    if bc != BoundaryCondition.DIRICHLET and n_max > reach + 1:
+        raise UsageError(f"--K {K} holds {bc.value} discs up to n = {reach}, got n up to {n_max}")
     if N is None:
         _, result = find_working_N(pot, bc, K, n_max)
     else:

@@ -17,7 +17,7 @@ before n = 12, so the same map also drives an arbitrary-precision
 refinement: the Schur complement S(z) onto the basis functions with free
 eigenvalue n^2 (2x2 for a pair, 1x1 for a Dirichlet disc) comes from one
 banded elimination of the other positions on fixed-point Gaussian
-integers, and Newton on the reduced equation z = S(z) gives n^2 + z.
+integers, and Newton on z = S(z) from the disc centre gives n^2 + z.
 One layout of that elimination per disc also gives the pair couplings
 beta+- = S12, S21 and the residual |det(z - S(z))| of a hardware root.
 """
@@ -29,7 +29,6 @@ from operator import mul
 from typing import Optional, Sequence
 
 import mpmath
-import numpy as np
 from mpmath.libmp import to_fixed
 
 from .numerics import GaussianRational, check_precision, mpc_abs
@@ -114,7 +113,7 @@ class TruncatedOperator:
     bc: BoundaryCondition
     K: int
     indices: tuple
-    matrix: np.ndarray
+    matrix: "numpy.ndarray"  # numpy loads only where a matrix is built
 
     @property
     def dim(self) -> int:
@@ -152,13 +151,16 @@ def _potential_cells(pot: FourierPotential, bc: BoundaryCondition, K: int) -> di
     return {cell: value for cell, value in cells.items() if not value.is_zero()}
 
 
-def _operator(cells: dict, bc: BoundaryCondition, K: int) -> TruncatedOperator:
-    """The dense truncation filled from the cell map `cells`
-    (`_potential_cells(pot, bc, K)`).
+def assemble(pot: FourierPotential, bc: BoundaryCondition, K: int) -> TruncatedOperator:
+    """Dense truncation of the operator in the basis for bc at cutoff K.
 
-    Each exact cell is rounded once and the free eigenvalue is added on the
-    diagonal after the rounding, so every entry is the one an entry-by-entry
-    fill gives."""
+    Each exact cell of `_potential_cells` is rounded once and the free
+    eigenvalue is added on the diagonal after the rounding, so every entry
+    is the one an entry-by-entry fill gives."""
+    import numpy as np
+
+    bc = BoundaryCondition(bc)
+    cells = _potential_cells(pot, bc, K)
     ks = basis_indices(bc, K)
     M = np.zeros((len(ks), len(ks)), dtype=complex)
     if cells:
@@ -169,14 +171,10 @@ def _operator(cells: dict, bc: BoundaryCondition, K: int) -> TruncatedOperator:
     return TruncatedOperator(bc, K, ks, M)
 
 
-def assemble(pot: FourierPotential, bc: BoundaryCondition, K: int) -> TruncatedOperator:
-    """Dense truncation of the operator in the basis for bc at cutoff K."""
-    bc = BoundaryCondition(bc)
-    return _operator(_potential_cells(pot, bc, K), bc, K)
-
-
 def eigenvalues(op: TruncatedOperator) -> list:
     """All eigenvalues of the truncation, sorted by (re, im)."""
+    import numpy as np
+
     vals = np.linalg.eigvals(op.matrix)
     return sorted((complex(v) for v in vals), key=lambda w: (w.real, w.imag))
 
@@ -364,12 +362,12 @@ def reduction_residual(pot: FourierPotential, n: int, K: int, lam: complex) -> f
     Vanishes exactly when lam is an eigenvalue of that truncation, so at a
     hardware eigenvalue it measures how far the dense solver and the
     reduction agree.  |det| is about |lam - lam+| |lam - lam-|, so it scales
-    with the gap of the pair."""
+    with the gap of the pair.  Needs |z| < DISC_RADIUS, the disc `_reduction` checks."""
     z = complex(lam) - n * n
-    if abs(z) >= n / 4:
-        raise ValueError(f"need |lam - n^2| < n/4, got |z| = {abs(z):.3g} at n = {n}")
+    if abs(z) >= DISC_RADIUS:
+        raise ValueError(f"need |lam - n^2| < {DISC_RADIUS:g}, got |z| = {abs(z):.3g} at n = {n}")
     bc = BoundaryCondition.PER_MINUS if n % 2 else BoundaryCondition.PER_PLUS
-    plan, _ = _reduction(pot, bc, n, K, 2, REFINE_PRECISION)
+    plan = _reduction(pot, bc, n, K, 2, REFINE_PRECISION)
     with mpmath.workprec(REFINE_PRECISION):
         z = mpmath.mpc(z)
         ((s11, s12), (s21, s22)), _ = _schur(plan, z)
@@ -404,24 +402,22 @@ def _disc_anchors(bc: BoundaryCondition, K: int, n: int, count: int) -> list:
 
 def _reduction(pot: FourierPotential, bc: BoundaryCondition, n: int, K: int, count: int,
                precision: int) -> tuple:
-    """(plan, seed z) for the Schur complement of the truncation onto the
-    `count` basis functions with free eigenvalue n^2 (`_disc_anchors`); the
-    seed is the hardware midpoint of the pair, or the Dirichlet eigenvalue.
+    """The layout (plan) of the Schur complement of the truncation onto the
+    `count` basis functions with free eigenvalue n^2 (`_disc_anchors`).
 
     A(z) = diag(n^2 + z - free) - V over Q, the other positions, is
     eliminated in basis order without pivoting, which is stable when A is
-    strictly diagonally dominant: a row that is not, at the seed, raises
-    ValueError.  The fill pattern does not depend on z, so the plan gives
-    each of its entries a slot, holding A(0) with each exact cell rounded
+    strictly diagonally dominant.  Each row is checked over the whole disc
+    |z| <= DISC_RADIUS, with no seed: it passes when |n^2 - free - V_jj| -
+    DISC_RADIUS exceeds its off-diagonal sum by a margin delta > 0, and a
+    row that does not raises ValueError.  The fill pattern does not depend
+    on z, so the plan gives each of its entries a slot, holding A(0) with each exact cell rounded
     once over 2^(precision + GUARD_BITS) (`_fixed`), or 0.  steps[j] = (slot
     of A[j, j], ((q, slot of A[j, q], ((slot of A[j, k], slot of A[q, k])
     for k > q)) for q < j in row j)); back[q] = ((k, slot of A[q, k]) for
     k > q); mirror says whether the reflection J reverses Q or is 1."""
     anchors = _disc_anchors(bc, K, n, count)
     cells = _potential_cells(pot, bc, K)
-    eigs = eigenvalues(_operator(cells, bc, K))
-    seed = (_dirichlet_in_disc(eigs, n) if count == 1
-            else 0.5 * sum(sorted(eigs, key=lambda w: abs(w - n * n))[:2])) - n * n
     ks = basis_indices(bc, K)
     bits = precision + GUARD_BITS
     Q = [i for i in range(len(ks)) if i not in anchors]
@@ -437,9 +433,9 @@ def _reduction(pot: FourierPotential, bc: BoundaryCondition, n: int, K: int, cou
     for j, i in enumerate(Q):
         cell, free = id(cells.get((i, i))), n * n - free_eigenvalue(bc, ks[i])
         off = sum(abs(approx[v]) for v in rows[j].values())
-        if not abs(free + seed - approx.get(cell, 0)) > off:
+        if not abs(free - approx.get(cell, 0)) - DISC_RADIUS > off:
             raise ValueError(f"{bc.value} reduction at n={n}: row k={ks[i]} of A(z) is not strictly "
-                             "diagonally dominant at the seed, so elimination may be unstable")
+                             f"diagonally dominant on |z| <= {DISC_RADIUS:g}, so elimination may be unstable")
         cols = set(rows[j]) | {j}
         for q in range(min(cols), j):
             if q in cols:
@@ -457,7 +453,7 @@ def _reduction(pot: FourierPotential, bc: BoundaryCondition, n: int, K: int, cou
     columns = tuple(tuple(zip(*(coupling[i][p] for i in Q))) for p in range(len(anchors)))
     vpp = tuple(tuple((re << bits, im << bits) for re, im in coupling[i]) for i in anchors)
     mirror = bc != BoundaryCondition.DIRICHLET
-    return (bits, *zip(*values), steps, back, columns, vpp, mirror), mpmath.mpc(seed)
+    return bits, *zip(*values), steps, back, columns, vpp, mirror
 
 
 def _dot(a, b, start=(0, 0)):
@@ -524,7 +520,8 @@ def _newton(step, z, tol, what):
     so less than tol is left while |f''/2f'| < 2^32.  For the reduced
     equations below, f' = 1 - O(|S'|) and f'' is of the size of S'' =
     2 V_PQ A(z)^-3 V_QP, at most 2 |V|^2 / delta^3 for couplings up to |V|
-    and the margin delta > 0 of the diagonal dominance `_reduction` checks;
+    and the margin delta > 0 of the diagonal dominance `_reduction` checks
+    over the whole disc |z| <= DISC_RADIUS, so at every iterate inside it;
     away from a zero of d, where the two roots meet, sqrt(d)'' is sqrt(d)
     times squared log-derivatives of S and adds no more."""
     stop = mpmath.sqrt(tol) / 2**16
@@ -538,18 +535,13 @@ def _newton(step, z, tol, what):
 
 def _resolved(z, tol):
     """z with every component below the Newton resolution tol set to zero:
-    those digits were never resolved and would follow the hardware seed,
-    not the operator."""
+    those digits were never resolved and would follow the Newton path, not
+    the operator."""
     return mpmath.mpc(0 if abs(z.real) < tol else z.real, 0 if abs(z.imag) < tol else z.imag)
 
 
-def refined_pair(
-    pot: FourierPotential,
-    bc: BoundaryCondition,
-    n: int,
-    K: int,
-    precision: int = REFINE_PRECISION,
-) -> SpectralPair:
+def refined_pair(pot: FourierPotential, bc: BoundaryCondition, n: int, K: int,
+                 precision: int = REFINE_PRECISION) -> SpectralPair:
     """The D_n pair at arbitrary precision, as a SpectralPair of mpmath values.
 
     lam = n^2 + z, where z = S(z) for the 2x2 Schur complement S onto the
@@ -557,20 +549,23 @@ def refined_pair(
     alpha, beta+ and beta- summed over every walk of the cut-off lattice.
     Each root solves one branch z = m(z) +- sqrt(d(z)), m = (S11 + S22)/2,
     d = ((S11 - S22)/2)^2 + S12 S21.  Newton runs on the first branch from
-    the hardware midpoint, then on the second from m - sqrt(d) of the first
+    the disc centre z = 0, then on the second from m - sqrt(d) of the first
     branch's last evaluation, each with the square root of d that continues
-    its last one.  The gap is |z+ - z-|, so no step subtracts numbers of
+    its last one.  A root outside the disc |z| < DISC_RADIUS raises
+    LocalizationError: the dominance margin delta of `_reduction` holds
+    only inside it.  The gap is |z+ - z-|, so no step subtracts numbers of
     size n^2.  Roots and z* keep only their resolved digits (`_resolved`),
     and the pair is double when its gap is below that resolution,
-    2^-(precision-16) max(1, |lam|)."""
+    tol = 2^-(precision-16) n^2."""
     check_precision(precision)
-    return _pair(*_reduction(pot, BoundaryCondition(bc), n, K, 2, precision), n, precision)
+    bc = BoundaryCondition(bc)
+    return _pair(_reduction(pot, bc, n, K, 2, precision), bc, n, precision)
 
 
-def _pair(plan: tuple, seed, n: int, precision: int) -> SpectralPair:
-    """`refined_pair` on the layout `plan` and seed of `_reduction`."""
+def _pair(plan: tuple, bc: BoundaryCondition, n: int, precision: int) -> SpectralPair:
+    """`refined_pair` on the layout `plan` of `_reduction`."""
     with mpmath.workprec(precision):
-        tol = mpmath.ldexp(max(1, abs(seed + n * n)), 16 - precision)
+        tol = mpmath.ldexp(n * n, 16 - precision)
         last = [None, None]  # m and sqrt(d) at the latest evaluation
 
         def step(z):
@@ -583,10 +578,13 @@ def _pair(plan: tuple, seed, n: int, precision: int) -> SpectralPair:
             last[:] = m, w
             return (z - m - w) / (1 - (t11 + t22) / 2 - dw)
 
-        first = _newton(step, seed, tol, f"Newton on the first branch at n={n}")
+        first = _newton(step, mpmath.mpc(0), tol, f"Newton on the first branch at n={n}")
         m, w = last
         last[1] = -w
         second = _newton(step, m - w, tol, f"Newton on the second branch at n={n}")
+        inside = [n * n + z for z in (first, second) if mpc_abs(z) < DISC_RADIUS]
+        if len(inside) < 2:
+            raise LocalizationError(bc, n, inside)
         lo, hi = sorted((_resolved(n * n + z, tol) for z in (first, second)),
                         key=lambda v: (v.real, v.imag))
         gap = abs(first - second)
@@ -603,8 +601,9 @@ def pair_couplings(pot: FourierPotential, bc: BoundaryCondition, n: int, K: int,
     and so does an entry at or below the kernel's resolution 2^-(precision-16),
     instead of handing a ratio of noise on."""
     check_precision(precision)
-    plan, seed = _reduction(pot, BoundaryCondition(bc), n, K, 2, precision)
-    pair = _pair(plan, seed, n, precision)
+    bc = BoundaryCondition(bc)
+    plan = _reduction(pot, bc, n, K, 2, precision)
+    pair = _pair(plan, bc, n, precision)
     if pair.multiplicity_flag != "simple-pair":
         raise DegenerateRatioError(f"pair at n={n} is not simple")
     with mpmath.workprec(precision):
@@ -616,22 +615,23 @@ def pair_couplings(pot: FourierPotential, bc: BoundaryCondition, n: int, K: int,
         return pair, couplings
 
 
-def refined_dirichlet(
-    pot: FourierPotential,
-    n: int,
-    K: int,
-    precision: int = REFINE_PRECISION,
-) -> mpmath.mpc:
+def refined_dirichlet(pot: FourierPotential, n: int, K: int,
+                      precision: int = REFINE_PRECISION) -> mpmath.mpc:
     """mu_n at arbitrary precision, mu = n^2 + z: Newton on the 1x1
-    reduction z = S(z) onto sin(nx), seeded from the hardware solve."""
+    reduction z = S(z) onto sin(nx) from the disc centre z = 0, with the
+    tolerance and resolution of `refined_pair`.  A root outside the disc
+    |z| < DISC_RADIUS, where `_reduction` checks dominance, raises
+    DirichletUniquenessError."""
     check_precision(precision)
-    plan, seed = _reduction(pot, BoundaryCondition.DIRICHLET, n, K, 1, precision)
+    plan = _reduction(pot, BoundaryCondition.DIRICHLET, n, K, 1, precision)
     with mpmath.workprec(precision):
-        tol = mpmath.ldexp(max(1, abs(seed + n * n)), 16 - precision)
+        tol = mpmath.ldexp(n * n, 16 - precision)
 
         def step(z):
             ((s,),), ((t,),) = _schur(plan, z)
             return (z - s) / (1 - t)
 
-        z = _newton(step, seed, tol, f"Newton on the Dirichlet equation at n={n}")
+        z = _newton(step, mpmath.mpc(0), tol, f"Newton on the Dirichlet equation at n={n}")
+        if mpc_abs(z) >= DISC_RADIUS:
+            raise DirichletUniquenessError(n, [])
         return _resolved(n * n + z, tol)

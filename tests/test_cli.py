@@ -201,6 +201,25 @@ def test_spectrum_range_of_the_other_parity_exits_64(capsys):
     assert err.startswith("hillwalk: --range holds no per- disc") and "--bc per+" in err
 
 
+@pytest.mark.parametrize("extra, message", [
+    (("--N", "12"), "--N must be below the largest n of the scan, 12, got 12"),
+    (("--N", "9", "--range", "4:8"), "--N must be below the largest n of the scan, 8, got 9"),
+    (("--K", "2", "--range", "4:12"), "--K 2 holds per+ discs up to n = 4, got n up to 12"),
+    (("--K", "2", "--bc", "per-", "--range", "3:5"), "--K 2 holds per- discs up to n = 3, got n up to 5"),
+], ids=["N-at-n_max", "N-above-n_max", "per+-beyond-K", "per--beyond-K"])
+def test_spectrum_scan_outside_the_input_exits_64(capsys, extra, message):
+    # usage errors, not a criteria error (4) or a localization violation (3)
+    code, out, err = _spectrum(capsys, *extra)
+    assert code == 64 and out == ""
+    assert err == f"hillwalk: {message}\n"
+
+
+def test_spectrum_scans_every_disc_the_truncation_holds(capsys):
+    # per+ at K = 2 holds e^{+-4ix}: n = 4 is its last disc, and 5 is per-'s
+    code, out, _ = _spectrum(capsys, "--K", "2", "--range", "4:5")
+    assert code == 0 and [ln.split(",")[0] for ln in out.strip().split("\n")[1:]] == ["4"]
+
+
 def test_spectrum_rejects_dirichlet_pairs(capsys):
     code, out, err = run_cli(capsys, "spectrum", "--potential", '{"a":"1","b":"1","R":1,"S":1}',
                              "--bc", "dirichlet")

@@ -5,6 +5,9 @@ the `hillwalk` modules of its layer."""
 
 import ast
 import functools
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -116,3 +119,16 @@ def _hillwalk_imports(tree):
 @pytest.mark.parametrize("path", sorted(Path(hillwalk.__file__).parent.glob("*.py")), ids=lambda p: p.name)
 def test_module_layers(path):
     assert set(_hillwalk_imports(ast.parse(path.read_text()))) == LAYERS[path.stem]
+
+
+@pytest.mark.parametrize("preset", ["thm31", "crit-compare"])
+def test_verdict_loads_no_numpy(preset):
+    """numpy is imported only where a truncation is assembled; no verdict
+    path assembles one, the concordance's refinement included."""
+    paths = [str(Path(hillwalk.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    child = ("import sys\nfrom hillwalk import cli\n"
+             f"code = cli.main(['verdict', '--preset', {preset!r}])\n"
+             "print(code, 'numpy' in sys.modules, file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env)
+    assert proc.stderr == "0 False\n"

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hillwalk.numerics import GaussianRational, mpc_abs, to_mpc
 from hillwalk.potential import FourierPotential, two_term
 from hillwalk.beta import beta_minus, beta_plus
+from hillwalk.criteria import concordance_report
 from hillwalk.spectra import (
     BoundaryCondition,
     ConvergenceError,
@@ -326,6 +327,12 @@ class TestReductionResidual:
         with pytest.raises(ValueError):
             reduction_residual(pot, 4, 32, 16.0 + 2.0)
 
+    def test_guard_is_the_disc_the_reduction_checks(self):
+        # n/4 = 2 would admit z = 1.2, where no row's dominance was checked
+        pot, _ = two_term(1, 1, 1, 1)
+        with pytest.raises(ValueError, match=r"need \|lam - n\^2\| < 1, got \|z\| = 1.2 at n = 8"):
+            reduction_residual(pot, 8, 32, 64.0 + 1.2)
+
 
 class TestRefinement:
     def test_matches_hardware_at_resolvable_gap(self):
@@ -411,9 +418,48 @@ class TestRefinement:
 
     def test_reduction_refuses_a_row_without_diagonal_dominance(self):
         pot, _ = two_term(30, 30, 1, 1)
-        refusal = r"per\+ reduction at n=2: row k=3 of A\(z\) is not strictly diagonally dominant"
+        # checked over the whole disc: |4 - 64| - 1 < 30 + 30 at k = 4
+        refusal = r"per\+ reduction at n=2: row k=4 of A\(z\) is not strictly diagonally dominant"
         with pytest.raises(ValueError, match=refusal):
             refined_pair(pot, BC.PER_PLUS, 2, 16)
+
+    def test_dominance_is_checked_over_the_whole_disc(self):
+        """Dirichlet a = b = 3 at n = 3: row k=4 has |9 - 16| - 1 = 6, not
+        above its off-diagonal sum w(2) + w(2) = 6, though at the root
+        z = 0.22 the row dominates."""
+        pot, _ = two_term(3, 3, 1, 1)
+        with pytest.raises(ValueError, match=r"dirichlet reduction at n=3: row k=4 of A\(z\)"):
+            refined_dirichlet(pot, 3, 32)
+
+    def test_a_root_outside_the_disc_raises(self):
+        """a = b = 2 at n = 2: Newton ends at z = -0.33 and z = +1.17, and
+        the second root lies outside the disc D_2."""
+        pot, _ = two_term(2, 2, 1, 1)
+        with pytest.raises(LocalizationError, match="disc around 2\\^2 under per\\+ holds 1 eigenvalues") as err:
+            refined_pair(pot, BC.PER_PLUS, 2, 32)
+        assert [round(complex(lam).real - 4, 2) for lam in err.value.found] == [-0.33]
+
+    def test_a_dirichlet_root_outside_the_disc_raises(self, monkeypatch):
+        # S = 2 and S' = 0: Newton settles at z = 2 in one step
+        monkeypatch.setattr(spectra, "_schur", lambda plan, z: ([[mpmath.mpf(2)]], [[0]]))
+        pot, _ = two_term(1, 2, 1, 1)
+        with pytest.raises(DirichletUniquenessError, match="disc around 5\\^2 holds 0 Dirichlet"):
+            refined_dirichlet(pot, 5, 32)
+
+    def test_refinement_runs_no_eigensolve(self, monkeypatch):
+        """Newton starts at the disc centre, so no refinement assembles the
+        dense truncation or solves it."""
+        def refused(*args):
+            raise AssertionError("the refinement path reached the dense solver")
+
+        monkeypatch.setattr(spectra, "assemble", refused)
+        monkeypatch.setattr(spectra, "eigenvalues", refused)
+        pot, _ = two_term(1, 2, 1, 1)
+        pair = refined_pair(pot, BC.PER_PLUS, 6, 32)
+        assert refined_dirichlet(pot, 5, 32).real > 0
+        assert pair_couplings(pot, BC.PER_MINUS, 7, 32)[0].multiplicity_flag == "simple-pair"
+        assert reduction_residual(pot, 6, 32, complex(pair.lam_plus)) <= 1e-18
+        assert len(concordance_report(1, 2).rows) == 4
 
     def test_parity_validation(self):
         pot, _ = two_term(1, 1, 1, 1)
@@ -509,8 +555,8 @@ class TestSchurKernel:
         n = {BC.PER_PLUS: 2 * m + 2, BC.PER_MINUS: 2 * m + 1, BC.DIRICHLET: m + 2}[bc]
         count = 1 if bc == BC.DIRICHLET else 2
         try:
-            plan, _ = _reduction(pot, bc, n, K, count, precision)
-        except (ValueError, DirichletUniquenessError):  # no dominance, or no unique mu
+            plan = _reduction(pot, bc, n, K, count, precision)
+        except ValueError:  # no dominance on the disc
             assume(False)
         zp = to_mpc(z, precision)  # the same z for both
         with mpmath.workprec(precision):
