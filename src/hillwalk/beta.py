@@ -17,10 +17,7 @@ from typing import Optional, Sequence, Union
 
 from .numerics import GaussianRational, ScalarLike, abs_value, gamma_product_identity
 from .potential import FourierPotential, TwoTermParams
-from .walks import WalkKind, closed_sum, shell_sums
-
-# (X-walk, Y-walk) shell caps of beta_plus / beta_minus
-DEFAULT_SHELL_CAPS = (3, 2)
+from .walks import DEFAULT_SHELL_CAPS, WalkKind, closed_sum, shell_sums
 
 
 @dataclass(frozen=True)
@@ -93,7 +90,7 @@ def _beta(
     if n % params.d != 0:
         # no step-count solution at all: identically zero, exact at any cap
         return BetaValue(GaussianRational(), 0.0)
-    sums = shell_sums(params, n, kind, range(shell_cap + 1), zg)
+    (sums,) = shell_sums(params, n, kind, range(shell_cap + 1), (zg,))
     total = GaussianRational()
     for s_k in sums:
         total = total + s_k
@@ -223,10 +220,12 @@ def A_alpha(alpha: Union[int, Fraction], k: int) -> Fraction:
         raise ValueError(f"k must be >= 0, got {k}")
     if k == 0:
         return Fraction(0)
-    prod = Fraction(1)
+    # alpha = p / q: alpha prod (t - alpha) = p prod (t q - p) / q^k, one integer
+    p, q = a.numerator, a.denominator
+    num = p
     for t in range(1, k):
-        prod *= t - a
-    return a * prod / math.factorial(k)
+        num *= t * q - p
+    return Fraction(num, q ** k * math.factorial(k))
 
 
 def ratio_H(s: int, m: int) -> Fraction:

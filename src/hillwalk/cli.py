@@ -17,7 +17,6 @@ from fractions import Fraction
 from typing import Optional
 
 from .beta import (
-    DEFAULT_SHELL_CAPS,
     alpha_n,
     beta_equal_rs_leading_exact,
     beta_minus,
@@ -51,7 +50,7 @@ from .spectra import (
     spectrum_csv,
 )
 from .verify import run_verify
-from .walks import WalkSingularityError
+from .walks import DEFAULT_SHELL_CAPS, WalkSingularityError
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -363,6 +362,8 @@ def cmd_spectrum(config: dict) -> int:
     """localized eigenvalue pairs; gaps and flags are hardware values (see refined_pair)"""
     pot, _ = _read_potential(config)
     bc = _read_bc(config)
+    if bc == BoundaryCondition.DIRICHLET:
+        raise UsageError("pair localization applies to per+ / per- only")
     K = _read_int(config, "K", 32)
     ns = _read_range(config)
     n_max = max(ns) if ns else 12
@@ -372,7 +373,7 @@ def cmd_spectrum(config: dict) -> int:
     # a disc n needs a basis function with free eigenvalue n^2; discs of one
     # parity sit two apart, so the disc after the last one is reach + 2
     reach = max(math.isqrt(free_eigenvalue(bc, k)) for k in basis_indices(bc, K))
-    if bc != BoundaryCondition.DIRICHLET and n_max > reach + 1:
+    if n_max > reach + 1:
         raise UsageError(f"--K {K} holds {bc.value} discs up to n = {reach}, got n up to {n_max}")
     if N is None:
         _, result = find_working_N(pot, bc, K, n_max)

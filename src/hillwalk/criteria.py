@@ -7,7 +7,9 @@ Three routes to the same question, evaluated over an index family Delta:
   3. the Dirichlet deviation |lam^+ - mu_n| against the pair gap.
 
 Criterion-1 verdicts and the analytic reports take beta^+- at z = 0 as
-exact walk sums up to fixed shell caps.  The concordance takes them for
+exact walk sums up to fixed shell caps, straight from the walk engine and
+with no tail estimate; criterion 1 sums z = 0 and its four z-stability
+samples in one engine call per (n, kind).  The concordance takes them for
 routes 1 and 2 from the pair's 2x2 Schur complement at z = 0 and at z *
 (`pair_couplings`): sums over every walk of the cut-off lattice.
 
@@ -26,7 +28,6 @@ from typing import Optional, Sequence, Union
 
 import mpmath
 
-from .beta import beta_minus, beta_plus
 from .numerics import GaussianRational, abs_value
 from .potential import FourierPotential, TwoTermParams, two_term
 from .spectra import (
@@ -37,7 +38,7 @@ from .spectra import (
     pair_couplings,
     refined_dirichlet,
 )
-from .walks import WalkKind, shell_step_counts
+from .walks import DEFAULT_SHELL_CAPS, WalkKind, shell_step_counts, shell_sums
 
 STABILITY_SAMPLES = (
     GaussianRational(Fraction(1)),
@@ -140,10 +141,15 @@ DESK_SCALE_CAVEAT = (
 # -- elementary quantities -------------------------------------------------
 
 
-def _weights(pot, params, n, z=0):
-    """Exact (beta^+, beta^-) at z, each summed up to its fixed shell cap."""
-    return (beta_plus(pot, params, n, z=z).value,
-            beta_minus(pot, params, n, z=z).value)
+def _weights(pot, params, n, zs=(0,)):
+    """Exact (beta^+, beta^-) at each z of zs, each summed over its walk
+    shells 0..cap (DEFAULT_SHELL_CAPS), one engine call per kind."""
+    if (pot.coefficient(-2 * params.R), pot.coefficient(2 * params.S)) != (params.a, params.b):
+        raise ValueError("params do not match the potential coefficients")
+    plus, minus = (
+        [sum(sums, GaussianRational()) for sums in shell_sums(params, n, kind, range(cap + 1), zs)]
+        for kind, cap in zip((WalkKind.X, WalkKind.Y), DEFAULT_SHELL_CAPS))
+    return list(zip(plus, minus))
 
 
 def _sqrt_float(q: Fraction) -> float:
@@ -222,7 +228,7 @@ def criterion1_verdict(
         if structurally_zero(params, n):
             rows.append({"n": n, "class": "delta0", "t": None})
             continue
-        base = _weights(pot, params, n)
+        base, *moved_weights = _weights(pot, params, n, (0,) + STABILITY_SAMPLES)
         if any(w.is_zero() for w in base):
             raise DegenerateRatioError(
                 f"beta vanishes numerically at n={n} though walks exist"
@@ -230,8 +236,8 @@ def criterion1_verdict(
         sq = t_n_squared(*base)
         squares.append(sq)
         rows.append({"n": n, "class": "delta1", "t": _sqrt_float(sq)})
-        for z in STABILITY_SAMPLES:
-            for fixed, moved in zip(base, _weights(pot, params, n, z)):
+        for z, weights in zip(STABILITY_SAMPLES, moved_weights):
+            for fixed, moved in zip(base, weights):
                 if not (4 * moved.abs2() >= fixed.abs2() and moved.abs2() <= 4 * fixed.abs2()):
                     stability_failures.append((n, str(z)))
     caveats = [DESK_SCALE_CAVEAT, "two-sided z-stability sampled at z in {0, 1, -1, i, -i} only"]
@@ -263,7 +269,7 @@ def _ratio_rows(pot, params, m_range, index_of):
     rows, squares = [], []
     for m in ms:
         n = index_of(m)
-        bp, bm = _weights(pot, params, n)
+        ((bp, bm),) = _weights(pot, params, n)
         if bp.is_zero() or bm.is_zero():
             raise DegenerateRatioError(f"vanishing weight sum at n={n}")
         sq = bm.abs2() / bp.abs2()
@@ -395,7 +401,7 @@ def prop20_verdict(
             rows.append({"n": n, "class": "delta0", "t": None})
         elif n % R == 0:
             # corroboration: t_n against the leading modulus ratio power
-            sq = t_n_squared(*_weights(pot, params, n))
+            sq = t_n_squared(*_weights(pot, params, n)[0])
             lead2 = q2 ** (n // R)
             corroborated &= Fraction(1, 4) <= sq / lead2 <= 4  # within factor 2 on t itself
             rows.append({"n": n, "class": "delta1", "t": _sqrt_float(sq),

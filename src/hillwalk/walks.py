@@ -179,18 +179,26 @@ def weight(walk: Walk, pot: FourierPotential, z: ScalarLike) -> GaussianRational
     """Exact walk weight h(x, z); raises WalkSingularityError on a vanishing
     interior denominator.  Steps outside the support contribute factor 0."""
     zg = GaussianRational.of(z)
+    # kept apart from the engine's helpers: the tests check the engine against this
+    q = math.lcm(zg.re.denominator, zg.im.denominator)
+    p_re, p_im = int(zg.re * q), int(zg.im * q)
     n = walk.n
     value = GaussianRational.of(1)
     for x in walk.steps:
         value = value * pot.coefficient(x)
+    # z = P / Q: the interior factors are Q / W_t, W_t = Q(n^2 - j(t)^2) + P,
+    # so their product is Q^nu / prod W_t, one Gaussian integer
+    w_re, w_im = 1, 0
     verts = vertices(walk)
     for t in range(1, len(verts) - 1):
         j = verts[t]
-        denom = GaussianRational.of(Fraction(n * n - j * j)) + zg
-        if denom.is_zero():
+        f_re = q * (n * n - j * j) + p_re
+        if f_re == 0 and p_im == 0:
             raise WalkSingularityError(n, t, j)
-        value = value / denom
-    return value
+        w_re, w_im = w_re * f_re - w_im * p_im, w_re * p_im + w_im * f_re
+    scale = q ** walk.nu
+    norm = w_re * w_re + w_im * w_im
+    return value * GaussianRational(Fraction(scale * w_re, norm), Fraction(-scale * w_im, norm))
 
 
 def _over_common_denominator(
@@ -211,10 +219,11 @@ def _walk_sums(
     start: int,
     end: int,
     lengths: Iterable[int],
-    z: ScalarLike,
-) -> Dict[int, GaussianRational]:
+    zs: Sequence[ScalarLike],
+) -> List[Dict[int, GaussianRational]]:
     """Exact sums of h(x, z) over admissible walks start -> end, one per
-    requested step count; `steps` pairs each step with its coefficient.
+    requested step count, for each z of `zs` in turn; `steps` pairs each
+    step with its coefficient.
 
     Layer t maps a vertex to the weighted sum of admissible t-step prefixes
     ending there, held fraction-free: a Gaussian-integer numerator per
@@ -229,11 +238,13 @@ def _walk_sums(
 
     A vertex is kept only if `end` is reachable from it at a requested
     length (the mask: per vertex, a bitmask of step counts that reach
-    `end`).  A zero denominator on a kept vertex raises
-    WalkSingularityError at the smallest t, then the smallest vertex."""
-    out = {length: GaussianRational() for length in lengths}
-    want = sum(1 << length for length in out)
-    top = max(out, default=0)
+    `end`).  The mask and the integer coefficients do not depend on z, so
+    they are built once for all of `zs`.  A zero denominator on a kept
+    vertex raises WalkSingularityError at the smallest t, then the smallest
+    vertex, for the first z of `zs` that has one."""
+    zero = {length: GaussianRational() for length in lengths}
+    want = sum(1 << length for length in zero)
+    top = max(zero, default=0)
     # mask[v] has bit k set when some admissible k-step tail leads from v to end
     mask: Dict[int, int] = {end: 1}
     frontier = {end}
@@ -241,90 +252,103 @@ def _walk_sums(
         frontier = {u - x for u in frontier if k == 1 or abs(u) != n for x, _ in steps}
         for v in frontier:
             mask[v] = mask.get(v, 0) | 1 << k
-    ((p_re, p_im),), q = _over_common_denominator([GaussianRational.of(z)])
     coeffs, c_den = _over_common_denominator([c for _, c in steps])
     int_steps = [(x, g_re, g_im) for (x, _), (g_re, g_im) in zip(steps, coeffs)]
-    # vertex -> (m_re, m_im, d): 1 / (n^2 - u^2 + z) = (m_re + i m_im) / d, d > 0
-    scale: Dict[int, Tuple[int, int, int]] = {}
-    layer: Dict[int, Tuple[int, int]] = {start: (1, 0)}
-    den = 1
-    for t in range(1, top + 1):
-        nxt: Dict[int, Tuple[int, int]] = {}
-        end_re = end_im = 0
-        for v, (a, b) in layer.items():
-            for x, g_re, g_im in int_steps:
-                u = v + x
-                if u == end:
-                    if t in out:
-                        end_re += a * g_re - b * g_im
-                        end_im += a * g_im + b * g_re
-                elif abs(u) != n and (mask.get(u, 0) << t) & want:
-                    re, im = a * g_re - b * g_im, a * g_im + b * g_re
-                    if u in nxt:
-                        old_re, old_im = nxt[u]
-                        nxt[u] = (old_re + re, old_im + im)
-                    else:
-                        nxt[u] = (re, im)
-        den *= c_den
-        if t in out:
-            out[t] = GaussianRational(Fraction(end_re, den), Fraction(end_im, den))
-        # a vertex already in `scale` passed the check, so only new ones can be singular
-        for u in sorted(u for u in nxt if u not in scale):
-            w_re = q * (n * n - u * u) + p_re
-            if w_re == 0 and p_im == 0:
-                raise WalkSingularityError(n, t, u)
-            if p_im == 0:
-                scale[u] = (q, 0, w_re) if w_re > 0 else (-q, 0, -w_re)
-            else:
-                scale[u] = (q * w_re, -q * p_im, w_re * w_re + p_im * p_im)
-        # pairwise: unpacking a layer into one call builds large argument
-        # tuples whose frees fragment the heap and raise the peak RSS
-        lcm = 1
-        for u in nxt:
-            lcm = math.lcm(lcm, scale[u][2])
-        for u, (a, b) in nxt.items():
-            m_re, m_im, d = scale[u]
-            k = lcm // d
-            m_re, m_im = m_re * k, m_im * k
-            nxt[u] = (a * m_re - b * m_im, a * m_im + b * m_re)
-        den *= lcm
-        g = den
-        for a, b in nxt.values():
-            g = math.gcd(g, a, b)
-            if g == 1:
-                break
-        if g > 1:
-            den //= g
-            nxt = {u: (a // g, b // g) for u, (a, b) in nxt.items()}
-        layer = nxt
-    return out
+    results = []
+    for z in zs:
+        out = dict(zero)
+        ((p_re, p_im),), q = _over_common_denominator([GaussianRational.of(z)])
+        # vertex -> (m_re, m_im, d): 1 / (n^2 - u^2 + z) = (m_re + i m_im) / d, d > 0
+        scale: Dict[int, Tuple[int, int, int]] = {}
+        layer: Dict[int, Tuple[int, int]] = {start: (1, 0)}
+        den = 1
+        for t in range(1, top + 1):
+            nxt: Dict[int, Tuple[int, int]] = {}
+            end_re = end_im = 0
+            for v, (a, b) in layer.items():
+                for x, g_re, g_im in int_steps:
+                    u = v + x
+                    if u == end:
+                        if t in out:
+                            end_re += a * g_re - b * g_im
+                            end_im += a * g_im + b * g_re
+                    elif abs(u) != n and (mask.get(u, 0) << t) & want:
+                        re, im = a * g_re - b * g_im, a * g_im + b * g_re
+                        if u in nxt:
+                            old_re, old_im = nxt[u]
+                            nxt[u] = (old_re + re, old_im + im)
+                        else:
+                            nxt[u] = (re, im)
+            den *= c_den
+            if t in out:
+                out[t] = GaussianRational(Fraction(end_re, den), Fraction(end_im, den))
+            # a vertex already in `scale` passed the check, so only new ones can be singular
+            for u in sorted(u for u in nxt if u not in scale):
+                w_re = q * (n * n - u * u) + p_re
+                if w_re == 0 and p_im == 0:
+                    raise WalkSingularityError(n, t, u)
+                if p_im == 0:
+                    scale[u] = (q, 0, w_re) if w_re > 0 else (-q, 0, -w_re)
+                else:
+                    scale[u] = (q * w_re, -q * p_im, w_re * w_re + p_im * p_im)
+            # pairwise: unpacking a layer into one call builds large argument
+            # tuples whose frees fragment the heap and raise the peak RSS
+            lcm = 1
+            for u in nxt:
+                lcm = math.lcm(lcm, scale[u][2])
+            for u, (a, b) in nxt.items():
+                m_re, m_im, d = scale[u]
+                k = lcm // d
+                m_re, m_im = m_re * k, m_im * k
+                nxt[u] = (a * m_re - b * m_im, a * m_im + b * m_re)
+            den *= lcm
+            g = den
+            for a, b in nxt.values():
+                g = math.gcd(g, a, b)
+                if g == 1:
+                    break
+            if g > 1:
+                den //= g
+                nxt = {u: (a // g, b // g) for u, (a, b) in nxt.items()}
+            layer = nxt
+        results.append(out)
+    return results
+
+
+# (X-walk, Y-walk) shell caps of beta_plus / beta_minus and the criteria
+DEFAULT_SHELL_CAPS = (3, 2)
 
 
 def shell_sums(
-    params: TwoTermParams, n: int, kind: WalkKind, shells: Sequence[int], z: ScalarLike
-) -> List[GaussianRational]:
+    params: TwoTermParams,
+    n: int,
+    kind: WalkKind,
+    shells: Sequence[int],
+    zs: Sequence[ScalarLike],
+) -> List[List[GaussianRational]]:
     """Exact sums of h(x, z) over the X or Y walks of each shell in `shells`,
-    from one engine pass: shell k holds the walks of t0 + k(r+s) steps, so a
-    step count names its shell.  Infeasible shells sum to zero."""
+    one list per z of `zs`, from one engine call: shell k holds the walks of
+    t0 + k(r+s) steps, so a step count names its shell.  Infeasible shells
+    sum to zero."""
     if kind is WalkKind.W:
         raise ValueError("shell sums cover kinds X and Y; use alpha_n for W")
     counts = [shell_step_counts(params, n, kind, k) for k in shells]
     if counts[0] is None:
         # d does not divide n: no shell has a step-count solution
-        return [GaussianRational() for _ in counts]
+        return [[GaussianRational() for _ in counts] for _ in zs]
     lengths = [c.total for c in counts]
     start = _START_SIGN[kind] * n
     end = start + _STEP_SUM_FACTOR[kind] * n
     steps = ((-2 * params.R, params.a), (2 * params.S, params.b))
-    sums = _walk_sums(steps, n, start, end, lengths, z)
-    return [sums[length] for length in lengths]
+    return [[sums[length] for length in lengths]
+            for sums in _walk_sums(steps, n, start, end, lengths, zs)]
 
 
 def shell_sum(
     params: TwoTermParams, n: int, kind: WalkKind, shell: int, z: ScalarLike
 ) -> GaussianRational:
     """Exact sum of h(x, z) over all admissible walks of one shell."""
-    return shell_sums(params, n, kind, (shell,), z)[0]
+    return shell_sums(params, n, kind, (shell,), (z,))[0][0]
 
 
 def closed_sum(pot: FourierPotential, n: int, step_cap: int, z: ScalarLike) -> GaussianRational:
@@ -332,5 +356,5 @@ def closed_sum(pot: FourierPotential, n: int, step_cap: int, z: ScalarLike) -> G
     steps over the full potential support."""
     if step_cap < 1:
         raise ValueError(f"step_cap must be >= 1, got {step_cap}")
-    sums = _walk_sums(pot.coeffs, n, n, n, range(1, step_cap + 1), z)
+    (sums,) = _walk_sums(pot.coeffs, n, n, n, range(1, step_cap + 1), (z,))
     return sum(sums.values(), GaussianRational())

@@ -223,7 +223,7 @@ def test_spectrum_scans_every_disc_the_truncation_holds(capsys):
 def test_spectrum_rejects_dirichlet_pairs(capsys):
     code, out, err = run_cli(capsys, "spectrum", "--potential", '{"a":"1","b":"1","R":1,"S":1}',
                              "--bc", "dirichlet")
-    assert code == 4 and out == ""
+    assert code == 64 and out == ""
     assert err == "hillwalk: pair localization applies to per+ / per- only\n"
 
 

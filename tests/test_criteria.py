@@ -3,8 +3,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hillwalk import spectra, walks
+from hillwalk import beta, criteria, spectra, walks
 from hillwalk.beta import beta_minus, beta_plus
 from hillwalk.criteria import (
     BasisVerdict,
@@ -292,6 +294,89 @@ def test_verdict_json_shape():
 def test_verdict_conclusion_validated():
     with pytest.raises(ValueError):
         BasisVerdict("x", (), "maybe")
+
+
+def _weights_from_beta(pot, params, n, zs=(0,)):
+    """criteria._weights, taken one z at a time from beta_plus / beta_minus."""
+    return [(beta_plus(pot, params, n, z=z).value, beta_minus(pot, params, n, z=z).value)
+            for z in zs]
+
+
+def _verdict_outcome(compute):
+    try:
+        return compute()
+    except DegenerateRatioError as err:
+        return (type(err), str(err))
+
+
+_gaussian = st.builds(
+    lambda p, q, u, v: GaussianRational(Fraction(p, q), Fraction(u, v)),
+    st.integers(-4, 4).filter(bool), st.integers(1, 4), st.integers(-4, 4), st.integers(1, 4),
+)
+
+
+@given(R=st.integers(1, 4), S=st.integers(1, 4), a=_gaussian, b=_gaussian,
+       ns=st.lists(st.integers(1, 12), min_size=1, max_size=6))
+@example(R=2, S=4, a=GaussianRational(Fraction(3), Fraction(2)),
+         b=GaussianRational(Fraction(-4), Fraction(1, 2)), ns=list(range(1, 13)))
+@settings(max_examples=40, deadline=None)
+def test_criterion1_matches_beta_at_each_z(R, S, a, b, ns):
+    """Rows, stability caveats and conclusion equal those built from
+    beta_plus / beta_minus at z = 0 and at each stability sample.  With
+    d = gcd(R, S) > 1 the indices off the multiples of d are delta0 rows;
+    the example has R != S, delta0 rows and stability violations."""
+    pot, params = two_term(a, b, R, S)
+    iset = IndexSet("explicit", 1, 12, explicit=tuple(ns))
+    got = _verdict_outcome(lambda: criterion1_verdict(pot, params, iset))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(criteria, "_weights", _weights_from_beta)
+        want = _verdict_outcome(lambda: criterion1_verdict(pot, params, iset))
+    assert got == want
+
+
+def test_criterion1_matches_beta_on_a_violating_family():
+    pot, params = two_term(GaussianRational(Fraction(3), Fraction(2)),
+                           GaussianRational(Fraction(-4), Fraction(1, 2)), 2, 4)
+    v = criterion1_verdict(pot, params, IndexSet("explicit", 1, 12, explicit=tuple(range(1, 13))))
+    assert [r["class"] for r in v.rows] == ["delta0", "delta1"] * 6
+    assert v.caveats[-1].startswith("two-sided stability violated at [(6, '1'), (6, '-1'),")
+
+
+def test_reports_call_no_beta_and_lay_one_mask_per_n_and_kind(monkeypatch):
+    """Criterion 1 and the analytic reports take their weights from the walk
+    engine: no beta function, no tail, and one engine call (one reachability
+    mask) per (n, kind), criterion 1 with z = 0 and its four samples in it."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a verdict report called into beta")
+
+    for name in ("_beta", "closed_sum", "tail_bound_report"):
+        monkeypatch.setattr(beta, name, refuse)
+    calls = []
+    engine = walks._walk_sums
+
+    def counted(steps, n, start, end, lengths, zs):
+        calls.append((n, start, len(zs)))
+        return engine(steps, n, start, end, lengths, zs)
+
+    monkeypatch.setattr(walks, "_walk_sums", counted)
+    pot, params = two_term(1, 2, 2, 4)
+    v = criterion1_verdict(pot, params, IndexSet("explicit", 1, 10, explicit=tuple(range(1, 11))))
+    assert sorted(calls) == [(n, start, 5) for n in (2, 4, 6, 8, 10) for start in (-n, n)]
+    assert [r["n"] for r in v.rows if r["class"] == "delta1"] == [2, 4, 6, 8, 10]
+    for report, ns in ((lambda: theorem31_report(1, 2, 1, 3, [1, 2, 3]), (3, 6, 9)),
+                       (lambda: theorem5_report(1, 1, 3, [2, 3, 4]), (5, 8, 11)),
+                       (lambda: prop20_verdict(1, 2, 2, "per+"), (2, 4, 6, 8, 10, 12))):
+        calls.clear()
+        report()
+        assert sorted(calls) == [(n, start, 1) for n in ns for start in (-n, n)]
+
+
+@pytest.mark.parametrize("other", [(1, 3, 1, 3), (1, 2, 1, 1), (2, 1, 1, 3)])
+def test_criterion1_refuses_params_of_another_potential(other):
+    pot, _ = two_term(1, 2, 1, 3)
+    _, params = two_term(*other)
+    with pytest.raises(ValueError, match="^params do not match the potential coefficients$"):
+        criterion1_verdict(pot, params, IndexSet("explicit", 5, 8, explicit=(5, 8)))
 
 
 # -- ratio-collapse reports ------------------------------------------------

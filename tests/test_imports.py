@@ -90,7 +90,8 @@ def test_no_dead_definitions(path):
 
 
 # the hillwalk modules each library module may import: spectra solves its
-# reductions with the Schur-complement kernel and sums no walks
+# reductions with the Schur-complement kernel and sums no walks, and
+# criteria sums its weights straight from the walk engine, with no tails
 LAYERS = {
     "__init__": {"beta", "criteria", "numerics", "potential", "spectra", "verify", "walks"},
     "__main__": {"cli"},
@@ -99,7 +100,7 @@ LAYERS = {
     "walks": {"numerics", "potential"},
     "beta": {"numerics", "potential", "walks"},
     "spectra": {"numerics", "potential"},
-    "criteria": {"beta", "numerics", "potential", "spectra", "walks"},
+    "criteria": {"numerics", "potential", "spectra", "walks"},
     "verify": {"beta", "numerics", "potential", "spectra", "walks"},
     "cli": {"beta", "criteria", "numerics", "potential", "spectra", "verify", "walks"},
 }

@@ -18,6 +18,7 @@ from hillwalk.walks import (
     enumerate_closed,
     shell_step_counts,
     shell_sum,
+    shell_sums,
     vertices,
     weight,
 )
@@ -332,6 +333,49 @@ class TestEngineOracle:
         expected = oracle_outcome(walks, pot, z)
         assert expected == want if want else isinstance(expected, GaussianRational)
         assert engine_outcome(lambda: beta_plus(pot, params, n, z=z, shell_cap=cap)) == expected
+
+
+def sums_outcome(compute):
+    """The sums, or the (t, vertex) of the WalkSingularityError raised."""
+    try:
+        return compute()
+    except WalkSingularityError as err:
+        return (err.t, err.vertex)
+
+
+class TestManyZ:
+    """One engine call over several z builds the reachability mask once and
+    runs the DP per z; it must equal one call per z."""
+
+    @given(
+        R=st.integers(1, 3), S=st.integers(1, 3), n=st.integers(1, 14),
+        kind=st.sampled_from([WalkKind.X, WalkKind.Y]), cap=st.integers(0, 2),
+        a=gaussian_rationals, b=gaussian_rationals,
+        zs=st.lists(sample_z, min_size=1, max_size=5),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_one_call_per_z(self, R, S, n, kind, cap, a, b, zs):
+        if a.is_zero() or b.is_zero():
+            return
+        _, params = two_term(a, b, R, S)
+        shells = range(cap + 1)
+        singles = [sums_outcome(lambda z=z: shell_sums(params, n, kind, shells, (z,))[0])
+                   for z in zs]
+        # the first z whose DP meets a zero denominator decides the error
+        want = next((o for o in singles if isinstance(o, tuple)), singles)
+        assert sums_outcome(lambda: shell_sums(params, n, kind, shells, zs)) == want
+
+    def test_singular_z_raises_at_the_same_position(self):
+        _, params = two_term(1, 1, 1, 3)
+        zs = (GaussianRational(), GaussianRational(0, Fraction(1)), GaussianRational.of(24))
+        with pytest.raises(WalkSingularityError) as single:
+            shell_sums(params, 5, WalkKind.X, range(2), zs[2:])
+        with pytest.raises(WalkSingularityError) as many:
+            shell_sums(params, 5, WalkKind.X, range(2), zs)
+        assert (many.value.n, many.value.t, many.value.vertex) == (5, 1, -7)
+        assert (single.value.t, single.value.vertex) == (many.value.t, many.value.vertex)
+        assert shell_sums(params, 5, WalkKind.X, range(2), zs[:2]) == [
+            shell_sums(params, 5, WalkKind.X, range(2), (z,))[0] for z in zs[:2]]
 
 
 class TestFractionFreeLayers:
