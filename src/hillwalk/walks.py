@@ -17,7 +17,10 @@ walk by walk as their oracle.
 
 The DP is fraction-free, after Bareiss (Math. Comp. 1968): a layer holds
 Gaussian-integer numerators over one shared denominator, reduced by one
-gcd per layer; only the sums become GaussianRationals.
+gcd per layer; only the sums become GaussianRationals.  A second pass
+over the same reachability mask bounds how far the X/Y shell sums move on
+the disc |z| <= 1 (`disc_deviation_bound`), in fixed point with outward
+rounding.
 """
 
 from __future__ import annotations
@@ -213,6 +216,25 @@ def _over_common_denominator(
     ], q
 
 
+def _reach_mask(
+    offsets: Sequence[int], n: int, end: int, lengths: Iterable[int]
+) -> Tuple[Dict[int, int], int]:
+    """The reachability mask of walks that end at `end`: mask[v] has bit k
+    set when some admissible k-step tail over `offsets` leads from v to
+    `end`, for k up to the largest of `lengths`; and `want`, the bitmask of
+    `lengths`.  A prefix reaching u after t steps can still be completed
+    at a requested length iff (mask[u] << t) & want."""
+    lengths = list(lengths)
+    want = sum(1 << length for length in lengths)
+    mask: Dict[int, int] = {end: 1}
+    frontier = {end}
+    for k in range(1, max(lengths, default=0) + 1):
+        frontier = {u - x for u in frontier if k == 1 or abs(u) != n for x in offsets}
+        for v in frontier:
+            mask[v] = mask.get(v, 0) | 1 << k
+    return mask, want
+
+
 def _walk_sums(
     steps: Sequence[Tuple[int, GaussianRational]],
     n: int,
@@ -243,15 +265,8 @@ def _walk_sums(
     vertex raises WalkSingularityError at the smallest t, then the smallest
     vertex, for the first z of `zs` that has one."""
     zero = {length: GaussianRational() for length in lengths}
-    want = sum(1 << length for length in zero)
     top = max(zero, default=0)
-    # mask[v] has bit k set when some admissible k-step tail leads from v to end
-    mask: Dict[int, int] = {end: 1}
-    frontier = {end}
-    for k in range(1, top + 1):
-        frontier = {u - x for u in frontier if k == 1 or abs(u) != n for x, _ in steps}
-        for v in frontier:
-            mask[v] = mask.get(v, 0) | 1 << k
+    mask, want = _reach_mask([x for x, _ in steps], n, end, zero)
     coeffs, c_den = _over_common_denominator([c for _, c in steps])
     int_steps = [(x, g_re, g_im) for (x, _), (g_re, g_im) in zip(steps, coeffs)]
     results = []
@@ -315,8 +330,93 @@ def _walk_sums(
     return results
 
 
+# significant bits the disc bound keeps per layer
+_BOUND_BITS = 64
+
+
+def _dyadic(m: int, e: int) -> Fraction:
+    """m * 2^e, exactly."""
+    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
+
+
+def _disc_bound_sums(
+    offsets: Sequence[int], n: int, start: int, end: int, lengths: Iterable[int]
+) -> Dict[int, Tuple[Fraction, Fraction]]:
+    """For each requested step count k, (P1, P0): an upper bound of the sum
+    of prod_t 1/(|D_t| - 1) and a lower bound of the sum of prod_t 1/|D_t|
+    over the admissible k-step walks start -> end with steps `offsets`,
+    D_t = n^2 - j(t)^2 at the interior vertices (the caller guarantees
+    |D_t| >= 2 there).
+
+    The same transfer DP as `_walk_sums`, over the same reachability mask,
+    with unit coefficients and in fixed point: a layer holds integer
+    mantissas over one binary exponent e shared by the layer, for both
+    sums.  A vertex factor multiplies by 2^_BOUND_BITS and divides, then
+    the layer shifts right until its largest P1 mantissa has _BOUND_BITS
+    bits; P1 rounds up (ceiling division and shift) and P0 down (floor),
+    so neither underflows nor rounds the wrong way, however small the
+    products get.  Sums reaching `end` are exact dyadic Fractions."""
+    out: Dict[int, Tuple[Fraction, Fraction]] = {
+        length: (Fraction(0), Fraction(0)) for length in lengths}
+    mask, want = _reach_mask(offsets, n, end, out)
+    # vertex -> (P1 mantissa, P0 mantissa), both times 2^e
+    layer: Dict[int, Tuple[int, int]] = {start: (1, 1)}
+    e = 0
+    for t in range(1, max(out, default=0) + 1):
+        nxt: Dict[int, Tuple[int, int]] = {}
+        end1 = end0 = 0
+        for v, (m1, m0) in layer.items():
+            for x in offsets:
+                u = v + x
+                if u == end:
+                    end1 += m1
+                    end0 += m0
+                elif abs(u) != n and (mask.get(u, 0) << t) & want:
+                    old1, old0 = nxt.get(u, (0, 0))
+                    nxt[u] = (old1 + m1, old0 + m0)
+        if t in out:
+            out[t] = (_dyadic(end1, e), _dyadic(end0, e))
+        if not nxt:
+            break
+        for u, (m1, m0) in nxt.items():
+            d = abs(n * n - u * u)
+            nxt[u] = (-((-m1 << _BOUND_BITS) // (d - 1)), (m0 << _BOUND_BITS) // d)
+        e -= _BOUND_BITS
+        shift = max(m1.bit_length() for m1, _ in nxt.values()) - _BOUND_BITS
+        if shift > 0:
+            nxt = {u: (-(-m1 >> shift), m0 >> shift) for u, (m1, m0) in nxt.items()}
+            e += shift
+        layer = nxt
+    return out
+
+
+def _sqrt_upper(q: Fraction) -> Fraction:
+    """A dyadic upper bound of sqrt(q), q >= 0, to about _BOUND_BITS bits:
+    with X = ceil(q 4^k) for an integer k, sqrt(q) <= ceil(sqrt(X)) / 2^k."""
+    num, den = q.numerator, q.denominator
+    k = (2 * _BOUND_BITS - num.bit_length() + den.bit_length()) // 2
+    x = -((-num << 2 * k) // den) if k >= 0 else -(-num // (den << -2 * k))
+    r = math.isqrt(x)
+    return _dyadic(r + (r * r < x), -k)
+
+
 # (X-walk, Y-walk) shell caps of beta_plus / beta_minus and the criteria
 DEFAULT_SHELL_CAPS = (3, 2)
+
+
+def _shell_walks(
+    params: TwoTermParams, n: int, kind: WalkKind, shells: Sequence[int]
+) -> Optional[Tuple[List[ShellSteps], int, int]]:
+    """The step counts of each shell in `shells` and the start and end of
+    its X or Y walks, or None when d does not divide n: then no shell has a
+    step-count solution."""
+    if kind is WalkKind.W:
+        raise ValueError("shell sums cover kinds X and Y; use alpha_n for W")
+    counts = [shell_step_counts(params, n, kind, k) for k in shells]
+    if counts[0] is None:
+        return None
+    start = _START_SIGN[kind] * n
+    return counts, start, start + _STEP_SUM_FACTOR[kind] * n
 
 
 def shell_sums(
@@ -330,18 +430,49 @@ def shell_sums(
     one list per z of `zs`, from one engine call: shell k holds the walks of
     t0 + k(r+s) steps, so a step count names its shell.  Infeasible shells
     sum to zero."""
-    if kind is WalkKind.W:
-        raise ValueError("shell sums cover kinds X and Y; use alpha_n for W")
-    counts = [shell_step_counts(params, n, kind, k) for k in shells]
-    if counts[0] is None:
-        # d does not divide n: no shell has a step-count solution
-        return [[GaussianRational() for _ in counts] for _ in zs]
+    lattice = _shell_walks(params, n, kind, shells)
+    if lattice is None:
+        return [[GaussianRational() for _ in shells] for _ in zs]
+    counts, start, end = lattice
     lengths = [c.total for c in counts]
-    start = _START_SIGN[kind] * n
-    end = start + _STEP_SUM_FACTOR[kind] * n
     steps = ((-2 * params.R, params.a), (2 * params.S, params.b))
     return [[sums[length] for length in lengths]
             for sums in _walk_sums(steps, n, start, end, lengths, zs)]
+
+
+def disc_deviation_bound(
+    params: TwoTermParams, n: int, kind: WalkKind, shells: Sequence[int]
+) -> Fraction:
+    """A rigorous upper bound of sup_{|z| <= 1} |B(z) - B(0)|, where B(z) is
+    the sum of h(x, z) over the X or Y walks of the shells in `shells`.
+
+    Proof.  Every vertex of such a walk is n plus an even number, and the
+    interior ones avoid +-n, so n - u and n + u are nonzero and even and
+    |D_u| = |n^2 - u^2| >= 4.  For |z| <= 1 put w_t = z / D_t, |w_t| <=
+    1/|D_t| <= 1/4; then h(x, z) = h(x, 0) prod_t 1 / (1 + w_t), and the
+    power series of prod_t 1 / (1 + w_t) - 1 is dominated termwise by that
+    of prod_t 1 / (1 - |w_t|) - 1, so
+
+        |h(x, z) - h(x, 0)| <= prod |V| (prod 1/(|D_t| - 1) - prod 1/|D_t|).
+
+    The walks of one shell share their step counts (neg, pos), so prod |V|
+    = |a|^neg |b|^pos on the whole shell, and summing over its walks gives
+    A (P1 - P0), P1 and P0 the sums of the two products.  The bound is the
+    sum over the shells of an upper bound of A = sqrt(|a|^2neg |b|^2pos)
+    times an upper bound of P1 minus a lower bound of P0
+    (`_disc_bound_sums`)."""
+    lattice = _shell_walks(params, n, kind, shells)
+    if lattice is None:
+        return Fraction(0)
+    counts, start, end = lattice
+    sums = _disc_bound_sums((-2 * params.R, 2 * params.S), n, start, end,
+                            [c.total for c in counts])
+    a2, b2 = params.a.abs2(), params.b.abs2()
+    total = Fraction(0)
+    for c in counts:
+        p1, p0 = sums[c.total]
+        total += _sqrt_upper(a2 ** c.neg * b2 ** c.pos) * (p1 - p0)
+    return total
 
 
 def shell_sum(

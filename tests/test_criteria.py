@@ -1,5 +1,6 @@
 """Basis verdicts: exact weight ratios, index families, analytic rules."""
 
+import ast
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 from hillwalk import beta, criteria, spectra, walks
 from hillwalk.beta import beta_minus, beta_plus
 from hillwalk.criteria import (
+    DESK_SCALE_CAVEAT,
+    STABILITY_SAMPLES,
     BasisVerdict,
     DegenerateRatioError,
     IndexSet,
@@ -302,6 +305,36 @@ def _weights_from_beta(pot, params, n, zs=(0,)):
             for z in zs]
 
 
+def _five_z_verdict(pot, params, index_set, weights=criteria._weights):
+    """criterion1_verdict as it was before the disc bound: both kinds summed
+    exactly at z = 0 and at every stability sample, with no certificate."""
+    ns = index_set.indices(params)
+    rows, squares, failures = [], [], []
+    for n in ns:
+        if structurally_zero(params, n):
+            rows.append({"n": n, "class": "delta0", "t": None})
+            continue
+        base, *moved_weights = weights(pot, params, n, (0,) + STABILITY_SAMPLES)
+        if any(w.is_zero() for w in base):
+            raise DegenerateRatioError(f"beta vanishes numerically at n={n} though walks exist")
+        sq = t_n_squared(*base)
+        squares.append(sq)
+        rows.append({"n": n, "class": "delta1", "t": _sqrt_float(sq)})
+        for z, moved in zip(STABILITY_SAMPLES, moved_weights):
+            for fixed, value in zip(base, moved):
+                if not (4 * value.abs2() >= fixed.abs2() and value.abs2() <= 4 * fixed.abs2()):
+                    failures.append((n, str(z)))
+    caveats = [DESK_SCALE_CAVEAT, "two-sided z-stability sampled at z in {0, 1, -1, i, -i} only"]
+    if failures:
+        caveats.append(f"two-sided stability violated at {failures}")
+    if not squares:
+        conclusion = "contains-basis"
+        caveats.append("all indices structurally degenerate: weight functionals vanish identically")
+    else:
+        conclusion = _threshold_conclusion(squares)
+    return BasisVerdict(index_set.describe(), tuple(rows), conclusion, tuple(caveats))
+
+
 def _verdict_outcome(compute):
     try:
         return compute()
@@ -309,43 +342,54 @@ def _verdict_outcome(compute):
         return (type(err), str(err))
 
 
+def _stability_failures(verdict):
+    """The (n, z) entries of the verdict's stability caveat, in order."""
+    prefix = "two-sided stability violated at "
+    return next((ast.literal_eval(c.removeprefix(prefix))
+                 for c in verdict.caveats if c.startswith(prefix)), [])
+
+
 _gaussian = st.builds(
     lambda p, q, u, v: GaussianRational(Fraction(p, q), Fraction(u, v)),
     st.integers(-4, 4).filter(bool), st.integers(1, 4), st.integers(-4, 4), st.integers(1, 4),
 )
+# a = 3 + 2i, b = -4 + i/2 at R = 2, S = 4: delta0 rows and stability violations
+_VIOLATING = (GaussianRational(Fraction(3), Fraction(2)),
+              GaussianRational(Fraction(-4), Fraction(1, 2)), 2, 4)
 
 
 @given(R=st.integers(1, 4), S=st.integers(1, 4), a=_gaussian, b=_gaussian,
        ns=st.lists(st.integers(1, 12), min_size=1, max_size=6))
-@example(R=2, S=4, a=GaussianRational(Fraction(3), Fraction(2)),
-         b=GaussianRational(Fraction(-4), Fraction(1, 2)), ns=list(range(1, 13)))
+@example(R=_VIOLATING[2], S=_VIOLATING[3], a=_VIOLATING[0], b=_VIOLATING[1],
+         ns=list(range(1, 13)))
 @settings(max_examples=40, deadline=None)
 def test_criterion1_matches_beta_at_each_z(R, S, a, b, ns):
-    """Rows, stability caveats and conclusion equal those built from
-    beta_plus / beta_minus at z = 0 and at each stability sample.  With
+    """Rows, stability caveats and conclusion equal those of the five-z loop
+    on beta_plus / beta_minus at z = 0 and at each stability sample.  With
     d = gcd(R, S) > 1 the indices off the multiples of d are delta0 rows;
     the example has R != S, delta0 rows and stability violations."""
     pot, params = two_term(a, b, R, S)
     iset = IndexSet("explicit", 1, 12, explicit=tuple(ns))
     got = _verdict_outcome(lambda: criterion1_verdict(pot, params, iset))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(criteria, "_weights", _weights_from_beta)
-        want = _verdict_outcome(lambda: criterion1_verdict(pot, params, iset))
+    want = _verdict_outcome(lambda: _five_z_verdict(pot, params, iset, _weights_from_beta))
     assert got == want
 
 
 def test_criterion1_matches_beta_on_a_violating_family():
-    pot, params = two_term(GaussianRational(Fraction(3), Fraction(2)),
-                           GaussianRational(Fraction(-4), Fraction(1, 2)), 2, 4)
-    v = criterion1_verdict(pot, params, IndexSet("explicit", 1, 12, explicit=tuple(range(1, 13))))
+    pot, params = two_term(*_VIOLATING)
+    iset = IndexSet("explicit", 1, 12, explicit=tuple(range(1, 13)))
+    v = criterion1_verdict(pot, params, iset)
     assert [r["class"] for r in v.rows] == ["delta0", "delta1"] * 6
     assert v.caveats[-1].startswith("two-sided stability violated at [(6, '1'), (6, '-1'),")
+    assert v == _five_z_verdict(pot, params, iset)
 
 
 def test_reports_call_no_beta_and_lay_one_mask_per_n_and_kind(monkeypatch):
     """Criterion 1 and the analytic reports take their weights from the walk
     engine: no beta function, no tail, and one engine call (one reachability
-    mask) per (n, kind), criterion 1 with z = 0 and its four samples in it."""
+    mask) per (n, kind) at z = 0.  Criterion 1 adds one call with its four
+    samples for each (n, kind) the disc bound leaves undecided: here the X
+    walks at n = 6 and n = 10, where the samples violate the bound."""
     def refuse(*args, **kwargs):
         raise AssertionError("a verdict report called into beta")
 
@@ -361,14 +405,60 @@ def test_reports_call_no_beta_and_lay_one_mask_per_n_and_kind(monkeypatch):
     monkeypatch.setattr(walks, "_walk_sums", counted)
     pot, params = two_term(1, 2, 2, 4)
     v = criterion1_verdict(pot, params, IndexSet("explicit", 1, 10, explicit=tuple(range(1, 11))))
-    assert sorted(calls) == [(n, start, 5) for n in (2, 4, 6, 8, 10) for start in (-n, n)]
+    assert sorted(calls) == sorted([(n, start, 1) for n in (2, 4, 6, 8, 10) for start in (-n, n)]
+                                   + [(6, -6, 4), (10, -10, 4)])
     assert [r["n"] for r in v.rows if r["class"] == "delta1"] == [2, 4, 6, 8, 10]
+    assert [n for n, _ in _stability_failures(v)] == [6] * 4 + [10] * 4
     for report, ns in ((lambda: theorem31_report(1, 2, 1, 3, [1, 2, 3]), (3, 6, 9)),
                        (lambda: theorem5_report(1, 1, 3, [2, 3, 4]), (5, 8, 11)),
                        (lambda: prop20_verdict(1, 2, 2, "per+"), (2, 4, 6, 8, 10, 12))):
         calls.clear()
         report()
         assert sorted(calls) == [(n, start, 1) for n in ns for start in (-n, n)]
+
+
+def test_criterion1_matches_the_five_z_loop_below_the_double_range():
+    """At n = 92, R = S = 1, every X walk passes each vertex of the straight
+    one, so its prod 1/|D| is below the straight walk's, which is below
+    2^-1074, the smallest positive double.  a b = -85000 puts beta^+(0) near
+    a root of its shell polynomial, so the samples violate the two-sided
+    bound there.  A disc bound that flushed to zero would certify the kind
+    and miss them."""
+    n = 92
+    straight = 1
+    for u in range(-n + 2, n, 2):
+        straight *= n * n - u * u
+    assert Fraction(1, straight) < Fraction(1, 2**1074)
+    pot, params = two_term(291, Fraction(-85000, 291), 1, 1)
+    iset = IndexSet("explicit", n, n, explicit=(n,))
+    v = criterion1_verdict(pot, params, iset)
+    assert v.caveats[-1] == (
+        "two-sided stability violated at [(92, '1'), (92, '-1'), (92, '0+1i'), (92, '0-1i')]")
+    assert v == _five_z_verdict(pot, params, iset)
+
+
+_CONJUGATE_SAMPLE = {"1": "1", "-1": "-1", "0+1i": "0-1i", "0-1i": "0+1i"}
+
+
+@given(R=st.integers(1, 4), S=st.integers(1, 4), a=_gaussian, b=_gaussian,
+       ns=st.lists(st.integers(1, 12), min_size=1, max_size=6))
+@example(R=_VIOLATING[2], S=_VIOLATING[3], a=_VIOLATING[0], b=_VIOLATING[1],
+         ns=list(range(1, 13)))
+@settings(max_examples=40, deadline=None)
+def test_criterion1_commutes_with_conjugation(R, S, a, b, ns):
+    """beta(z) of conj a, conj b is conj beta(conj z): the rows and the
+    conclusion stay, and the stability failures map z -> conj z as a
+    multiset."""
+    iset = IndexSet("explicit", 1, 12, explicit=tuple(ns))
+    plain, conjugated = (
+        _verdict_outcome(lambda: criterion1_verdict(*two_term(*coeffs, R, S), iset))
+        for coeffs in ((a, b), (a.conjugate(), b.conjugate())))
+    if not isinstance(plain, BasisVerdict):
+        assert conjugated == plain
+        return
+    assert (conjugated.rows, conjugated.conclusion) == (plain.rows, plain.conclusion)
+    assert sorted(_stability_failures(conjugated)) == sorted(
+        (n, _CONJUGATE_SAMPLE[z]) for n, z in _stability_failures(plain))
 
 
 @pytest.mark.parametrize("other", [(1, 3, 1, 3), (1, 2, 1, 1), (2, 1, 1, 3)])

@@ -122,14 +122,19 @@ def test_module_layers(path):
     assert set(_hillwalk_imports(ast.parse(path.read_text()))) == LAYERS[path.stem]
 
 
-@pytest.mark.parametrize("preset", ["thm31", "crit-compare"])
-def test_verdict_loads_no_numpy(preset):
+@pytest.mark.parametrize("args", [
+    ["--preset", "thm31"],
+    ["--preset", "crit-compare"],
+    ["--potential", '{"a":"1","b":"1","R":1,"S":3}', "--delta", "explicit:5,8,11,14"],
+], ids=["thm31", "crit-compare", "criterion1"])
+def test_verdict_loads_no_numpy(args):
     """numpy is imported only where a truncation is assembled; no verdict
-    path assembles one, the concordance's refinement included."""
+    path assembles one, the concordance's refinement and the first
+    criterion's disc bound included."""
     paths = [str(Path(hillwalk.__file__).parents[1]), os.environ.get("PYTHONPATH")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     child = ("import sys\nfrom hillwalk import cli\n"
-             f"code = cli.main(['verdict', '--preset', {preset!r}])\n"
+             f"code = cli.main(['verdict', *{args!r}])\n"
              "print(code, 'numpy' in sys.modules, file=sys.stderr)")
     proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env)
     assert proc.stderr == "0 False\n"

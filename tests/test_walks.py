@@ -9,12 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hillwalk.beta import alpha_n, beta_minus, beta_plus
+from hillwalk.criteria import STABILITY_SAMPLES
 from hillwalk.numerics import GaussianRational
 from hillwalk.potential import FourierPotential, two_term
 from hillwalk.walks import (
     Walk,
     WalkKind,
     WalkSingularityError,
+    _disc_bound_sums,
+    _sqrt_upper,
+    disc_deviation_bound,
     enumerate_closed,
     shell_step_counts,
     shell_sum,
@@ -448,3 +452,104 @@ class TestFractionFreeLayers:
             ends = [g for (_, g), (first, _) in zip(calls, calls[1:] + [(None, None)])
                     if first != g]
             assert any(g > 1 for g in ends)
+
+
+def exact_products(params, n, kind, shell):
+    """(P1, P0): the sums of prod 1/(|D_t| - 1) and of prod 1/|D_t| over the
+    walks of one shell, walk by walk in Fractions."""
+    p1 = p0 = Fraction(0)
+    for w in enumerate_shell(params, n, kind, shell):
+        q1 = q0 = Fraction(1)
+        for u in vertices(w)[1:-1]:
+            d = abs(n * n - u * u)
+            q1 /= d - 1
+            q0 /= d
+        p1 += q1
+        p0 += q0
+    return p1, p0
+
+
+def bound_products(params, n, kind, shell):
+    """(P1, P0) of one shell from the fixed-point bound pass."""
+    counts = shell_step_counts(params, n, kind, shell)
+    start = -n if kind is WalkKind.X else n
+    sums = _disc_bound_sums((-2 * params.R, 2 * params.S), n, start, -start, [counts.total])
+    return sums[counts.total]
+
+
+gaussian_up_to_8 = st.builds(
+    lambda p, q, u, v: GaussianRational(Fraction(p, q), Fraction(u, v)),
+    st.integers(-8, 8), st.integers(1, 8), st.integers(-8, 8), st.integers(1, 8),
+).filter(lambda g: not g.is_zero())
+
+
+class TestDiscBound:
+    """disc_deviation_bound bounds |B(z) - B(0)| over |z| <= 1; its
+    fixed-point pass rounds P1 up and P0 down."""
+
+    @given(
+        R=st.integers(1, 4), S=st.integers(1, 4), n=st.integers(1, 14),
+        kind=st.sampled_from([WalkKind.X, WalkKind.Y]), cap=st.integers(0, 3),
+        a=gaussian_up_to_8, b=gaussian_up_to_8,
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_bounds_the_deviation_at_the_samples(self, R, S, n, kind, cap, a, b):
+        """At z = 1, -1, i, -i, |B(z) - B(0)|^2 <= bound^2 exactly, and when
+        the bound certifies (4 bound^2 <= |B(0)|^2) the factor-2 test passes."""
+        _, params = two_term(a, b, R, S)
+        shells = range(cap + 1)
+        bound = disc_deviation_bound(params, n, kind, shells)
+        base, *moved = (sum(sums, GaussianRational())
+                        for sums in shell_sums(params, n, kind, shells, (0,) + STABILITY_SAMPLES))
+        assert bound >= 0
+        for value in moved:
+            assert (value - base).abs2() <= bound ** 2
+            if 4 * bound ** 2 <= base.abs2():
+                assert 4 * value.abs2() >= base.abs2() and value.abs2() <= 4 * base.abs2()
+
+    def test_is_attained_at_minus_one_inside_the_band(self):
+        """Every interior vertex of the one X walk of shell 0 at R = S = 1
+        has D > 0, so at z = -1 each factor is exactly D/(D - 1): the bound
+        meets the deviation there, up to its rounding."""
+        _, params = two_term(1, 1, 1, 1)
+        for n in range(2, 9):
+            (base, moved), = zip(*shell_sums(params, n, WalkKind.X, (0,), (0, -1)))
+            deviation = abs((moved - base).re)
+            bound = disc_deviation_bound(params, n, WalkKind.X, (0,))
+            assert deviation <= bound <= deviation * (1 + Fraction(1, 2**50))
+
+    @pytest.mark.parametrize("R,S", [(1, 1), (1, 3), (2, 3), (3, 2)])
+    def test_fixed_point_brackets_the_exact_products(self, R, S):
+        _, params = two_term(1, 1, R, S)
+        for n in range(1, 13):
+            for kind in (WalkKind.X, WalkKind.Y):
+                for shell in range(3):
+                    if shell_step_counts(params, n, kind, shell) is None:
+                        continue
+                    p1, p0 = exact_products(params, n, kind, shell)
+                    got1, got0 = bound_products(params, n, kind, shell)
+                    assert p1 <= got1 <= p1 * (1 + Fraction(1, 2**50))
+                    assert p0 * (1 - Fraction(1, 2**50)) <= got0 <= p0
+
+    def test_products_below_the_double_range_stay_positive(self):
+        """At n = 92 the one walk of shell 0 has prod 1/|D| < 2^-1074, the
+        smallest positive double; the pass still brackets it."""
+        _, params = two_term(1, 1, 1, 1)
+        p1, p0 = exact_products(params, 92, WalkKind.X, 0)
+        assert p0 < Fraction(1, 2**1074)
+        got1, got0 = bound_products(params, 92, WalkKind.X, 0)
+        assert p1 <= got1 <= p1 * (1 + Fraction(1, 2**50))
+        assert 0 < p0 * (1 - Fraction(1, 2**50)) <= got0 <= p0
+
+    @given(num=st.integers(0, 2**300), den=st.integers(1, 2**300))
+    @settings(max_examples=200, deadline=None)
+    def test_sqrt_upper_rounds_up_tightly(self, num, den):
+        q = Fraction(num, den)
+        root = _sqrt_upper(q)
+        assert root ** 2 >= q
+        assert (root * (1 - Fraction(1, 2**60))) ** 2 <= q
+
+    def test_w_kind_rejected(self):
+        _, params = two_term(1, 1, 1, 1)
+        with pytest.raises(ValueError):
+            disc_deviation_bound(params, 4, WalkKind.W, (1,))
