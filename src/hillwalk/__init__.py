@@ -39,7 +39,6 @@ from .beta import (
     h_star_minus,
     h_star_plus,
     ratio_H,
-    tail_bound_report,
 )
 from .spectra import (
     BoundaryCondition,

@@ -1,9 +1,10 @@
 """Walk-sum functionals and their closed forms.
 
-beta_plus / beta_minus sum exact walk weights over shells of X / Y walks for
-a two-term potential; alpha_n sums closed walks of bounded step count for any
-potential.  The closed forms cover: the single-walk shells at n = r s d m,
-the boundary-walk sums H_minus / H_plus at n = s m - 1 (r = 1), the A_alpha
+beta_plus / beta_minus sum exact walk weights over shells 0..cap of X / Y
+walks for a two-term potential, and alpha_n closed walks of bounded step
+count for any potential; nothing estimates the walks past the cap.  The
+closed forms cover: the single-walk shells at n = r s d m, the
+boundary-walk sums H_minus / H_plus at n = s m - 1 (r = 1), the A_alpha
 coefficient family with its convolution identity, and the leading-order
 asymptotics used by the basis criteria.  Everything stays exact.
 """
@@ -13,59 +14,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
-from .numerics import GaussianRational, ScalarLike, abs_value, gamma_product_identity
+from .numerics import GaussianRational, ScalarLike, gamma_product_identity
 from .potential import FourierPotential, TwoTermParams
 from .walks import DEFAULT_SHELL_CAPS, WalkKind, closed_sum, shell_sums
 
 
 @dataclass(frozen=True)
 class BetaValue:
-    """Exact truncated walk sum plus a heuristic tail estimate.
-
-    `value` is the exact sum over the computed shells; `tail_estimate` is
-    a nonnegative float (math.inf when the geometric heuristic does not
-    apply), never silently added to the value."""
+    """Exact walk sum over the computed shells (or closed walks)."""
 
     value: GaussianRational
-    tail_estimate: float
-
-    def __post_init__(self) -> None:
-        if not (self.tail_estimate >= 0 or math.isinf(self.tail_estimate)):
-            raise ValueError("tail_estimate must be nonnegative or inf")
-
-
-def _coefficient_norm(params: TwoTermParams) -> float:
-    return max(abs_value(params.a), abs_value(params.b))
-
-
-def tail_bound_report(
-    params: TwoTermParams,
-    n: int,
-    kind: WalkKind,
-    shell_sums: Sequence[GaussianRational],
-) -> float:
-    """Heuristic geometric tail after the last computed shell.
-
-    Estimate |last shell| * rho / (1 - rho) with per-shell decay
-    rho = (T/n)^(r+s) for X and rho = (T/2n)^(s+1) * (s+2) n for Y,
-    T = max(|a|, |b|).  Returns math.inf (the "unbounded" flag) once
-    rho >= 1/2; the estimate is a heuristic, not a proven bound."""
-    if not shell_sums:
-        raise ValueError("tail_bound_report needs at least one computed shell")
-    T = _coefficient_norm(params)
-    r, s = params.r, params.s
-    if kind is WalkKind.X:
-        rho = (T / n) ** (r + s)
-    elif kind is WalkKind.Y:
-        rho = (T / (2 * n)) ** (s + 1) * (s + 2) * n
-    else:
-        raise ValueError("tail_bound_report covers kinds X and Y")
-    if rho >= 0.5:
-        return math.inf
-    last = abs_value(shell_sums[-1])
-    return last * rho / (1.0 - rho)
 
 
 def _beta(
@@ -80,22 +40,14 @@ def _beta(
         raise ValueError(f"n must be a positive integer, got {n}")
     if shell_cap < 0:
         raise ValueError(f"shell_cap must be >= 0, got {shell_cap}")
-    zg = GaussianRational.of(z)
+    GaussianRational.of(z)  # a bad z fails here, even where no walk exists
     if pot.is_empty():
-        return BetaValue(GaussianRational(), 0.0)
+        return BetaValue(GaussianRational())
     if params is None:
         params = TwoTermParams.from_potential(pot)
     if (pot.coefficient(-2 * params.R), pot.coefficient(2 * params.S)) != (params.a, params.b):
         raise ValueError("params do not match the potential coefficients")
-    if n % params.d != 0:
-        # no step-count solution at all: identically zero, exact at any cap
-        return BetaValue(GaussianRational(), 0.0)
-    (sums,) = shell_sums(params, n, kind, range(shell_cap + 1), (zg,))
-    total = GaussianRational()
-    for s_k in sums:
-        total = total + s_k
-    tail = tail_bound_report(params, n, kind, sums)
-    return BetaValue(total, tail)
+    return BetaValue(sum(shell_sums(params, n, kind, range(shell_cap + 1), z), GaussianRational()))
 
 
 def beta_plus(
@@ -126,28 +78,10 @@ def alpha_n(
     z: ScalarLike = 0,
     step_cap: int = 8,
 ) -> BetaValue:
-    """Exact sum of closed-walk weights with at most step_cap steps.
-
-    No closed-form tail is available for closed walks; for two-term
-    potentials the X-kind geometric ratio is reused as a heuristic (closed
-    shells also grow by r+s steps), otherwise the tail reads math.inf."""
+    """Exact sum of closed-walk weights with at most step_cap steps."""
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
-    zg = GaussianRational.of(z)
-    total = closed_sum(pot, n, step_cap, zg)
-    if pot.is_empty():
-        tail = 0.0
-    else:
-        try:
-            params = TwoTermParams.from_potential(pot)
-        except ValueError:
-            params = None
-        if params is None or total.is_zero():
-            # no anchor for the geometric estimate: report unknown, not 0
-            tail = math.inf
-        else:
-            tail = tail_bound_report(params, n, WalkKind.X, [total])
-    return BetaValue(total, tail)
+    return BetaValue(closed_sum(pot, n, step_cap, z))
 
 
 # -- closed forms ----------------------------------------------------------

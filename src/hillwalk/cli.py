@@ -299,13 +299,14 @@ def _emit(text: str, config: dict) -> None:
 
 
 def _dump(payload, config: dict) -> None:
-    _emit(json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n", config)
+    # a non-finite float raises ValueError (exit 4) rather than print non-JSON
+    _emit(json.dumps(_jsonable(payload), sort_keys=True, indent=2, allow_nan=False) + "\n", config)
 
 
 # -- subcommands -----------------------------------------------------------
 
-_BETA_COLUMNS = ("n", "beta_plus", "beta_plus_float", "tail_plus", "beta_minus",
-                 "beta_minus_float", "tail_minus", "alpha", "alpha_float", "closed_plus")
+_BETA_COLUMNS = ("n", "beta_plus", "beta_plus_float", "beta_minus", "beta_minus_float",
+                 "alpha", "alpha_float", "closed_plus")
 
 
 def _closed_plus(params: Optional[TwoTermParams], n: int, z: GaussianRational):
@@ -333,18 +334,15 @@ def cmd_beta(config: dict) -> int:
         bp = beta_plus(pot, params, n, z=z) if params else None
         bm = beta_minus(pot, params, n, z=z) if params else None
         al = alpha_n(pot, n, z=z)
-        closed = _closed_plus(params, n, z)
         rows.append({
             "n": n,
             "beta_plus": bp.value if bp else None,
             "beta_plus_float": complex(bp.value) if bp else None,
-            "tail_plus": bp.tail_estimate if bp else None,
             "beta_minus": bm.value if bm else None,
             "beta_minus_float": complex(bm.value) if bm else None,
-            "tail_minus": bm.tail_estimate if bm else None,
             "alpha": al.value,
             "alpha_float": complex(al.value),
-            "closed_plus": closed,
+            "closed_plus": _closed_plus(params, n, z),
         })
     if config.get("format", "csv") == "json":
         _dump({"z": z, "caps": list(DEFAULT_SHELL_CAPS), "rows": rows}, config)

@@ -7,10 +7,11 @@ Three routes to the same question, evaluated over an index family Delta:
   3. the Dirichlet deviation |lam^+ - mu_n| against the pair gap.
 
 Criterion-1 verdicts and the analytic reports take beta^+- at z = 0 as
-exact walk sums up to fixed shell caps, straight from the walk engine and
-with no tail estimate, one engine call per (n, kind).  Criterion 1 checks
-its z-stability with a bound over the whole disc |z| <= 1 and sums the
-four samples only for an (n, kind) the bound cannot decide.  The
+exact walk sums up to fixed shell caps, straight from the walk engine,
+one engine call per (n, kind); the shells past the caps are left out.
+Criterion 1 checks its z-stability with a bound over the whole disc
+|z| <= 1 and sums the four samples, one engine call each, only for an
+(n, kind) the bound cannot decide.  The
 concordance takes them for routes 1 and 2 from the pair's 2x2 Schur
 complement at z = 0 and at z * (`pair_couplings`): sums over every walk
 of the cut-off lattice.
@@ -24,13 +25,14 @@ and the numbers are attached as corroboration only.
 """
 
 import math
+import sys
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 import mpmath
 
-from .numerics import GaussianRational, abs_value
+from .numerics import DEFAULT_PRECISION, GaussianRational, abs_value, fraction_to_mpf
 from .potential import FourierPotential, TwoTermParams, two_term
 from .spectra import (
     REFINE_PRECISION,
@@ -154,24 +156,31 @@ _KIND_SHELLS = tuple((kind, range(cap + 1))
                      for kind, cap in zip((WalkKind.X, WalkKind.Y), DEFAULT_SHELL_CAPS))
 
 
-def _kind_sums(params, n, kind, shells, zs):
-    """Exact beta of one kind at each z of zs, from one engine call."""
-    return [sum(sums, GaussianRational()) for sums in shell_sums(params, n, kind, shells, zs)]
+def _kind_sum(params, n, kind, shells, z):
+    """Exact beta of one kind at z, from one engine call."""
+    return sum(shell_sums(params, n, kind, shells, z), GaussianRational())
 
 
-def _weights(pot, params, n, zs=(0,)):
-    """Exact (beta^+, beta^-) at each z of zs, each summed over its walk
-    shells 0..cap (DEFAULT_SHELL_CAPS), one engine call per kind."""
+def _weights(pot, params, n):
+    """Exact (beta^+(0), beta^-(0)), each summed over its walk shells
+    0..cap (DEFAULT_SHELL_CAPS), one engine call per kind."""
     if (pot.coefficient(-2 * params.R), pot.coefficient(2 * params.S)) != (params.a, params.b):
         raise ValueError("params do not match the potential coefficients")
-    plus, minus = (_kind_sums(params, n, kind, shells, zs) for kind, shells in _KIND_SHELLS)
-    return list(zip(plus, minus))
+    return tuple(_kind_sum(params, n, kind, shells, 0) for kind, shells in _KIND_SHELLS)
 
 
-def _sqrt_float(q: Fraction) -> float:
-    """sqrt of an exact nonnegative rational, rounded through mpf:
-    float(q) overflows on the collapsed ratios, this does not."""
-    return abs_value(GaussianRational(q)) ** 0.5
+def _sqrt_float(q: Fraction) -> Union[float, str]:
+    """sqrt of an exact nonnegative rational, through mpf so no quotient of
+    huge integers overflows: the float root of float(q), or past the normal
+    double range the root of the exact q, as a float where it fits and as a
+    string of 17 significant digits where a float would read inf or 0.0."""
+    square = abs_value(GaussianRational(q))
+    if q == 0 or sys.float_info.min <= square <= sys.float_info.max:
+        return square ** 0.5
+    root = mpmath.sqrt(fraction_to_mpf(q), prec=DEFAULT_PRECISION)
+    if sys.float_info.min <= float(root) <= sys.float_info.max:
+        return float(root)
+    return mpmath.nstr(root, 17, strip_zeros=False)
 
 
 def t_n_squared(bp: GaussianRational, bm: GaussianRational) -> Fraction:
@@ -186,11 +195,9 @@ def t_n_squared(bp: GaussianRational, bm: GaussianRational) -> Fraction:
 def structurally_zero(params: TwoTermParams, n: int) -> bool:
     """Whether beta_n^+- vanish identically: no walk reaches -n from n.
 
-    Decided by step-count feasibility, never numerically."""
-    plus = shell_step_counts(params, n, WalkKind.X, 0)
-    minus = shell_step_counts(params, n, WalkKind.Y, 0)
-    assert (plus is None) == (minus is None)
-    return plus is None
+    Decided by step-count feasibility, never numerically: X and Y walks
+    both exist exactly when d divides n."""
+    return shell_step_counts(params, n, WalkKind.X, 0) is None
 
 
 def criterion3_ratio(pair: SpectralPair) -> float:
@@ -239,8 +246,8 @@ def criterion1_verdict(
     eps >= sup |beta(z) - beta(0)| (`disc_deviation_bound`) has 2 eps <=
     |beta(0)| keeps |beta(z)| between |beta(0)|/2 and 3|beta(0)|/2 on the
     whole disc, so it passes every sample; only the other kinds are summed
-    at the samples.  The failures listed are the samples' own, in the same
-    order."""
+    at the samples, one z per engine call.  The failures listed are the
+    samples' own, in the same order."""
     ns = index_set.indices(params)
     if not ns:
         raise ValueError(f"empty index set: {index_set.describe()}")
@@ -251,7 +258,7 @@ def criterion1_verdict(
         if structurally_zero(params, n):
             rows.append({"n": n, "class": "delta0", "t": None})
             continue
-        (base,) = _weights(pot, params, n)
+        base = _weights(pot, params, n)
         if any(w.is_zero() for w in base):
             raise DegenerateRatioError(
                 f"beta vanishes numerically at n={n} though walks exist"
@@ -259,15 +266,13 @@ def criterion1_verdict(
         sq = t_n_squared(*base)
         squares.append(sq)
         rows.append({"n": n, "class": "delta1", "t": _sqrt_float(sq)})
-        # per kind: None when the disc bound certifies it, else its sample sums
-        moved = [None if 4 * disc_deviation_bound(params, n, kind, shells) ** 2 <= fixed.abs2()
-                 else _kind_sums(params, n, kind, shells, STABILITY_SAMPLES)
+        # per kind: |beta|^2 at each sample, or none where the disc bound certifies it
+        moved = [[] if 4 * disc_deviation_bound(params, n, kind, shells) ** 2 <= fixed.abs2()
+                 else [_kind_sum(params, n, kind, shells, z).abs2() for z in STABILITY_SAMPLES]
                  for fixed, (kind, shells) in zip(base, _KIND_SHELLS)]
         for i, z in enumerate(STABILITY_SAMPLES):
-            for fixed, sums in zip(base, moved):
-                if sums is not None and not (
-                        4 * sums[i].abs2() >= fixed.abs2() and sums[i].abs2() <= 4 * fixed.abs2()):
-                    stability_failures.append((n, str(z)))
+            stability_failures += [(n, str(z)) for fixed, sums in zip(base, moved)
+                                   if sums and not fixed.abs2() <= 4 * sums[i] <= 16 * fixed.abs2()]
     caveats = [DESK_SCALE_CAVEAT, "two-sided z-stability sampled at z in {0, 1, -1, i, -i} only"]
     if stability_failures:
         caveats.append(f"two-sided stability violated at {stability_failures}")
@@ -297,7 +302,7 @@ def _ratio_rows(pot, params, m_range, index_of):
     rows, squares = [], []
     for m in ms:
         n = index_of(m)
-        ((bp, bm),) = _weights(pot, params, n)
+        bp, bm = _weights(pot, params, n)
         if bp.is_zero() or bm.is_zero():
             raise DegenerateRatioError(f"vanishing weight sum at n={n}")
         sq = bm.abs2() / bp.abs2()
@@ -429,7 +434,7 @@ def prop20_verdict(
             rows.append({"n": n, "class": "delta0", "t": None})
         elif n % R == 0:
             # corroboration: t_n against the leading modulus ratio power
-            sq = t_n_squared(*_weights(pot, params, n)[0])
+            sq = t_n_squared(*_weights(pot, params, n))
             lead2 = q2 ** (n // R)
             corroborated &= Fraction(1, 4) <= sq / lead2 <= 4  # within factor 2 on t itself
             rows.append({"n": n, "class": "delta1", "t": _sqrt_float(sq),

@@ -11,9 +11,9 @@ For a two-term potential the steps are -2R and +2S, so a walk is an
 interleaving of step counts (neg, pos) solving  -2R neg + 2S pos = step sum.
 Solutions organize into shells: consecutive shells differ by (s, r) extra
 steps.  Every sum (X/Y shells, W closed walks over any support) comes from
-one transfer DP over (steps taken, vertex); closed-walk enumeration and
-`weight` are kept for walk inspection, and the tests enumerate shells
-walk by walk as their oracle.
+one transfer DP over (steps taken, vertex), at one z per call;
+closed-walk enumeration and `weight` are kept for walk inspection, and the
+tests enumerate shells walk by walk as their oracle.
 
 The DP is fraction-free, after Bareiss (Math. Comp. 1968): a layer holds
 Gaussian-integer numerators over one shared denominator, reduced by one
@@ -241,11 +241,10 @@ def _walk_sums(
     start: int,
     end: int,
     lengths: Iterable[int],
-    zs: Sequence[ScalarLike],
-) -> List[Dict[int, GaussianRational]]:
+    z: ScalarLike,
+) -> Dict[int, GaussianRational]:
     """Exact sums of h(x, z) over admissible walks start -> end, one per
-    requested step count, for each z of `zs` in turn; `steps` pairs each
-    step with its coefficient.
+    requested step count; `steps` pairs each step with its coefficient.
 
     Layer t maps a vertex to the weighted sum of admissible t-step prefixes
     ending there, held fraction-free: a Gaussian-integer numerator per
@@ -260,74 +259,67 @@ def _walk_sums(
 
     A vertex is kept only if `end` is reachable from it at a requested
     length (the mask: per vertex, a bitmask of step counts that reach
-    `end`).  The mask and the integer coefficients do not depend on z, so
-    they are built once for all of `zs`.  A zero denominator on a kept
-    vertex raises WalkSingularityError at the smallest t, then the smallest
-    vertex, for the first z of `zs` that has one."""
-    zero = {length: GaussianRational() for length in lengths}
-    top = max(zero, default=0)
-    mask, want = _reach_mask([x for x, _ in steps], n, end, zero)
+    `end`).  A zero denominator on a kept vertex raises
+    WalkSingularityError at the smallest t, then the smallest vertex."""
+    out = {length: GaussianRational() for length in lengths}
+    mask, want = _reach_mask([x for x, _ in steps], n, end, out)
     coeffs, c_den = _over_common_denominator([c for _, c in steps])
     int_steps = [(x, g_re, g_im) for (x, _), (g_re, g_im) in zip(steps, coeffs)]
-    results = []
-    for z in zs:
-        out = dict(zero)
-        ((p_re, p_im),), q = _over_common_denominator([GaussianRational.of(z)])
-        # vertex -> (m_re, m_im, d): 1 / (n^2 - u^2 + z) = (m_re + i m_im) / d, d > 0
-        scale: Dict[int, Tuple[int, int, int]] = {}
-        layer: Dict[int, Tuple[int, int]] = {start: (1, 0)}
-        den = 1
-        for t in range(1, top + 1):
-            nxt: Dict[int, Tuple[int, int]] = {}
-            end_re = end_im = 0
-            for v, (a, b) in layer.items():
-                for x, g_re, g_im in int_steps:
-                    u = v + x
-                    if u == end:
-                        if t in out:
-                            end_re += a * g_re - b * g_im
-                            end_im += a * g_im + b * g_re
-                    elif abs(u) != n and (mask.get(u, 0) << t) & want:
-                        re, im = a * g_re - b * g_im, a * g_im + b * g_re
-                        if u in nxt:
-                            old_re, old_im = nxt[u]
-                            nxt[u] = (old_re + re, old_im + im)
-                        else:
-                            nxt[u] = (re, im)
-            den *= c_den
-            if t in out:
-                out[t] = GaussianRational(Fraction(end_re, den), Fraction(end_im, den))
-            # a vertex already in `scale` passed the check, so only new ones can be singular
-            for u in sorted(u for u in nxt if u not in scale):
-                w_re = q * (n * n - u * u) + p_re
-                if w_re == 0 and p_im == 0:
-                    raise WalkSingularityError(n, t, u)
-                if p_im == 0:
-                    scale[u] = (q, 0, w_re) if w_re > 0 else (-q, 0, -w_re)
-                else:
-                    scale[u] = (q * w_re, -q * p_im, w_re * w_re + p_im * p_im)
-            # pairwise: unpacking a layer into one call builds large argument
-            # tuples whose frees fragment the heap and raise the peak RSS
-            lcm = 1
-            for u in nxt:
-                lcm = math.lcm(lcm, scale[u][2])
-            for u, (a, b) in nxt.items():
-                m_re, m_im, d = scale[u]
-                k = lcm // d
-                m_re, m_im = m_re * k, m_im * k
-                nxt[u] = (a * m_re - b * m_im, a * m_im + b * m_re)
-            den *= lcm
-            g = den
-            for a, b in nxt.values():
-                g = math.gcd(g, a, b)
-                if g == 1:
-                    break
-            if g > 1:
-                den //= g
-                nxt = {u: (a // g, b // g) for u, (a, b) in nxt.items()}
-            layer = nxt
-        results.append(out)
-    return results
+    ((p_re, p_im),), q = _over_common_denominator([GaussianRational.of(z)])
+    # vertex -> (m_re, m_im, d): 1 / (n^2 - u^2 + z) = (m_re + i m_im) / d, d > 0
+    scale: Dict[int, Tuple[int, int, int]] = {}
+    layer: Dict[int, Tuple[int, int]] = {start: (1, 0)}
+    den = 1
+    for t in range(1, max(out, default=0) + 1):
+        nxt: Dict[int, Tuple[int, int]] = {}
+        end_re = end_im = 0
+        for v, (a, b) in layer.items():
+            for x, g_re, g_im in int_steps:
+                u = v + x
+                if u == end:
+                    if t in out:
+                        end_re += a * g_re - b * g_im
+                        end_im += a * g_im + b * g_re
+                elif abs(u) != n and (mask.get(u, 0) << t) & want:
+                    re, im = a * g_re - b * g_im, a * g_im + b * g_re
+                    if u in nxt:
+                        old_re, old_im = nxt[u]
+                        nxt[u] = (old_re + re, old_im + im)
+                    else:
+                        nxt[u] = (re, im)
+        den *= c_den
+        if t in out:
+            out[t] = GaussianRational(Fraction(end_re, den), Fraction(end_im, den))
+        # a vertex already in `scale` passed the check, so only new ones can be singular
+        for u in sorted(u for u in nxt if u not in scale):
+            w_re = q * (n * n - u * u) + p_re
+            if w_re == 0 and p_im == 0:
+                raise WalkSingularityError(n, t, u)
+            if p_im == 0:
+                scale[u] = (q, 0, w_re) if w_re > 0 else (-q, 0, -w_re)
+            else:
+                scale[u] = (q * w_re, -q * p_im, w_re * w_re + p_im * p_im)
+        # pairwise: unpacking a layer into one call builds large argument
+        # tuples whose frees fragment the heap and raise the peak RSS
+        lcm = 1
+        for u in nxt:
+            lcm = math.lcm(lcm, scale[u][2])
+        for u, (a, b) in nxt.items():
+            m_re, m_im, d = scale[u]
+            k = lcm // d
+            m_re, m_im = m_re * k, m_im * k
+            nxt[u] = (a * m_re - b * m_im, a * m_im + b * m_re)
+        den *= lcm
+        g = den
+        for a, b in nxt.values():
+            g = math.gcd(g, a, b)
+            if g == 1:
+                break
+        if g > 1:
+            den //= g
+            nxt = {u: (a // g, b // g) for u, (a, b) in nxt.items()}
+        layer = nxt
+    return out
 
 
 # significant bits the disc bound keeps per layer
@@ -424,20 +416,18 @@ def shell_sums(
     n: int,
     kind: WalkKind,
     shells: Sequence[int],
-    zs: Sequence[ScalarLike],
-) -> List[List[GaussianRational]]:
+    z: ScalarLike,
+) -> List[GaussianRational]:
     """Exact sums of h(x, z) over the X or Y walks of each shell in `shells`,
-    one list per z of `zs`, from one engine call: shell k holds the walks of
-    t0 + k(r+s) steps, so a step count names its shell.  Infeasible shells
-    sum to zero."""
+    from one engine call: shell k holds the walks of t0 + k(r+s) steps, so
+    a step count names its shell.  Infeasible shells sum to zero."""
     lattice = _shell_walks(params, n, kind, shells)
     if lattice is None:
-        return [[GaussianRational() for _ in shells] for _ in zs]
+        return [GaussianRational() for _ in shells]
     counts, start, end = lattice
-    lengths = [c.total for c in counts]
     steps = ((-2 * params.R, params.a), (2 * params.S, params.b))
-    return [[sums[length] for length in lengths]
-            for sums in _walk_sums(steps, n, start, end, lengths, zs)]
+    sums = _walk_sums(steps, n, start, end, [c.total for c in counts], z)
+    return [sums[c.total] for c in counts]
 
 
 def disc_deviation_bound(
@@ -479,7 +469,7 @@ def shell_sum(
     params: TwoTermParams, n: int, kind: WalkKind, shell: int, z: ScalarLike
 ) -> GaussianRational:
     """Exact sum of h(x, z) over all admissible walks of one shell."""
-    return shell_sums(params, n, kind, (shell,), (z,))[0][0]
+    return shell_sums(params, n, kind, (shell,), z)[0]
 
 
 def closed_sum(pot: FourierPotential, n: int, step_cap: int, z: ScalarLike) -> GaussianRational:
@@ -487,5 +477,5 @@ def closed_sum(pot: FourierPotential, n: int, step_cap: int, z: ScalarLike) -> G
     steps over the full potential support."""
     if step_cap < 1:
         raise ValueError(f"step_cap must be >= 1, got {step_cap}")
-    (sums,) = _walk_sums(pot.coeffs, n, n, n, range(1, step_cap + 1), (z,))
-    return sum(sums.values(), GaussianRational())
+    return sum(_walk_sums(pot.coeffs, n, n, n, range(1, step_cap + 1), z).values(),
+               GaussianRational())

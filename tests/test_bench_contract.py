@@ -9,8 +9,11 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import random
 import re
 from pathlib import Path
+
+import pytest
 
 import hillwalk
 import hillwalk.cli  # noqa: F401  (the cli-presets workload calls hw.cli.main)
@@ -88,3 +91,25 @@ def test_traced_calls_feed_the_layer_figures():
     assert figures["numerics.result_bits"] > 0
     # the originals are back once the traced round ends
     assert not hasattr(hillwalk.assemble, "__wrapped__")
+
+
+@pytest.mark.parametrize("name", ["exact-sums", "dense-spectra", "refine-concordance",
+                                  "cli-presets"])
+def test_one_round_of_each_workload_passes_its_checks(monkeypatch, name):
+    """One round at seed 0, as bench/run.py draws it, with cli-presets in
+    process: every operation but the known-fault probe returns, and the
+    workload's own checks find no problem."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    cls = workloads.WORKLOADS[name]
+    extra = {"root": BENCH.parent, "in_process": True} if cls is workloads.CliPresets else {}
+    workload = cls(hillwalk, random.Random(f"{name}:0"), **extra)
+    results, raised = {}, []
+    for op in workload.ops():
+        try:
+            results[op.label] = op.call()
+        except Exception as err:
+            if not op.probe:
+                raised.append(f"{op.label}: {type(err).__name__}: {err}")
+    assert raised == []
+    assert workload.check(results) == []

@@ -1,4 +1,4 @@
-"""Functional values, closed forms, asymptotic constants, tail bounds."""
+"""Functional values, closed forms and asymptotic constants."""
 
 import math
 from fractions import Fraction
@@ -20,7 +20,6 @@ from hillwalk.beta import (
     h_star_minus,
     h_star_plus,
     ratio_H,
-    tail_bound_report,
 )
 from hillwalk.numerics import GaussianRational
 from hillwalk.potential import FourierPotential, two_term
@@ -54,7 +53,6 @@ class TestBetaValues:
             plus = beta_plus(pot, params, n, shell_cap=2)
             minus = beta_minus(pot, params, n, shell_cap=2)
             assert plus.value.is_zero() and minus.value.is_zero()
-            assert plus.tail_estimate == 0.0
 
     def test_equal_coefficients_symmetry(self):
         pot, params = two_term(1, 1, 1, 1)
@@ -76,9 +74,9 @@ class TestBetaValues:
     def test_empty_potential(self):
         pot = FourierPotential.of({})
         val = beta_plus(pot, None, 4, shell_cap=2)
-        assert val.value.is_zero() and val.tail_estimate == 0.0
+        assert val.value.is_zero()
         aval = alpha_n(pot, 4, step_cap=4)
-        assert aval.value.is_zero() and aval.tail_estimate == 0.0
+        assert aval.value.is_zero()
 
     def test_mismatched_params_rejected(self):
         pot, _ = two_term(1, 1, 1, 3)
@@ -101,7 +99,8 @@ class TestAlpha:
     def test_alpha_default_cap(self):
         pot, _ = two_term(1, 1, 1, 3)
         val = alpha_n(pot, 7, step_cap=8)
-        assert val.tail_estimate >= 0.0
+        assert not val.value.is_zero()
+        assert alpha_n(pot, 7) == val
 
 
 class TestClosedForms:
@@ -247,36 +246,3 @@ class TestTwoSidedStability:
             # |.|^2 comparisons stay exact in rational arithmetic
             assert pz.abs2() * 4 >= p0.abs2() and pz.abs2() <= p0.abs2() * 4
             assert mz.abs2() * 4 >= m0.abs2() and mz.abs2() <= m0.abs2() * 4
-
-
-class TestTails:
-    def test_tail_small_at_moderate_n(self):
-        pot, params = two_term(1, 1, 1, 3)
-        val = beta_plus(pot, params, 8, shell_cap=1)
-        shell0 = shell_sum(params, 8, WalkKind.X, 0, GR())
-        assert 0 < val.tail_estimate < abs(complex(shell0)) * 1e-2
-
-    def test_tail_inf_when_ratio_large(self):
-        pot, params = two_term(3, 3, 1, 1)
-        val = beta_plus(pot, params, 2, shell_cap=1)
-        assert val.tail_estimate == math.inf
-
-    def test_tail_report_requires_shells(self):
-        _, params = two_term(1, 1, 1, 3)
-        with pytest.raises(ValueError):
-            tail_bound_report(params, 8, WalkKind.X, [])
-        with pytest.raises(ValueError):
-            tail_bound_report(params, 8, WalkKind.W, [GR(1)])
-
-    def test_alpha_tail_reuses_the_crossing_ratio(self):
-        # closed shells also grow by r + s steps: rho = (max(|a|, |b|) / n)^(r + s)
-        pot, _ = two_term(1, 2, 1, 3)
-        val = alpha_n(pot, 11, step_cap=8)
-        rho = (2 / 11) ** 4
-        assert not val.value.is_zero()
-        assert val.tail_estimate == pytest.approx(abs(complex(val.value)) * rho / (1 - rho), rel=1e-12)
-
-    def test_alpha_tail_general_support_inf(self):
-        pot = FourierPotential.of({-2: GR(1), 2: GR(1), 4: GR(1)})
-        val = alpha_n(pot, 5, step_cap=4)
-        assert val.tail_estimate == math.inf

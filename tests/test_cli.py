@@ -1,17 +1,20 @@
 """Command-line surface: subcommands, exit codes, byte stability."""
 
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 
 import hillwalk
 from hillwalk import cli
 from hillwalk.cli import main
+from hillwalk.criteria import BasisVerdict
 from hillwalk.spectra import ConvergenceError
 from test_golden import CASES, GOLDEN
 
@@ -35,7 +38,7 @@ def test_beta_csv_table(capsys):
     assert len(lines) == 4
     row5 = lines[1].split(",")
     assert row5[0] == "5"
-    assert row5[4] == "21743419393/3206175906594816"
+    assert row5[3] == "21743419393/3206175906594816"
     assert row5[-1] == "-1/576"
 
 
@@ -262,6 +265,72 @@ def test_verdict_concordance_rejects_odd_indices_exit_4(capsys):
     code, _, err = run_cli(capsys, "verdict", "--preset", "crit-compare", "--range", "5,7")
     assert code == 4
     assert "even" in err
+
+
+def _strict_json(text):
+    """json.loads that refuses Infinity, -Infinity and NaN."""
+    def refuse(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def _exact_root(q):
+    with mpmath.workprec(256):
+        return mpmath.sqrt(mpmath.mpf(q.numerator) / q.denominator)
+
+
+def _within(text, q, rel=1e-15):
+    """The printed string is sqrt(q) to `rel`, relative."""
+    with mpmath.workprec(256):
+        return abs(mpmath.mpf(text) / _exact_root(q) - 1) <= rel
+
+
+def test_verdict_prints_an_overflowing_t_as_a_string(capsys):
+    # t = |b/a|^92 and more, past the largest double: a float reads Infinity
+    potential = '{"a":"1","b":"-85000","R":1,"S":1}'
+    code, out, _ = run_cli(capsys, "verdict", "--potential", potential, "--delta", "explicit:92")
+    assert code == 0
+    doc = _strict_json(out)
+    assert doc["conclusion"] == "inconclusive"
+    (row,) = doc["rows"]
+    pot, params = hillwalk.two_term(1, -85000, 1, 1)
+    bp, bm = (f(pot, params, 92).value for f in (hillwalk.beta_plus, hillwalk.beta_minus))
+    q = max(bm.abs2() / bp.abs2(), bp.abs2() / bm.abs2())
+    assert isinstance(row["t"], str) and _within(row["t"], q)
+    assert _exact_root(q) > sys.float_info.max
+
+
+def test_verdict_prints_an_underflowing_ratio_as_a_string(capsys, tmp_path):
+    # from n = 74 on, |beta^-/beta^+|^2 is below the least normal double, and
+    # float(ratio^2) ** 0.5 used to print 0.0
+    conf = tmp_path / "conf.json"
+    conf.write_text('{"m_range": [2, 60]}')
+    code, out, _ = run_cli(capsys, "verdict", "--preset", "thm5", "--config", str(conf))
+    assert code == 0
+    doc = _strict_json(out)
+    assert doc["conclusion"] == "no-basis"
+    pot, params = hillwalk.two_term(1, 1, 1, 3)
+    strings = 0
+    for row in doc["rows"]:
+        bp, bm = (f(pot, params, row["n"]).value for f in (hillwalk.beta_plus, hillwalk.beta_minus))
+        q = bm.abs2() / bp.abs2()
+        if isinstance(row["ratio"], str):
+            strings += 1
+            assert _exact_root(q) < sys.float_info.min and _within(row["ratio"], q)
+        else:
+            assert row["ratio"] >= sys.float_info.min and _within(repr(row["ratio"]), q, 1e-14)
+    assert strings == 20
+
+
+def test_non_finite_float_exits_4(capsys, monkeypatch):
+    def infinite(*args, **kwargs):
+        return BasisVerdict("m in [2, 3]", ({"n": 5, "m": 2, "ratio": math.inf},), "no-basis")
+
+    monkeypatch.setattr(cli, "theorem5_report", infinite)
+    code, out, err = run_cli(capsys, "verdict", "--preset", "thm5")
+    assert code == 4 and out == ""
+    assert err.startswith("hillwalk: Out of range float values are not JSON compliant")
 
 
 @pytest.mark.parametrize("setting", [

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hillwalk import beta, criteria, spectra, walks
+from hillwalk import beta, spectra, walks
 from hillwalk.beta import beta_minus, beta_plus
 from hillwalk.criteria import (
     DESK_SCALE_CAVEAT,
@@ -299,22 +299,29 @@ def test_verdict_conclusion_validated():
         BasisVerdict("x", (), "maybe")
 
 
-def _weights_from_beta(pot, params, n, zs=(0,)):
-    """criteria._weights, taken one z at a time from beta_plus / beta_minus."""
-    return [(beta_plus(pot, params, n, z=z).value, beta_minus(pot, params, n, z=z).value)
-            for z in zs]
+def _weights_from_engine(pot, params, n, z):
+    """(beta^+(z), beta^-(z)) over shells 0..cap, one engine call per kind."""
+    kinds = (walks.WalkKind.X, walks.WalkKind.Y)
+    return tuple(sum(walks.shell_sums(params, n, kind, range(cap + 1), z), GaussianRational())
+                 for kind, cap in zip(kinds, walks.DEFAULT_SHELL_CAPS))
 
 
-def _five_z_verdict(pot, params, index_set, weights=criteria._weights):
+def _weights_from_beta(pot, params, n, z):
+    """The same pair from beta_plus / beta_minus."""
+    return beta_plus(pot, params, n, z=z).value, beta_minus(pot, params, n, z=z).value
+
+
+def _five_z_verdict(pot, params, index_set, weights=_weights_from_engine):
     """criterion1_verdict as it was before the disc bound: both kinds summed
-    exactly at z = 0 and at every stability sample, with no certificate."""
+    exactly at z = 0 and at every stability sample, one z at a time, with no
+    certificate."""
     ns = index_set.indices(params)
     rows, squares, failures = [], [], []
     for n in ns:
         if structurally_zero(params, n):
             rows.append({"n": n, "class": "delta0", "t": None})
             continue
-        base, *moved_weights = weights(pot, params, n, (0,) + STABILITY_SAMPLES)
+        base, *moved_weights = (weights(pot, params, n, z) for z in (0,) + STABILITY_SAMPLES)
         if any(w.is_zero() for w in base):
             raise DegenerateRatioError(f"beta vanishes numerically at n={n} though walks exist")
         sq = t_n_squared(*base)
@@ -384,29 +391,29 @@ def test_criterion1_matches_beta_on_a_violating_family():
     assert v == _five_z_verdict(pot, params, iset)
 
 
-def test_reports_call_no_beta_and_lay_one_mask_per_n_and_kind(monkeypatch):
+def test_reports_call_no_beta_and_sum_one_z_per_engine_call(monkeypatch):
     """Criterion 1 and the analytic reports take their weights from the walk
-    engine: no beta function, no tail, and one engine call (one reachability
-    mask) per (n, kind) at z = 0.  Criterion 1 adds one call with its four
-    samples for each (n, kind) the disc bound leaves undecided: here the X
-    walks at n = 6 and n = 10, where the samples violate the bound."""
+    engine, with no beta function: one engine call at z = 0 per (n, kind).
+    Criterion 1 adds one call per sample, four in all, for each (n, kind)
+    the disc bound leaves undecided: here the X walks at n = 6 and n = 10,
+    where the samples violate the bound."""
     def refuse(*args, **kwargs):
         raise AssertionError("a verdict report called into beta")
 
-    for name in ("_beta", "closed_sum", "tail_bound_report"):
+    for name in ("_beta", "closed_sum"):
         monkeypatch.setattr(beta, name, refuse)
     calls = []
     engine = walks._walk_sums
 
-    def counted(steps, n, start, end, lengths, zs):
-        calls.append((n, start, len(zs)))
-        return engine(steps, n, start, end, lengths, zs)
+    def counted(steps, n, start, end, lengths, z):
+        calls.append((n, start, str(GaussianRational.of(z))))
+        return engine(steps, n, start, end, lengths, z)
 
     monkeypatch.setattr(walks, "_walk_sums", counted)
     pot, params = two_term(1, 2, 2, 4)
     v = criterion1_verdict(pot, params, IndexSet("explicit", 1, 10, explicit=tuple(range(1, 11))))
-    assert sorted(calls) == sorted([(n, start, 1) for n in (2, 4, 6, 8, 10) for start in (-n, n)]
-                                   + [(6, -6, 4), (10, -10, 4)])
+    assert sorted(calls) == sorted([(n, start, "0") for n in (2, 4, 6, 8, 10) for start in (-n, n)]
+                                   + [(n, -n, str(z)) for n in (6, 10) for z in STABILITY_SAMPLES])
     assert [r["n"] for r in v.rows if r["class"] == "delta1"] == [2, 4, 6, 8, 10]
     assert [n for n, _ in _stability_failures(v)] == [6] * 4 + [10] * 4
     for report, ns in ((lambda: theorem31_report(1, 2, 1, 3, [1, 2, 3]), (3, 6, 9)),
@@ -414,7 +421,7 @@ def test_reports_call_no_beta_and_lay_one_mask_per_n_and_kind(monkeypatch):
                        (lambda: prop20_verdict(1, 2, 2, "per+"), (2, 4, 6, 8, 10, 12))):
         calls.clear()
         report()
-        assert sorted(calls) == [(n, start, 1) for n in ns for start in (-n, n)]
+        assert sorted(calls) == [(n, start, "0") for n in ns for start in (-n, n)]
 
 
 def test_criterion1_matches_the_five_z_loop_below_the_double_range():
@@ -459,6 +466,23 @@ def test_criterion1_commutes_with_conjugation(R, S, a, b, ns):
     assert (conjugated.rows, conjugated.conclusion) == (plain.rows, plain.conclusion)
     assert sorted(_stability_failures(conjugated)) == sorted(
         (n, _CONJUGATE_SAMPLE[z]) for n, z in _stability_failures(plain))
+
+
+@given(R=st.integers(1, 3), S=st.integers(1, 3), a=_gaussian, b=_gaussian,
+       m=st.integers(1, 2), bc=st.sampled_from(["per+", "per-"]))
+@settings(max_examples=40, deadline=None)
+def test_analytic_reports_commute_with_conjugation(R, S, a, b, m, bc):
+    """beta(0) of conj a, conj b is conj beta(0), and every ratio the
+    reports print or judge is a modulus: conjugating both coefficients
+    leaves each report exactly as it was."""
+    reports = [lambda a, b: theorem5_report(a, b, S + 2, [m, m + 1]),
+               lambda a, b: prop20_verdict(a, b, R, bc)]
+    if R != S:
+        reports.append(lambda a, b: theorem31_report(a, b, R, S, [m, m + 1], bc))
+    for report in reports:
+        plain, conjugated = (_verdict_outcome(lambda: report(*coeffs))
+                             for coeffs in ((a, b), (a.conjugate(), b.conjugate())))
+        assert conjugated == plain
 
 
 @pytest.mark.parametrize("other", [(1, 3, 1, 3), (1, 2, 1, 1), (2, 1, 1, 3)])

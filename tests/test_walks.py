@@ -347,39 +347,36 @@ def sums_outcome(compute):
         return (err.t, err.vertex)
 
 
-class TestManyZ:
-    """One engine call over several z builds the reachability mask once and
-    runs the DP per z; it must equal one call per z."""
+class TestOneZ:
+    """The engine sums at one z per call."""
 
     @given(
         R=st.integers(1, 3), S=st.integers(1, 3), n=st.integers(1, 14),
         kind=st.sampled_from([WalkKind.X, WalkKind.Y]), cap=st.integers(0, 2),
-        a=gaussian_rationals, b=gaussian_rationals,
-        zs=st.lists(sample_z, min_size=1, max_size=5),
+        a=gaussian_rationals, b=gaussian_rationals, z=sample_z,
     )
     @settings(max_examples=80, deadline=None)
-    def test_matches_one_call_per_z(self, R, S, n, kind, cap, a, b, zs):
+    def test_conjugation_conjugates_every_shell_sum(self, R, S, n, kind, cap, a, b, z):
+        """h(x, z) is a polynomial in a, b and 1/(D + z) with rational
+        coefficients, so conjugating a, b and z conjugates each shell sum;
+        a singular z is real and stays singular at the same position."""
         if a.is_zero() or b.is_zero():
             return
-        _, params = two_term(a, b, R, S)
         shells = range(cap + 1)
-        singles = [sums_outcome(lambda z=z: shell_sums(params, n, kind, shells, (z,))[0])
-                   for z in zs]
-        # the first z whose DP meets a zero denominator decides the error
-        want = next((o for o in singles if isinstance(o, tuple)), singles)
-        assert sums_outcome(lambda: shell_sums(params, n, kind, shells, zs)) == want
+        _, params = two_term(a, b, R, S)
+        _, mirror = two_term(a.conjugate(), b.conjugate(), R, S)
+        plain = sums_outcome(lambda: shell_sums(params, n, kind, shells, z))
+        mirrored = sums_outcome(lambda: shell_sums(mirror, n, kind, shells, z.conjugate()))
+        if isinstance(plain, tuple):
+            assert mirrored == plain
+        else:
+            assert mirrored == [value.conjugate() for value in plain]
 
-    def test_singular_z_raises_at_the_same_position(self):
+    def test_singular_z_raises_at_its_first_position(self):
         _, params = two_term(1, 1, 1, 3)
-        zs = (GaussianRational(), GaussianRational(0, Fraction(1)), GaussianRational.of(24))
-        with pytest.raises(WalkSingularityError) as single:
-            shell_sums(params, 5, WalkKind.X, range(2), zs[2:])
-        with pytest.raises(WalkSingularityError) as many:
-            shell_sums(params, 5, WalkKind.X, range(2), zs)
-        assert (many.value.n, many.value.t, many.value.vertex) == (5, 1, -7)
-        assert (single.value.t, single.value.vertex) == (many.value.t, many.value.vertex)
-        assert shell_sums(params, 5, WalkKind.X, range(2), zs[:2]) == [
-            shell_sums(params, 5, WalkKind.X, range(2), (z,))[0] for z in zs[:2]]
+        with pytest.raises(WalkSingularityError) as err:
+            shell_sums(params, 5, WalkKind.X, range(2), 24)
+        assert (err.value.n, err.value.t, err.value.vertex) == (5, 1, -7)
 
 
 class TestFractionFreeLayers:
@@ -499,8 +496,8 @@ class TestDiscBound:
         _, params = two_term(a, b, R, S)
         shells = range(cap + 1)
         bound = disc_deviation_bound(params, n, kind, shells)
-        base, *moved = (sum(sums, GaussianRational())
-                        for sums in shell_sums(params, n, kind, shells, (0,) + STABILITY_SAMPLES))
+        base, *moved = (sum(shell_sums(params, n, kind, shells, z), GaussianRational())
+                        for z in (0,) + STABILITY_SAMPLES)
         assert bound >= 0
         for value in moved:
             assert (value - base).abs2() <= bound ** 2
@@ -513,7 +510,7 @@ class TestDiscBound:
         meets the deviation there, up to its rounding."""
         _, params = two_term(1, 1, 1, 1)
         for n in range(2, 9):
-            (base, moved), = zip(*shell_sums(params, n, WalkKind.X, (0,), (0, -1)))
+            base, moved = (shell_sums(params, n, WalkKind.X, (0,), z)[0] for z in (0, -1))
             deviation = abs((moved - base).re)
             bound = disc_deviation_bound(params, n, WalkKind.X, (0,))
             assert deviation <= bound <= deviation * (1 + Fraction(1, 2**50))
