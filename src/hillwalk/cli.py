@@ -16,6 +16,8 @@ from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
 
+import mpmath
+
 from .beta import (
     alpha_n,
     beta_equal_rs_leading_exact,
@@ -32,7 +34,7 @@ from .criteria import (
     theorem31_report,
     theorem5_report,
 )
-from .numerics import DEFAULT_PRECISION, MIN_PRECISION, GaussianRational
+from .numerics import DEFAULT_PRECISION, MIN_PRECISION, GaussianRational, fraction_to_mpf
 from .potential import TwoTermParams, _scalar_from_json, parse_potential, potential_to_json
 from .spectra import (
     BoundaryCondition,
@@ -309,6 +311,23 @@ _BETA_COLUMNS = ("n", "beta_plus", "beta_plus_float", "beta_minus", "beta_minus_
                  "alpha", "alpha_float", "closed_plus")
 
 
+def _float_value(g: GaussianRational):
+    """complex(g), or where a part is past the normal double range (a float
+    would read inf or 0.0), {"re", "im"} with that part a 17-digit string."""
+    parts = [float(q) if q == 0 or sys.float_info.min <= abs(q) <= sys.float_info.max
+             else mpmath.nstr(fraction_to_mpf(q), 17, strip_zeros=False) for q in (g.re, g.im)]
+    if all(type(part) is float for part in parts):
+        return complex(*parts)
+    return dict(zip(("re", "im"), parts))
+
+
+def _csv_cell(value) -> str:
+    if isinstance(value, dict):  # a _float_value past the double range, as repr writes a complex
+        re, im = (part if isinstance(part, str) else repr(part) for part in value.values())
+        return f"({re}{'' if im.startswith('-') else '+'}{im}j)"
+    return "" if value is None else repr(value) if isinstance(value, (complex, float)) else str(value)
+
+
 def _closed_plus(params: Optional[TwoTermParams], n: int, z: GaussianRational):
     """Exact leading closed form when one applies at (n, z=0)."""
     if params is None or not z.is_zero():
@@ -337,11 +356,11 @@ def cmd_beta(config: dict) -> int:
         rows.append({
             "n": n,
             "beta_plus": bp.value if bp else None,
-            "beta_plus_float": complex(bp.value) if bp else None,
+            "beta_plus_float": _float_value(bp.value) if bp else None,
             "beta_minus": bm.value if bm else None,
-            "beta_minus_float": complex(bm.value) if bm else None,
+            "beta_minus_float": _float_value(bm.value) if bm else None,
             "alpha": al.value,
-            "alpha_float": complex(al.value),
+            "alpha_float": _float_value(al.value),
             "closed_plus": _closed_plus(params, n, z),
         })
     if config.get("format", "csv") == "json":
@@ -349,9 +368,7 @@ def cmd_beta(config: dict) -> int:
         return EXIT_OK
     lines = [",".join(_BETA_COLUMNS)]
     for r in rows:
-        cells = (r[key] for key in _BETA_COLUMNS)
-        lines.append(",".join("" if v is None else repr(v) if isinstance(v, (complex, float))
-                              else str(v) for v in cells))
+        lines.append(",".join(_csv_cell(r[key]) for key in _BETA_COLUMNS))
     _emit("\n".join(lines) + "\n", config)
     return EXIT_OK
 

@@ -10,11 +10,11 @@ Criterion-1 verdicts and the analytic reports take beta^+- at z = 0 as
 exact walk sums up to fixed shell caps, straight from the walk engine,
 one engine call per (n, kind); the shells past the caps are left out.
 Criterion 1 checks its z-stability with a bound over the whole disc
-|z| <= 1 and sums the four samples, one engine call each, only for an
-(n, kind) the bound cannot decide.  The
-concordance takes them for routes 1 and 2 from the pair's 2x2 Schur
-complement at z = 0 and at z * (`pair_couplings`): sums over every walk
-of the cut-off lattice.
+|z| <= 1, which the same z = 0 engine call carries, and sums the four
+samples, one engine call each, only for an (n, kind) the bound cannot
+decide.  The concordance takes them for routes 1 and 2 from the pair's
+2x2 Schur complement at z = 0 and at z * (`pair_couplings`): sums over
+every walk of the cut-off lattice.
 
 Boundedness of the monitored quantity along the simple-pair indices marks
 a basis; divergence rules one out.  The asymptotic statements behind the
@@ -45,9 +45,9 @@ from .spectra import (
 from .walks import (
     DEFAULT_SHELL_CAPS,
     WalkKind,
-    disc_deviation_bound,
     shell_step_counts,
     shell_sums,
+    sum_and_disc_bound,
 )
 
 STABILITY_SAMPLES = (
@@ -156,17 +156,14 @@ _KIND_SHELLS = tuple((kind, range(cap + 1))
                      for kind, cap in zip((WalkKind.X, WalkKind.Y), DEFAULT_SHELL_CAPS))
 
 
-def _kind_sum(params, n, kind, shells, z):
-    """Exact beta of one kind at z, from one engine call."""
-    return sum(shell_sums(params, n, kind, shells, z), GaussianRational())
-
-
 def _weights(pot, params, n):
     """Exact (beta^+(0), beta^-(0)), each summed over its walk shells
-    0..cap (DEFAULT_SHELL_CAPS), one engine call per kind."""
+    0..cap (DEFAULT_SHELL_CAPS), and their disc bounds (eps^+, eps^-)
+    (`sum_and_disc_bound`), one engine call per kind."""
     if (pot.coefficient(-2 * params.R), pot.coefficient(2 * params.S)) != (params.a, params.b):
         raise ValueError("params do not match the potential coefficients")
-    return tuple(_kind_sum(params, n, kind, shells, 0) for kind, shells in _KIND_SHELLS)
+    pairs = [sum_and_disc_bound(params, n, kind, shells) for kind, shells in _KIND_SHELLS]
+    return tuple(value for value, _ in pairs), tuple(eps for _, eps in pairs)
 
 
 def _sqrt_float(q: Fraction) -> Union[float, str]:
@@ -243,7 +240,7 @@ def criterion1_verdict(
 
     The z = 0 reduction needs |beta(z)| within a factor 2 of |beta(0)| on
     |z| <= 1, spot-checked at z in {1, -1, i, -i}.  A kind whose disc bound
-    eps >= sup |beta(z) - beta(0)| (`disc_deviation_bound`) has 2 eps <=
+    eps >= sup |beta(z) - beta(0)| (`sum_and_disc_bound`) has 2 eps <=
     |beta(0)| keeps |beta(z)| between |beta(0)|/2 and 3|beta(0)|/2 on the
     whole disc, so it passes every sample; only the other kinds are summed
     at the samples, one z per engine call.  The failures listed are the
@@ -258,7 +255,7 @@ def criterion1_verdict(
         if structurally_zero(params, n):
             rows.append({"n": n, "class": "delta0", "t": None})
             continue
-        base = _weights(pot, params, n)
+        base, bounds = _weights(pot, params, n)
         if any(w.is_zero() for w in base):
             raise DegenerateRatioError(
                 f"beta vanishes numerically at n={n} though walks exist"
@@ -267,9 +264,10 @@ def criterion1_verdict(
         squares.append(sq)
         rows.append({"n": n, "class": "delta1", "t": _sqrt_float(sq)})
         # per kind: |beta|^2 at each sample, or none where the disc bound certifies it
-        moved = [[] if 4 * disc_deviation_bound(params, n, kind, shells) ** 2 <= fixed.abs2()
-                 else [_kind_sum(params, n, kind, shells, z).abs2() for z in STABILITY_SAMPLES]
-                 for fixed, (kind, shells) in zip(base, _KIND_SHELLS)]
+        moved = [[] if 4 * eps ** 2 <= fixed.abs2()
+                 else [sum(shell_sums(params, n, kind, shells, z), GaussianRational()).abs2()
+                       for z in STABILITY_SAMPLES]
+                 for fixed, eps, (kind, shells) in zip(base, bounds, _KIND_SHELLS)]
         for i, z in enumerate(STABILITY_SAMPLES):
             stability_failures += [(n, str(z)) for fixed, sums in zip(base, moved)
                                    if sums and not fixed.abs2() <= 4 * sums[i] <= 16 * fixed.abs2()]
@@ -302,7 +300,7 @@ def _ratio_rows(pot, params, m_range, index_of):
     rows, squares = [], []
     for m in ms:
         n = index_of(m)
-        bp, bm = _weights(pot, params, n)
+        (bp, bm), _ = _weights(pot, params, n)
         if bp.is_zero() or bm.is_zero():
             raise DegenerateRatioError(f"vanishing weight sum at n={n}")
         sq = bm.abs2() / bp.abs2()
@@ -434,7 +432,7 @@ def prop20_verdict(
             rows.append({"n": n, "class": "delta0", "t": None})
         elif n % R == 0:
             # corroboration: t_n against the leading modulus ratio power
-            sq = t_n_squared(*_weights(pot, params, n))
+            sq = t_n_squared(*_weights(pot, params, n)[0])
             lead2 = q2 ** (n // R)
             corroborated &= Fraction(1, 4) <= sq / lead2 <= 4  # within factor 2 on t itself
             rows.append({"n": n, "class": "delta1", "t": _sqrt_float(sq),

@@ -17,10 +17,10 @@ tests enumerate shells walk by walk as their oracle.
 
 The DP is fraction-free, after Bareiss (Math. Comp. 1968): a layer holds
 Gaussian-integer numerators over one shared denominator, reduced by one
-gcd per layer; only the sums become GaussianRationals.  A second pass
-over the same reachability mask bounds how far the X/Y shell sums move on
-the disc |z| <= 1 (`disc_deviation_bound`), in fixed point with outward
-rounding.
+gcd per layer; only the sums become GaussianRationals.  The same pass
+carries, in fixed point with outward rounding, the products that bound
+how far the X/Y shell sums move on the disc |z| <= 1
+(`sum_and_disc_bound`).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Collection, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .numerics import GaussianRational, ScalarLike
 from .potential import FourierPotential, TwoTermParams
@@ -217,34 +217,55 @@ def _over_common_denominator(
 
 
 def _reach_mask(
-    offsets: Sequence[int], n: int, end: int, lengths: Iterable[int]
+    offsets: Sequence[int], n: int, start: int, end: int, lengths: Collection[int]
 ) -> Tuple[Dict[int, int], int]:
-    """The reachability mask of walks that end at `end`: mask[v] has bit k
-    set when some admissible k-step tail over `offsets` leads from v to
-    `end`, for k up to the largest of `lengths`; and `want`, the bitmask of
+    """The reachability mask of walks start -> end: mask[v] has bit k set
+    when some admissible k-step tail over `offsets` leads from v to `end`
+    and v lies in the window of depth k; and `want`, the bitmask of
     `lengths`.  A prefix reaching u after t steps can still be completed
-    at a requested length iff (mask[u] << t) & want."""
-    lengths = list(lengths)
+    at a requested length iff (mask[u] << t) & want.
+
+    With `top` the largest length and `up`, `down` the largest step up and
+    down (0 if none), the window of depth k is start - down (top - k) <= v
+    <= start + up (top - k), the forward cone of `start`.  The clip is
+    exact: the DP reads bit k of u only at t = L - k for a length L <= top,
+    and u, t steps from `start`, lies in the window of depth k.  One step
+    moves a vertex of window k into window k - 1, so by induction on k a
+    vertex keeps every bit k of the unclipped mask inside window k, and
+    the sums and singular positions are those of the unclipped mask."""
     want = sum(1 << length for length in lengths)
+    top = max(lengths, default=0)
+    up = max((x for x in offsets if x > 0), default=0)
+    down = max((-x for x in offsets if x < 0), default=0)
     mask: Dict[int, int] = {end: 1}
     frontier = {end}
-    for k in range(1, max(lengths, default=0) + 1):
-        frontier = {u - x for u in frontier if k == 1 or abs(u) != n for x in offsets}
+    for k in range(1, top + 1):
+        low, high = start - down * (top - k), start + up * (top - k)
+        frontier = {w for u in frontier if k == 1 or abs(u) != n
+                    for x in offsets if low <= (w := u - x) <= high}
         for v in frontier:
             mask[v] = mask.get(v, 0) | 1 << k
     return mask, want
 
 
+# significant bits the disc bound keeps per layer
+_BOUND_BITS = 64
+
+
+def _dyadic(m: int, e: int) -> Fraction:
+    """m * 2^e, exactly."""
+    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
+
+
 def _walk_sums(
-    steps: Sequence[Tuple[int, GaussianRational]],
-    n: int,
-    start: int,
-    end: int,
-    lengths: Iterable[int],
-    z: ScalarLike,
-) -> Dict[int, GaussianRational]:
-    """Exact sums of h(x, z) over admissible walks start -> end, one per
-    requested step count; `steps` pairs each step with its coefficient.
+    steps: Sequence[Tuple[int, GaussianRational]], n: int, start: int, end: int,
+    lengths: Iterable[int], z: ScalarLike,
+) -> Dict[int, Tuple[GaussianRational, int, int, int]]:
+    """Per requested step count, over the admissible walks start -> end of
+    that many steps (`steps` pairs each step with its coefficient): the
+    exact sum of h(x, z), and (m1, m0, e) with P1 = m1 2^e and P0 = m0 2^e
+    bounds from above of the sum of prod_t 1/(|D_t| - 1) and from below of
+    the sum of prod_t 1/|D_t|, D_t = n^2 - j(t)^2 at the interior vertices.
 
     Layer t maps a vertex to the weighted sum of admissible t-step prefixes
     ending there, held fraction-free: a Gaussian-integer numerator per
@@ -257,128 +278,83 @@ def _walk_sums(
     reduces the whole layer.  Sums reaching `end` leave as exact
     GaussianRationals.
 
+    Each vertex also carries P1 and P0 in fixed point: integer mantissas
+    over one binary exponent e per layer.  A vertex factor multiplies by
+    2^_BOUND_BITS and divides by |D_u| - 1 or |D_u| (>= 4: steps are even,
+    and n - u, n + u even and nonzero), then the layer shifts right until
+    its largest P1 mantissa has _BOUND_BITS bits; P1 rounds up and P0
+    down, so neither underflows nor rounds the wrong way, however small
+    the products get.
+
     A vertex is kept only if `end` is reachable from it at a requested
-    length (the mask: per vertex, a bitmask of step counts that reach
-    `end`).  A zero denominator on a kept vertex raises
+    length (`_reach_mask`).  A zero denominator on a kept vertex raises
     WalkSingularityError at the smallest t, then the smallest vertex."""
-    out = {length: GaussianRational() for length in lengths}
-    mask, want = _reach_mask([x for x, _ in steps], n, end, out)
+    out = {length: (GaussianRational(), 0, 0, 0) for length in lengths}
+    mask, want = _reach_mask([x for x, _ in steps], n, start, end, out)
     coeffs, c_den = _over_common_denominator([c for _, c in steps])
     int_steps = [(x, g_re, g_im) for (x, _), (g_re, g_im) in zip(steps, coeffs)]
     ((p_re, p_im),), q = _over_common_denominator([GaussianRational.of(z)])
-    # vertex -> (m_re, m_im, d): 1 / (n^2 - u^2 + z) = (m_re + i m_im) / d, d > 0
-    scale: Dict[int, Tuple[int, int, int]] = {}
-    layer: Dict[int, Tuple[int, int]] = {start: (1, 0)}
-    den = 1
+    # vertex -> (m_re, m_im, d, |D_u|): 1 / (D_u + z) = (m_re + i m_im) / d, d > 0
+    scale: Dict[int, Tuple[int, int, int, int]] = {}
+    # vertex -> (numerator re, im over den; P1, P0 mantissas over 2^e)
+    layer: Dict[int, Tuple[int, int, int, int]] = {start: (1, 0, 1, 1)}
+    den, e = 1, 0
     for t in range(1, max(out, default=0) + 1):
-        nxt: Dict[int, Tuple[int, int]] = {}
-        end_re = end_im = 0
-        for v, (a, b) in layer.items():
+        nxt: Dict[int, Tuple[int, int, int, int]] = {}
+        end_re = end_im = end1 = end0 = 0
+        for v, (a, b, m1, m0) in layer.items():
             for x, g_re, g_im in int_steps:
                 u = v + x
                 if u == end:
                     if t in out:
                         end_re += a * g_re - b * g_im
                         end_im += a * g_im + b * g_re
+                        end1 += m1
+                        end0 += m0
                 elif abs(u) != n and (mask.get(u, 0) << t) & want:
                     re, im = a * g_re - b * g_im, a * g_im + b * g_re
                     if u in nxt:
-                        old_re, old_im = nxt[u]
-                        nxt[u] = (old_re + re, old_im + im)
+                        old_re, old_im, old1, old0 = nxt[u]
+                        nxt[u] = (old_re + re, old_im + im, old1 + m1, old0 + m0)
                     else:
-                        nxt[u] = (re, im)
+                        nxt[u] = (re, im, m1, m0)
         den *= c_den
         if t in out:
-            out[t] = GaussianRational(Fraction(end_re, den), Fraction(end_im, den))
+            out[t] = (GaussianRational(Fraction(end_re, den), Fraction(end_im, den)), end1, end0, e)
         # a vertex already in `scale` passed the check, so only new ones can be singular
         for u in sorted(u for u in nxt if u not in scale):
-            w_re = q * (n * n - u * u) + p_re
+            d_u = n * n - u * u
+            w_re = q * d_u + p_re
             if w_re == 0 and p_im == 0:
                 raise WalkSingularityError(n, t, u)
             if p_im == 0:
-                scale[u] = (q, 0, w_re) if w_re > 0 else (-q, 0, -w_re)
+                scale[u] = (q, 0, w_re, abs(d_u)) if w_re > 0 else (-q, 0, -w_re, abs(d_u))
             else:
-                scale[u] = (q * w_re, -q * p_im, w_re * w_re + p_im * p_im)
+                scale[u] = (q * w_re, -q * p_im, w_re * w_re + p_im * p_im, abs(d_u))
         # pairwise: unpacking a layer into one call builds large argument
         # tuples whose frees fragment the heap and raise the peak RSS
         lcm = 1
         for u in nxt:
             lcm = math.lcm(lcm, scale[u][2])
-        for u, (a, b) in nxt.items():
-            m_re, m_im, d = scale[u]
+        top1 = 0
+        for u, (a, b, m1, m0) in nxt.items():
+            m_re, m_im, d, d_u = scale[u]
             k = lcm // d
             m_re, m_im = m_re * k, m_im * k
-            nxt[u] = (a * m_re - b * m_im, a * m_im + b * m_re)
+            m1 = -((-m1 << _BOUND_BITS) // (d_u - 1))
+            top1 = m1 if m1 > top1 else top1
+            nxt[u] = (a * m_re - b * m_im, a * m_im + b * m_re, m1, (m0 << _BOUND_BITS) // d_u)
         den *= lcm
         g = den
-        for a, b in nxt.values():
+        for a, b, _, _ in nxt.values():
             g = math.gcd(g, a, b)
             if g == 1:
                 break
-        if g > 1:
-            den //= g
-            nxt = {u: (a // g, b // g) for u, (a, b) in nxt.items()}
-        layer = nxt
-    return out
-
-
-# significant bits the disc bound keeps per layer
-_BOUND_BITS = 64
-
-
-def _dyadic(m: int, e: int) -> Fraction:
-    """m * 2^e, exactly."""
-    return Fraction(m << e) if e >= 0 else Fraction(m, 1 << -e)
-
-
-def _disc_bound_sums(
-    offsets: Sequence[int], n: int, start: int, end: int, lengths: Iterable[int]
-) -> Dict[int, Tuple[Fraction, Fraction]]:
-    """For each requested step count k, (P1, P0): an upper bound of the sum
-    of prod_t 1/(|D_t| - 1) and a lower bound of the sum of prod_t 1/|D_t|
-    over the admissible k-step walks start -> end with steps `offsets`,
-    D_t = n^2 - j(t)^2 at the interior vertices (the caller guarantees
-    |D_t| >= 2 there).
-
-    The same transfer DP as `_walk_sums`, over the same reachability mask,
-    with unit coefficients and in fixed point: a layer holds integer
-    mantissas over one binary exponent e shared by the layer, for both
-    sums.  A vertex factor multiplies by 2^_BOUND_BITS and divides, then
-    the layer shifts right until its largest P1 mantissa has _BOUND_BITS
-    bits; P1 rounds up (ceiling division and shift) and P0 down (floor),
-    so neither underflows nor rounds the wrong way, however small the
-    products get.  Sums reaching `end` are exact dyadic Fractions."""
-    out: Dict[int, Tuple[Fraction, Fraction]] = {
-        length: (Fraction(0), Fraction(0)) for length in lengths}
-    mask, want = _reach_mask(offsets, n, end, out)
-    # vertex -> (P1 mantissa, P0 mantissa), both times 2^e
-    layer: Dict[int, Tuple[int, int]] = {start: (1, 1)}
-    e = 0
-    for t in range(1, max(out, default=0) + 1):
-        nxt: Dict[int, Tuple[int, int]] = {}
-        end1 = end0 = 0
-        for v, (m1, m0) in layer.items():
-            for x in offsets:
-                u = v + x
-                if u == end:
-                    end1 += m1
-                    end0 += m0
-                elif abs(u) != n and (mask.get(u, 0) << t) & want:
-                    old1, old0 = nxt.get(u, (0, 0))
-                    nxt[u] = (old1 + m1, old0 + m0)
-        if t in out:
-            out[t] = (_dyadic(end1, e), _dyadic(end0, e))
-        if not nxt:
-            break
-        for u, (m1, m0) in nxt.items():
-            d = abs(n * n - u * u)
-            nxt[u] = (-((-m1 << _BOUND_BITS) // (d - 1)), (m0 << _BOUND_BITS) // d)
-        e -= _BOUND_BITS
-        shift = max(m1.bit_length() for m1, _ in nxt.values()) - _BOUND_BITS
-        if shift > 0:
-            nxt = {u: (-(-m1 >> shift), m0 >> shift) for u, (m1, m0) in nxt.items()}
-            e += shift
-        layer = nxt
+        shift = max(top1.bit_length() - _BOUND_BITS, 0)
+        e += shift - _BOUND_BITS
+        den //= g
+        layer = {u: (a // g, b // g, -(-m1 >> shift), m0 >> shift)
+                 for u, (a, b, m1, m0) in nxt.items()}
     return out
 
 
@@ -396,52 +372,46 @@ def _sqrt_upper(q: Fraction) -> Fraction:
 DEFAULT_SHELL_CAPS = (3, 2)
 
 
-def _shell_walks(
-    params: TwoTermParams, n: int, kind: WalkKind, shells: Sequence[int]
-) -> Optional[Tuple[List[ShellSteps], int, int]]:
-    """The step counts of each shell in `shells` and the start and end of
-    its X or Y walks, or None when d does not divide n: then no shell has a
-    step-count solution."""
+def _shell_walk_sums(
+    params: TwoTermParams, n: int, kind: WalkKind, shells: Sequence[int], z: ScalarLike
+) -> List[Tuple[ShellSteps, GaussianRational, int, int, int]]:
+    """Per shell in `shells`: its step counts and the engine's (sum, m1, m0,
+    e) over its X or Y walks, from one engine call: shell k holds the walks of
+    t0 + k(r+s) steps, so a step count names its shell.  Empty when d does
+    not divide n: then no shell has a step-count solution."""
     if kind is WalkKind.W:
         raise ValueError("shell sums cover kinds X and Y; use alpha_n for W")
     counts = [shell_step_counts(params, n, kind, k) for k in shells]
     if counts[0] is None:
-        return None
+        return []
     start = _START_SIGN[kind] * n
-    return counts, start, start + _STEP_SUM_FACTOR[kind] * n
+    steps = ((-2 * params.R, params.a), (2 * params.S, params.b))
+    sums = _walk_sums(steps, n, start, start + _STEP_SUM_FACTOR[kind] * n,
+                      [c.total for c in counts], z)
+    return [(c, *sums[c.total]) for c in counts]
 
 
 def shell_sums(
-    params: TwoTermParams,
-    n: int,
-    kind: WalkKind,
-    shells: Sequence[int],
-    z: ScalarLike,
+    params: TwoTermParams, n: int, kind: WalkKind, shells: Sequence[int], z: ScalarLike
 ) -> List[GaussianRational]:
     """Exact sums of h(x, z) over the X or Y walks of each shell in `shells`,
-    from one engine call: shell k holds the walks of t0 + k(r+s) steps, so
-    a step count names its shell.  Infeasible shells sum to zero."""
-    lattice = _shell_walks(params, n, kind, shells)
-    if lattice is None:
-        return [GaussianRational() for _ in shells]
-    counts, start, end = lattice
-    steps = ((-2 * params.R, params.a), (2 * params.S, params.b))
-    sums = _walk_sums(steps, n, start, end, [c.total for c in counts], z)
-    return [sums[c.total] for c in counts]
+    from one engine call.  Infeasible shells sum to zero."""
+    rows = _shell_walk_sums(params, n, kind, shells, z)
+    return [value for _, value, *_ in rows] or [GaussianRational() for _ in shells]
 
 
-def disc_deviation_bound(
+def sum_and_disc_bound(
     params: TwoTermParams, n: int, kind: WalkKind, shells: Sequence[int]
-) -> Fraction:
-    """A rigorous upper bound of sup_{|z| <= 1} |B(z) - B(0)|, where B(z) is
-    the sum of h(x, z) over the X or Y walks of the shells in `shells`.
+) -> Tuple[GaussianRational, Fraction]:
+    """B(0) and a rigorous upper bound of sup_{|z| <= 1} |B(z) - B(0)|, from
+    one engine call at z = 0, where B(z) is the sum of h(x, z) over the X or
+    Y walks of the shells in `shells`.
 
-    Proof.  Every vertex of such a walk is n plus an even number, and the
-    interior ones avoid +-n, so n - u and n + u are nonzero and even and
-    |D_u| = |n^2 - u^2| >= 4.  For |z| <= 1 put w_t = z / D_t, |w_t| <=
-    1/|D_t| <= 1/4; then h(x, z) = h(x, 0) prod_t 1 / (1 + w_t), and the
-    power series of prod_t 1 / (1 + w_t) - 1 is dominated termwise by that
-    of prod_t 1 / (1 - |w_t|) - 1, so
+    Proof.  |D_t| = |n^2 - j(t)^2| >= 4 at every interior vertex
+    (`_walk_sums`).  For |z| <= 1 put w_t = z / D_t, |w_t| <= 1/4; then
+    h(x, z) = h(x, 0) prod_t 1 / (1 + w_t), and the power series of
+    prod_t 1 / (1 + w_t) - 1 is dominated termwise by that of
+    prod_t 1 / (1 - |w_t|) - 1, so
 
         |h(x, z) - h(x, 0)| <= prod |V| (prod 1/(|D_t| - 1) - prod 1/|D_t|).
 
@@ -449,20 +419,13 @@ def disc_deviation_bound(
     = |a|^neg |b|^pos on the whole shell, and summing over its walks gives
     A (P1 - P0), P1 and P0 the sums of the two products.  The bound is the
     sum over the shells of an upper bound of A = sqrt(|a|^2neg |b|^2pos)
-    times an upper bound of P1 minus a lower bound of P0
-    (`_disc_bound_sums`)."""
-    lattice = _shell_walks(params, n, kind, shells)
-    if lattice is None:
-        return Fraction(0)
-    counts, start, end = lattice
-    sums = _disc_bound_sums((-2 * params.R, 2 * params.S), n, start, end,
-                            [c.total for c in counts])
+    times the engine's upper bound of P1 minus its lower bound of P0."""
+    value, bound = GaussianRational(), Fraction(0)
     a2, b2 = params.a.abs2(), params.b.abs2()
-    total = Fraction(0)
-    for c in counts:
-        p1, p0 = sums[c.total]
-        total += _sqrt_upper(a2 ** c.neg * b2 ** c.pos) * (p1 - p0)
-    return total
+    for c, shell_value, m1, m0, e in _shell_walk_sums(params, n, kind, shells, 0):
+        value += shell_value
+        bound += _sqrt_upper(a2 ** c.neg * b2 ** c.pos) * _dyadic(m1 - m0, e)
+    return value, bound
 
 
 def shell_sum(
@@ -477,5 +440,5 @@ def closed_sum(pot: FourierPotential, n: int, step_cap: int, z: ScalarLike) -> G
     steps over the full potential support."""
     if step_cap < 1:
         raise ValueError(f"step_cap must be >= 1, got {step_cap}")
-    return sum(_walk_sums(pot.coeffs, n, n, n, range(1, step_cap + 1), z).values(),
-               GaussianRational())
+    sums = _walk_sums(pot.coeffs, n, n, n, range(1, step_cap + 1), z)
+    return sum((value for value, *_ in sums.values()), GaussianRational())

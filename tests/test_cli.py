@@ -59,6 +59,34 @@ def test_beta_json_serializes_exact_and_float(capsys):
     assert row["closed_plus"] == {"re": "-1/576", "im": "0"}
 
 
+@pytest.mark.parametrize("b,n,column", [
+    # beta^- at n = 92 is below the least normal double: complex() read 0.0
+    ("-85000", 92, "beta_minus"),
+    # beta^+ at n = 60 is past the largest double: complex() raised OverflowError
+    ("-10000000000", 60, "beta_plus"),
+])
+def test_beta_prints_a_float_part_past_the_double_range_as_a_string(capsys, b, n, column):
+    potential = json.dumps({"a": "1", "b": b, "R": 1, "S": 1})
+    code, out, _ = run_cli(capsys, "beta", "--potential", potential, "--range", str(n),
+                           "--format", "json")
+    assert code == 0
+    (row,) = _strict_json(out)["rows"]
+    pot, params = hillwalk.two_term(1, int(b), 1, 1)
+    exact = {"beta_plus": hillwalk.beta_plus, "beta_minus": hillwalk.beta_minus}[column](
+        pot, params, n).value.re
+    assert not sys.float_info.min <= abs(exact) <= sys.float_info.max
+    text = row[f"{column}_float"]["re"]
+    assert isinstance(text, str) and len(text.lstrip("-").split("e")[0]) == 18  # 17 digits
+    with mpmath.workprec(256):
+        assert abs(mpmath.mpf(text) * exact.denominator / exact.numerator - 1) <= 1e-16
+    assert row[f"{column}_float"]["im"] == 0.0
+    code, out, _ = run_cli(capsys, "beta", "--potential", potential, "--range", str(n))
+    assert code == 0
+    header, line = out.strip().split("\n")
+    cells = dict(zip(header.split(","), line.split(",")))
+    assert cells[f"{column}_float"] == f"({text}+0.0j)"
+
+
 def test_beta_singular_z_exits_2(capsys, tmp_path):
     conf = tmp_path / "conf.json"
     conf.write_text('{"z": "24"}')

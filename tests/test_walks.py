@@ -16,17 +16,19 @@ from hillwalk.walks import (
     Walk,
     WalkKind,
     WalkSingularityError,
-    _disc_bound_sums,
+    _dyadic,
+    _reach_mask,
     _sqrt_upper,
-    disc_deviation_bound,
+    _walk_sums,
     enumerate_closed,
     shell_step_counts,
     shell_sum,
     shell_sums,
+    sum_and_disc_bound,
     vertices,
     weight,
 )
-from oracles import enumerate_shell, is_admissible, shell_size_bound
+from oracles import enumerate_shell, is_admissible, reach_mask, shell_size_bound
 
 
 def enum_sum(pot, params, n, kind, shell, z):
@@ -379,6 +381,65 @@ class TestOneZ:
         assert (err.value.n, err.value.t, err.value.vertex) == (5, 1, -7)
 
 
+def mask_queries(mask, want, offsets, n, start, end, top):
+    """Every (t, u) query the engine makes of a mask, with its answer: the
+    layers grow from `start` and keep a vertex on a yes."""
+    layer, answers = {start}, []
+    for t in range(1, top + 1):
+        nxt = set()
+        for v in layer:
+            for u in (v + x for x in offsets):
+                if u != end and abs(u) != n:
+                    kept = bool((mask.get(u, 0) << t) & want)
+                    answers.append((t, u, kept))
+                    if kept:
+                        nxt.add(u)
+        layer = nxt
+    return answers
+
+
+class TestClippedMask:
+    """The reachability mask clipped to the forward cone of the start."""
+
+    @given(
+        offsets=st.lists(st.sampled_from([-8, -6, -4, -2, 2, 4, 6, 8]),
+                         min_size=1, max_size=4, unique=True),
+        n=st.integers(1, 12), start=st.integers(-20, 20), end=st.integers(-20, 20),
+        lengths=st.lists(st.integers(0, 10), min_size=1, max_size=4, unique=True),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_answers_every_query_as_the_unclipped_mask(self, offsets, n, start, end, lengths):
+        top = max(lengths)
+        clipped = _reach_mask(offsets, n, start, end, lengths)
+        unclipped = reach_mask(offsets, n, end, lengths)
+        assert clipped[1] == unclipped[1]
+        assert (mask_queries(*clipped, offsets, n, start, end, top)
+                == mask_queries(*unclipped, offsets, n, start, end, top))
+
+    @given(
+        R=st.integers(1, 4), S=st.integers(1, 4), n=st.integers(1, 14), cap=st.integers(0, 3),
+        a=gaussian_rationals, b=gaussian_rationals, z=sample_z,
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_reflection_maps_x_sums_onto_y_sums(self, R, S, n, cap, a, b, z):
+        """j -> -j maps the X walks of (a, b, R, S) onto the Y walks of
+        (b, a, S, R) step by step, coefficients and factors 1/(n^2 - j^2 + z)
+        included, so the shell sums are equal; a singular z raises at the
+        same t, at the mirrored vertex or at the same one when both of
+        -+j are kept and singular."""
+        if a.is_zero() or b.is_zero():
+            return
+        shells = range(cap + 1)
+        _, params = two_term(a, b, R, S)
+        _, mirror = two_term(b, a, S, R)
+        plain = sums_outcome(lambda: shell_sums(params, n, WalkKind.X, shells, z))
+        mirrored = sums_outcome(lambda: shell_sums(mirror, n, WalkKind.Y, shells, z))
+        if isinstance(plain, tuple):
+            assert mirrored in (plain, (plain[0], -plain[1]))
+        else:
+            assert mirrored == plain
+
+
 class TestFractionFreeLayers:
     """Cases aimed at the shared-denominator arithmetic of the engine: mixed
     coefficient denominators, a huge dyadic z, and layers the per-layer gcd
@@ -467,11 +528,12 @@ def exact_products(params, n, kind, shell):
 
 
 def bound_products(params, n, kind, shell):
-    """(P1, P0) of one shell from the fixed-point bound pass."""
+    """(P1, P0) of one shell, as the walk engine carries them at z = 0."""
     counts = shell_step_counts(params, n, kind, shell)
     start = -n if kind is WalkKind.X else n
-    sums = _disc_bound_sums((-2 * params.R, 2 * params.S), n, start, -start, [counts.total])
-    return sums[counts.total]
+    steps = ((-2 * params.R, params.a), (2 * params.S, params.b))
+    _, m1, m0, e = _walk_sums(steps, n, start, -start, [counts.total], 0)[counts.total]
+    return _dyadic(m1, e), _dyadic(m0, e)
 
 
 gaussian_up_to_8 = st.builds(
@@ -481,8 +543,8 @@ gaussian_up_to_8 = st.builds(
 
 
 class TestDiscBound:
-    """disc_deviation_bound bounds |B(z) - B(0)| over |z| <= 1; its
-    fixed-point pass rounds P1 up and P0 down."""
+    """sum_and_disc_bound bounds |B(z) - B(0)| over |z| <= 1; the engine's
+    fixed-point products round P1 up and P0 down."""
 
     @given(
         R=st.integers(1, 4), S=st.integers(1, 4), n=st.integers(1, 14),
@@ -495,9 +557,10 @@ class TestDiscBound:
         the bound certifies (4 bound^2 <= |B(0)|^2) the factor-2 test passes."""
         _, params = two_term(a, b, R, S)
         shells = range(cap + 1)
-        bound = disc_deviation_bound(params, n, kind, shells)
+        centre, bound = sum_and_disc_bound(params, n, kind, shells)
         base, *moved = (sum(shell_sums(params, n, kind, shells, z), GaussianRational())
                         for z in (0,) + STABILITY_SAMPLES)
+        assert centre == base
         assert bound >= 0
         for value in moved:
             assert (value - base).abs2() <= bound ** 2
@@ -512,7 +575,7 @@ class TestDiscBound:
         for n in range(2, 9):
             base, moved = (shell_sums(params, n, WalkKind.X, (0,), z)[0] for z in (0, -1))
             deviation = abs((moved - base).re)
-            bound = disc_deviation_bound(params, n, WalkKind.X, (0,))
+            _, bound = sum_and_disc_bound(params, n, WalkKind.X, (0,))
             assert deviation <= bound <= deviation * (1 + Fraction(1, 2**50))
 
     @pytest.mark.parametrize("R,S", [(1, 1), (1, 3), (2, 3), (3, 2)])
@@ -549,4 +612,4 @@ class TestDiscBound:
     def test_w_kind_rejected(self):
         _, params = two_term(1, 1, 1, 1)
         with pytest.raises(ValueError):
-            disc_deviation_bound(params, 4, WalkKind.W, (1,))
+            sum_and_disc_bound(params, 4, WalkKind.W, (1,))
