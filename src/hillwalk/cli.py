@@ -16,8 +16,6 @@ from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
 
-import mpmath
-
 from .beta import (
     alpha_n,
     beta_equal_rs_leading_exact,
@@ -34,7 +32,7 @@ from .criteria import (
     theorem31_report,
     theorem5_report,
 )
-from .numerics import DEFAULT_PRECISION, MIN_PRECISION, GaussianRational, fraction_to_mpf
+from .numerics import DEFAULT_PRECISION, MIN_PRECISION, GaussianRational, printed
 from .potential import TwoTermParams, _scalar_from_json, parse_potential, potential_to_json
 from .spectra import (
     BoundaryCondition,
@@ -312,13 +310,10 @@ _BETA_COLUMNS = ("n", "beta_plus", "beta_plus_float", "beta_minus", "beta_minus_
 
 
 def _float_value(g: GaussianRational):
-    """complex(g), or where a part is past the normal double range (a float
-    would read inf or 0.0), {"re", "im"} with that part a 17-digit string."""
-    parts = [float(q) if q == 0 or sys.float_info.min <= abs(q) <= sys.float_info.max
-             else mpmath.nstr(fraction_to_mpf(q), 17, strip_zeros=False) for q in (g.re, g.im)]
-    if all(type(part) is float for part in parts):
-        return complex(*parts)
-    return dict(zip(("re", "im"), parts))
+    """Both parts of g rounded once (`printed`): a complex, or where a part is
+    past the normal double range, {"re", "im"} with that part a 17-digit string."""
+    parts = printed(g.re), printed(g.im)
+    return complex(*parts) if all(type(part) is float for part in parts) else dict(zip(("re", "im"), parts))
 
 
 def _csv_cell(value) -> str:

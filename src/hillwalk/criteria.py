@@ -25,14 +25,13 @@ and the numbers are attached as corroboration only.
 """
 
 import math
-import sys
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 import mpmath
 
-from .numerics import DEFAULT_PRECISION, GaussianRational, abs_value, fraction_to_mpf
+from .numerics import GaussianRational, printed
 from .potential import FourierPotential, TwoTermParams, two_term
 from .spectra import (
     REFINE_PRECISION,
@@ -166,20 +165,6 @@ def _weights(pot, params, n):
     return tuple(value for value, _ in pairs), tuple(eps for _, eps in pairs)
 
 
-def _sqrt_float(q: Fraction) -> Union[float, str]:
-    """sqrt of an exact nonnegative rational, through mpf so no quotient of
-    huge integers overflows: the float root of float(q), or past the normal
-    double range the root of the exact q, as a float where it fits and as a
-    string of 17 significant digits where a float would read inf or 0.0."""
-    square = abs_value(GaussianRational(q))
-    if q == 0 or sys.float_info.min <= square <= sys.float_info.max:
-        return square ** 0.5
-    root = mpmath.sqrt(fraction_to_mpf(q), prec=DEFAULT_PRECISION)
-    if sys.float_info.min <= float(root) <= sys.float_info.max:
-        return float(root)
-    return mpmath.nstr(root, 17, strip_zeros=False)
-
-
 def t_n_squared(bp: GaussianRational, bm: GaussianRational) -> Fraction:
     """Exact t_n^2 = max(|b-/b+|, |b+/b-|)^2 as a rational."""
     p2, m2 = bp.abs2(), bm.abs2()
@@ -262,7 +247,7 @@ def criterion1_verdict(
             )
         sq = t_n_squared(*base)
         squares.append(sq)
-        rows.append({"n": n, "class": "delta1", "t": _sqrt_float(sq)})
+        rows.append({"n": n, "class": "delta1", "t": printed(sq, 2)})
         # per kind: |beta|^2 at each sample, or none where the disc bound certifies it
         moved = [[] if 4 * eps ** 2 <= fixed.abs2()
                  else [sum(shell_sums(params, n, kind, shells, z), GaussianRational()).abs2()
@@ -305,7 +290,7 @@ def _ratio_rows(pot, params, m_range, index_of):
             raise DegenerateRatioError(f"vanishing weight sum at n={n}")
         sq = bm.abs2() / bp.abs2()
         squares.append(sq)
-        rows.append({"n": n, "m": m, "ratio": _sqrt_float(sq)})
+        rows.append({"n": n, "m": m, "ratio": printed(sq, 2)})
     return ms, rows, squares
 
 
@@ -435,8 +420,8 @@ def prop20_verdict(
             sq = t_n_squared(*_weights(pot, params, n)[0])
             lead2 = q2 ** (n // R)
             corroborated &= Fraction(1, 4) <= sq / lead2 <= 4  # within factor 2 on t itself
-            rows.append({"n": n, "class": "delta1", "t": _sqrt_float(sq),
-                         "leading": _sqrt_float(lead2)})
+            rows.append({"n": n, "class": "delta1", "t": printed(sq, 2),
+                         "leading": printed(lead2, 2)})
     if degenerate:
         return BasisVerdict(
             index_set=f"odd n <= {n_max}",

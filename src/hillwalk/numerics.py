@@ -2,16 +2,18 @@
 
 Walk weights and closed-form coefficients are Gaussian rationals (rational
 real and imaginary parts) and are kept exact end to end; floating point only
-enters when a value is rendered or fed to the spectral solvers.  Conversions
+enters when a value is printed or fed to the spectral solvers.  `printed`
+rounds every printed number once from its exact value; conversions to mpmath
 are correctly rounded at an explicit mantissa precision in bits.
 """
 
 from __future__ import annotations
 
+import math
 import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Tuple, Union
 
 import mpmath
 from mpmath.libmp import from_rational, round_nearest
@@ -196,16 +198,34 @@ def to_mpc(value: ScalarLike, precision: int = DEFAULT_PRECISION) -> mpmath.mpc:
         return mpmath.mpc(fraction_to_mpf(g.re, precision), fraction_to_mpf(g.im, precision))
 
 
-def mpc_abs(value: mpmath.mpc, precision: int = DEFAULT_PRECISION) -> mpmath.mpf:
-    with mpmath.mp.workprec(precision):
-        return abs(mpmath.mpc(value))
+def _rounded(q: Fraction, root: int, base: int, digits: int) -> Tuple[int, int]:
+    """(m, e) with m * base**e the root-th root of q > 0 rounded half to even to
+    `digits` digits, from its exact integer floor, one guard digit and a sticky bit."""
+    bits = q.numerator.bit_length() - q.denominator.bit_length()
+    e = math.floor(bits / root * math.log(2, base)) - digits
+    while True:  # r = floor(q**(1/root) / base**e), wanted with digits + 1 digits
+        a, rem = divmod(q.numerator * base ** max(-root * e, 0), q.denominator * base ** max(root * e, 0))
+        r = math.isqrt(a) if root == 2 else a
+        if base ** digits <= r < base ** (digits + 1):
+            break
+        e += 1 if r >= base ** digits else -1
+    m, guard = divmod(r, base)
+    if 2 * guard > base or (2 * guard == base and (rem or r ** root != a or m & 1)):
+        m += 1
+    return (m // base, e + 2) if m == base ** digits else (m, e + 1)
 
 
-def abs_value(value: ScalarLike, precision: int = DEFAULT_PRECISION) -> float:
-    """Modulus of an exact scalar, evaluated through mpf to dodge overflow."""
-    g = GaussianRational.of(value)
-    with mpmath.mp.workprec(precision):
-        return float(mpmath.sqrt(fraction_to_mpf(g.abs2(), precision)))
+def printed(q: Fraction, root: int = 1) -> Union[float, str]:
+    """q (root 1) or its square root (root 2) rounded once from the exact
+    value: the nearest double where that is 0 or a normal finite double,
+    else a string of 17 significant digits, rounded half to even."""
+    if q == 0:
+        return 0.0
+    m, e = _rounded(abs(q), root, 2, 53)
+    if -1074 <= e <= 971:  # 2**-1022 <= m * 2**e < 2**1024
+        return math.ldexp(-m if q < 0 else m, e)
+    m, e = _rounded(abs(q), root, 10, 17)
+    return f"{'-' if q < 0 else ''}{m // 10**16}.{m % 10**16:016d}e{e + 16:+d}"
 
 
 # -- telescoped Gamma ratio -----------------------------------------------

@@ -31,7 +31,7 @@ from typing import Optional, Sequence
 import mpmath
 from mpmath.libmp import to_fixed
 
-from .numerics import GaussianRational, check_precision, mpc_abs
+from .numerics import GaussianRational, check_precision
 from .potential import FourierPotential
 
 MAX_K = 256
@@ -371,7 +371,7 @@ def reduction_residual(pot: FourierPotential, n: int, K: int, lam: complex) -> f
     with mpmath.workprec(REFINE_PRECISION):
         z = mpmath.mpc(z)
         ((s11, s12), (s21, s22)), _ = _schur(plan, z)
-        return float(mpc_abs((z - s11) * (z - s22) - s12 * s21))
+        return float(abs((z - s11) * (z - s22) - s12 * s21))
 
 
 # -- arbitrary-precision refinement ----------------------------------------
@@ -528,9 +528,9 @@ def _newton(step, z, tol, what):
     for _ in range(NEWTON_ITERATIONS):
         s = step(z)
         z -= s
-        if mpc_abs(s) <= stop:
+        if abs(s) <= stop:
             return z
-    raise ConvergenceError(what, NEWTON_ITERATIONS, mpc_abs(s))
+    raise ConvergenceError(what, NEWTON_ITERATIONS, abs(s))
 
 
 def _resolved(z, tol):
@@ -582,7 +582,7 @@ def _pair(plan: tuple, bc: BoundaryCondition, n: int, precision: int) -> Spectra
         m, w = last
         last[1] = -w
         second = _newton(step, m - w, tol, f"Newton on the second branch at n={n}")
-        inside = [n * n + z for z in (first, second) if mpc_abs(z) < DISC_RADIUS]
+        inside = [n * n + z for z in (first, second) if abs(z) < DISC_RADIUS]
         if len(inside) < 2:
             raise LocalizationError(bc, n, inside)
         lo, hi = sorted((_resolved(n * n + z, tol) for z in (first, second)),
@@ -609,7 +609,7 @@ def pair_couplings(pot: FourierPotential, bc: BoundaryCondition, n: int, K: int,
     with mpmath.workprec(precision):
         couplings = [(s12, s21) for (_, s12), (s21, _) in
                      (_schur(plan, mpmath.mpc(z))[0] for z in (0, pair.z_star))]
-        if min(mpc_abs(s) for c in couplings for s in c) <= mpmath.ldexp(1, 16 - precision):
+        if min(abs(s) for c in couplings for s in c) <= mpmath.ldexp(1, 16 - precision):
             raise DegenerateRatioError(f"beta+ or beta- at n={n} is at or below the resolution "
                                        f"2^-{precision - 16} of the reduction")
         return pair, couplings
@@ -632,6 +632,6 @@ def refined_dirichlet(pot: FourierPotential, n: int, K: int,
             return (z - s) / (1 - t)
 
         z = _newton(step, mpmath.mpc(0), tol, f"Newton on the Dirichlet equation at n={n}")
-        if mpc_abs(z) >= DISC_RADIUS:
+        if abs(z) >= DISC_RADIUS:
             raise DirichletUniquenessError(n, [])
         return _resolved(n * n + z, tol)

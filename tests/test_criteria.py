@@ -24,8 +24,8 @@ from hillwalk.criteria import (
     theorem31_report,
     theorem5_report,
 )
-from hillwalk.criteria import _sqrt_float, _threshold_conclusion
-from hillwalk.numerics import GaussianRational
+from hillwalk.criteria import _threshold_conclusion
+from hillwalk.numerics import GaussianRational, printed
 from hillwalk.potential import two_term
 from hillwalk.spectra import SpectralPair, refined_pair
 
@@ -34,7 +34,7 @@ GR = GaussianRational.of
 
 def t_n(bp, bm):
     """max(|beta^-/beta^+|, |beta^+/beta^-|) >= 1, rounded from the exact t_n^2."""
-    return _sqrt_float(t_n_squared(bp, bm))
+    return printed(t_n_squared(bp, bm), 2)
 
 
 # -- t_n -------------------------------------------------------------------
@@ -326,7 +326,7 @@ def _five_z_verdict(pot, params, index_set, weights=_weights_from_engine):
             raise DegenerateRatioError(f"beta vanishes numerically at n={n} though walks exist")
         sq = t_n_squared(*base)
         squares.append(sq)
-        rows.append({"n": n, "class": "delta1", "t": _sqrt_float(sq)})
+        rows.append({"n": n, "class": "delta1", "t": printed(sq, 2)})
         for z, moved in zip(STABILITY_SAMPLES, moved_weights):
             for fixed, value in zip(base, moved):
                 if not (4 * value.abs2() >= fixed.abs2() and value.abs2() <= 4 * fixed.abs2()):
@@ -739,6 +739,6 @@ def test_concordance_c1_and_c2_are_the_modulus_power(a, b):
     a, b = GaussianRational(*a), GaussianRational(*b)
     q2 = max(a.abs2() / b.abs2(), b.abs2() / a.abs2())
     for row in concordance_report(a, b, ns=tuple(range(6, 21, 2))).rows:
-        want = _sqrt_float(q2 ** row["n"])
+        want = printed(q2 ** row["n"], 2)
         assert row["c1"] == pytest.approx(want, rel=1e-12)
         assert row["c2"] == pytest.approx(want, rel=1e-12)

@@ -1,7 +1,7 @@
 """No library or test module imports a name it never uses (`__init__`
 re-exports), the library defines no top-level name that nothing in
 src/, tests/ or bench/ refers to, and each library module imports only
-the `hillwalk` modules of its layer."""
+the `hillwalk` modules of its layer; the CLI imports no mpmath."""
 
 import ast
 import functools
@@ -138,3 +138,12 @@ def test_verdict_loads_no_numpy(args):
              "print(code, 'numpy' in sys.modules, file=sys.stderr)")
     proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env)
     assert proc.stderr == "0 False\n"
+
+
+def test_cli_imports_no_mpmath():
+    """The CLI prints exact values only through `numerics.printed`, so how a
+    number becomes text is decided in one module."""
+    tree = ast.parse((Path(hillwalk.__file__).parent / "cli.py").read_text())
+    modules = [a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names]
+    modules += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module]
+    assert [m for m in modules if m.split(".")[0] == "mpmath"] == []

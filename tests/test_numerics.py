@@ -1,6 +1,8 @@
-"""Exact scalar arithmetic, precision round trips, the telescoped Gamma ratio."""
+"""Exact scalar arithmetic, precision round trips, the telescoped Gamma ratio,
+and the one rounding from an exact rational to a printed number."""
 
 import math
+import re
 from fractions import Fraction
 
 import mpmath
@@ -10,9 +12,9 @@ from hypothesis import strategies as st
 
 from hillwalk.numerics import (
     GaussianRational,
-    abs_value,
     fraction_to_mpf,
     gamma_product_identity,
+    printed,
     to_mpc,
 )
 
@@ -122,11 +124,75 @@ class TestGamma:
                 assert abs(to_mpc(exact, 192) - numeric) < mpmath.mpf(2) ** -180 * abs(numeric)
 
 
-def test_abs_value_handles_huge_fractions():
-    g = GaussianRational(Fraction(10 ** 400, 3), 0)
-    assert abs_value(g) == math.inf or abs_value(g) > 1e300
-    tiny = GaussianRational(Fraction(3, 10 ** 400), 0)
-    assert abs_value(tiny) >= 0.0
+# rationals from far below the least subnormal to far past the largest double,
+# with extra weight where q or its square root crosses an edge of the range
+wide_fractions_st = st.builds(
+    lambda sign, p, q, k: sign * Fraction(p, q) * Fraction(2) ** k,
+    st.sampled_from((1, -1)), st.integers(1, 2**80), st.integers(1, 2**80),
+    st.integers(-2400, 2400) | st.sampled_from((-2044, -1022, 1024, 2048)).flatmap(
+        lambda edge: st.integers(edge - 90, edge + 6)),
+)
+SEVENTEEN_DIGITS = re.compile(r"-?[1-9]\.\d{16}e[+-]\d+")
+
+
+def _bracket(x):
+    """The midpoints between the positive double x and its neighbours:
+    the reals that round to x."""
+    exact = Fraction(x)
+    return (exact + Fraction(math.nextafter(x, 0))) / 2, exact + Fraction(math.ulp(x)) / 2
+
+
+class TestPrinted:
+    """`printed` against exact Fraction brackets: a double must be the
+    nearest one to q**(1/root), a string must be within half a unit of its
+    17th digit, and nothing else may come out."""
+
+    @given(q=wide_fractions_st, root=st.sampled_from((1, 2)))
+    @settings(max_examples=300)
+    def test_rounds_once_from_the_exact_value(self, q, root):
+        if root == 2:
+            q = abs(q)
+        value = printed(q, root)
+        if isinstance(value, float):
+            assert (value < 0) == (q < 0)
+            lo, hi = _bracket(abs(value))
+            assert lo ** root <= abs(q) <= hi ** root
+            assert abs(value) >= 2.0 ** -1022
+            if root == 1:
+                assert value == float(q)
+        else:
+            assert SEVENTEEN_DIGITS.fullmatch(value)
+            assert value.startswith("-") == (q < 0)
+            unit = Fraction(10) ** (int(value.split("e")[1]) - 16) / 2
+            shown = abs(Fraction(value))
+            assert (shown - unit) ** root <= abs(q) <= (shown + unit) ** root
+            # past the normal range: a float would be subnormal, 0.0 or inf
+            assert abs(q) < Fraction(2) ** (-1022 * root) or abs(q) >= (2**1024 - 2**970) ** root
+
+    def test_fixed_cases(self):
+        assert printed(Fraction(0)) == 0.0 and printed(Fraction(0), 2) == 0.0
+        assert printed(Fraction(2) ** -1022) == 2.0 ** -1022
+        assert printed(Fraction(2) ** -1074) == "4.9406564584124654e-324"
+        assert printed(-Fraction(2) ** 1024) == "-1.7976931348623159e+308"
+        assert printed(Fraction(2) ** 2048, 2) == "1.7976931348623159e+308"
+        assert printed(Fraction(10) ** 400, 2) == 1e200
+        # a subnormal double is printed as a string
+        assert printed(Fraction(3, 4) * Fraction(2) ** -1022) == "1.6688053938804010e-308"
+
+    def test_ties_round_to_even(self):
+        assert printed(1 + Fraction(2) ** -53) == 1.0
+        assert printed(1 + 3 * Fraction(2) ** -53) == 1 + 2.0 ** -51
+        assert printed((10**16 + Fraction(1, 2)) / Fraction(10) ** 339) == "1.0000000000000000e-323"
+        assert printed(-(10**16 + Fraction(3, 2)) / Fraction(10) ** 339) == "-1.0000000000000002e-323"
+
+    def test_square_root_is_rounded_once(self):
+        # rounding 1/7 to a double first puts its float root one bit low
+        q = Fraction(1, 7)
+        lo, hi = _bracket(float(q) ** 0.5)
+        assert not lo ** 2 <= q <= hi ** 2
+        assert printed(q, 2) == 0.37796447300922725
+        lo, hi = _bracket(printed(q, 2))
+        assert lo ** 2 <= q <= hi ** 2
 
 
 def test_fraction_to_mpf_single_rounding():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hillwalk.numerics import GaussianRational, mpc_abs, to_mpc
+from hillwalk.numerics import GaussianRational, to_mpc
 from hillwalk.potential import FourierPotential, two_term
 from hillwalk.beta import beta_minus, beta_plus
 from hillwalk.criteria import concordance_report
@@ -355,7 +355,7 @@ class TestRefinement:
             zg = GaussianRational(Fraction(z_star.real), Fraction(z_star.imag))
             bp = beta_plus(pot, params, n, z=zg, shell_cap=3).value
             bm = beta_minus(pot, params, n, z=zg, shell_cap=2).value
-            pred = mpc_abs(2 * mpmath.sqrt(to_mpc(bp * bm, 320)))
+            pred = abs(2 * mpmath.sqrt(to_mpc(bp * bm, 320)))
             assert pred > 0
             assert abs(rp.gap - pred) / pred < 0.01
             assert rp.gap > 0
