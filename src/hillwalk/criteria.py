@@ -8,7 +8,8 @@ Three routes to the same question, evaluated over an index family Delta:
 
 Criterion-1 verdicts and the analytic reports take beta^+- at z = 0 as
 exact walk sums up to fixed shell caps, straight from the walk engine,
-one engine call per (n, kind); the shells past the caps are left out.
+one engine call per (n, kind), or per n when R = S and the Y walks mirror
+the X walks; the shells past the caps are left out.
 Criterion 1 checks its z-stability with a bound over the whole disc
 |z| <= 1, which the same z = 0 engine call carries, and sums the four
 samples, one engine call each, only for an (n, kind) the bound cannot
@@ -46,7 +47,7 @@ from .walks import (
     WalkKind,
     shell_step_counts,
     shell_sums,
-    sum_and_disc_bound,
+    sums_and_disc_bounds,
 )
 
 STABILITY_SAMPLES = (
@@ -158,10 +159,12 @@ _KIND_SHELLS = tuple((kind, range(cap + 1))
 def _weights(pot, params, n):
     """Exact (beta^+(0), beta^-(0)), each summed over its walk shells
     0..cap (DEFAULT_SHELL_CAPS), and their disc bounds (eps^+, eps^-)
-    (`sum_and_disc_bound`), one engine call per kind."""
+    (`sum_and_disc_bound`), one engine call per distinct lattice
+    (`sums_and_disc_bounds`): one per kind for R != S, and one in all for
+    R = S, whose Y walks mirror its X walks."""
     if (pot.coefficient(-2 * params.R), pot.coefficient(2 * params.S)) != (params.a, params.b):
         raise ValueError("params do not match the potential coefficients")
-    pairs = [sum_and_disc_bound(params, n, kind, shells) for kind, shells in _KIND_SHELLS]
+    pairs = sums_and_disc_bounds(params, n, DEFAULT_SHELL_CAPS)
     return tuple(value for value, _ in pairs), tuple(eps for _, eps in pairs)
 
 

@@ -47,6 +47,17 @@ def _parse_rational(text: str) -> Fraction:
     return Fraction(text)
 
 
+def gaussian_power(re: int, im: int, k: int) -> Tuple[int, int]:
+    """(re + i im)^k for Gaussian integers, k >= 0, by repeated squaring."""
+    out_re, out_im = 1, 0
+    while k:
+        if k & 1:
+            out_re, out_im = out_re * re - out_im * im, out_re * im + out_im * re
+        re, im = re * re - im * im, 2 * re * im
+        k >>= 1
+    return out_re, out_im
+
+
 @dataclass(frozen=True)
 class GaussianRational:
     """Exact complex scalar with Fraction real and imaginary parts."""
@@ -144,15 +155,11 @@ class GaussianRational:
             raise TypeError("exponent must be an int")
         if exponent < 0:
             return GaussianRational(Fraction(1)) / self ** (-exponent)
-        result = GaussianRational(Fraction(1))
-        base = self
-        k = exponent
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        # (p + i q) / c over one denominator: one Gaussian-integer power, reduced once
+        c = math.lcm(self.re.denominator, self.im.denominator)
+        p, q = gaussian_power(self.re.numerator * (c // self.re.denominator),
+                              self.im.numerator * (c // self.im.denominator), exponent)
+        return GaussianRational(Fraction(p, c ** exponent), Fraction(q, c ** exponent))
 
     # -- queries -----------------------------------------------------------
 

@@ -405,9 +405,14 @@ def _reduction(pot: FourierPotential, bc: BoundaryCondition, n: int, K: int, cou
     """The layout (plan) of the Schur complement of the truncation onto the
     `count` basis functions with free eigenvalue n^2 (`_disc_anchors`).
 
-    A(z) = diag(n^2 + z - free) - V over Q, the other positions, is
-    eliminated in basis order without pivoting, which is stable when A is
-    strictly diagonally dominant.  Each row is checked over the whole disc
+    Q holds the other positions joined to an anchor through nonzero cells
+    (a search over the cell graph of `_potential_cells`).  The rest add
+    exactly nothing to S(z): A(z) is block diagonal over them and V_PQ,
+    V_QP vanish there, so they are neither eliminated nor checked; the set
+    is closed under the reflection J of `_schur`, which still reverses Q.
+    A(z) = diag(n^2 + z - free) - V over Q is eliminated in basis order
+    without pivoting, which is stable when A is strictly diagonally
+    dominant.  Each row is checked over the whole disc
     |z| <= DISC_RADIUS, with no seed: it passes when |n^2 - free - V_jj| -
     DISC_RADIUS exceeds its off-diagonal sum by a margin delta > 0, and a
     row that does not raises ValueError.  The fill pattern does not depend
@@ -420,7 +425,18 @@ def _reduction(pot: FourierPotential, bc: BoundaryCondition, n: int, K: int, cou
     cells = _potential_cells(pot, bc, K)
     ks = basis_indices(bc, K)
     bits = precision + GUARD_BITS
-    Q = [i for i in range(len(ks)) if i not in anchors]
+    neighbours = {}
+    for i, j in cells:
+        neighbours.setdefault(i, []).append(j)
+        neighbours.setdefault(j, []).append(i)
+    joined, frontier = set(anchors), list(anchors)
+    while frontier:
+        for j in neighbours.get(frontier.pop(), ()):
+            if j not in joined:
+                joined.add(j)
+                frontier.append(j)
+    Q = sorted(joined.difference(anchors))
+    del neighbours  # freed before the layout is built, which outlives this call
     at = {i: q for q, i in enumerate(Q)}
     distinct = {id(v): v for v in cells.values()}  # the cells of one line share one object
     rounded = {key: _fixed(v, bits) for key, v in distinct.items()}
@@ -449,11 +465,12 @@ def _reduction(pot: FourierPotential, bc: BoundaryCondition, n: int, K: int, cou
     back = [[(k, slot[q, k]) for k in cols] for q, cols in enumerate(upper)]
     steps = [(slot[j, j], [(q, slot[j, q], [(slot[j, k], slot[q, k]) for k in upper[q]])
                            for q in cols if q < j]) for j, cols in enumerate(pattern)]
-    coupling = [[rounded.get(id(cells.get((i, p))), (0, 0)) for p in anchors] for i in range(len(ks))]
-    columns = tuple(tuple(zip(*(coupling[i][p] for i in Q))) for p in range(len(anchors)))
+    coupling = {i: [rounded.get(id(cells.get((i, p))), (0, 0)) for p in anchors] for i in joined}
+    columns = tuple(tuple(tuple(coupling[i][p][part] for i in Q) for part in (0, 1))
+                    for p in range(len(anchors)))
     vpp = tuple(tuple((re << bits, im << bits) for re, im in coupling[i]) for i in anchors)
     mirror = bc != BoundaryCondition.DIRICHLET
-    return bits, *zip(*values), steps, back, columns, vpp, mirror
+    return bits, [v[0] for v in values], [v[1] for v in values], steps, back, columns, vpp, mirror
 
 
 def _dot(a, b, start=(0, 0)):

@@ -15,12 +15,17 @@ one transfer DP over (steps taken, vertex), at one z per call;
 closed-walk enumeration and `weight` are kept for walk inspection, and the
 tests enumerate shells walk by walk as their oracle.
 
-The DP is fraction-free, after Bareiss (Math. Comp. 1968): a layer holds
-Gaussian-integer numerators over one shared denominator, reduced by one
-gcd per layer; only the sums become GaussianRationals.  The same pass
-carries, in fixed point with outward rounding, the products that bound
-how far the X/Y shell sums move on the disc |z| <= 1
-(`sum_and_disc_bound`).
+The DP is fraction-free: a layer holds Gaussian-integer numerators over
+one shared denominator, and nothing is divided until the sums become
+GaussianRationals, each reduced once.  On a lattice of one or two offsets
+(every X/Y shell and every two-term closed walk) a walk's length fixes
+its step counts, so the steps carry unit weight and each length's sum
+takes its coefficient monomial once; three or more offsets keep their
+coefficients inside the same loop.  The same pass carries, in fixed point
+with outward rounding, the products that bound how far the X/Y shell sums
+move on the disc |z| <= 1 (`sum_and_disc_bound`).  At z = 0 the map
+u -> -u takes the Y walks of (R, S) onto the X walks of (S, R), so for
+R = S one call serves both kinds (`sums_and_disc_bounds`).
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Collection, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .numerics import GaussianRational, ScalarLike
+from .numerics import GaussianRational, ScalarLike, gaussian_power
 from .potential import FourierPotential, TwoTermParams
 
 
@@ -270,13 +275,21 @@ def _walk_sums(
     Layer t maps a vertex to the weighted sum of admissible t-step prefixes
     ending there, held fraction-free: a Gaussian-integer numerator per
     vertex over one positive integer denominator `den` shared by the layer.
-    With coefficients g_x / C and z = P / Q, a step multiplies numerators
-    by g_x and `den` by C, with no gcd.  The factor 1 / (n^2 - u^2 + z) is
-    Q / W_u with W_u = Q(n^2 - u^2) + P; the layer is brought over the lcm L
-    of the |W_u|^2 (of the |W_u| when z is real) by multiplying vertex u by
-    Q conj(W_u) L / |W_u|^2, and then one gcd of `den` and every numerator
-    reduces the whole layer.  Sums reaching `end` leave as exact
-    GaussianRationals.
+    With z = P / Q, the factor 1 / (n^2 - u^2 + z) is Q / W_u with W_u =
+    Q(n^2 - u^2) + P; the layer is brought over the lcm L of the |W_u|^2
+    (of the |W_u| when z is real) by multiplying vertex u by
+    Q conj(W_u) L / |W_u|^2, and `den` by L.  Nothing is divided during the
+    pass: each sum reaching `end` is reduced once, as it becomes a
+    GaussianRational.
+
+    Coefficients g_x / C over a common denominator C enter where they
+    depend on the walk.  With three or more offsets a step multiplies the
+    numerators by g_x and `den` by C.  With at most two, the step counts
+    (k_1, k_2) of a t-step walk from start to end solve k_1 + k_2 = t and
+    k_1 x_1 + k_2 x_2 = end - start, so every walk of length t carries the
+    same coefficient product: steps carry unit weight, and the sum of
+    length t is multiplied once by g_1^k_1 g_2^k_2 / C^t (a length with no
+    integer solution has no walks and stays zero).
 
     Each vertex also carries P1 and P0 in fixed point: integer mantissas
     over one binary exponent e per layer.  A vertex factor multiplies by
@@ -290,9 +303,11 @@ def _walk_sums(
     length (`_reach_mask`).  A zero denominator on a kept vertex raises
     WalkSingularityError at the smallest t, then the smallest vertex."""
     out = {length: (GaussianRational(), 0, 0, 0) for length in lengths}
-    mask, want = _reach_mask([x for x, _ in steps], n, start, end, out)
+    offsets = [x for x, _ in steps]
+    mask, want = _reach_mask(offsets, n, start, end, out)
     coeffs, c_den = _over_common_denominator([c for _, c in steps])
-    int_steps = [(x, g_re, g_im) for (x, _), (g_re, g_im) in zip(steps, coeffs)]
+    weighted = len(steps) > 2
+    int_steps = [(x, g_re, g_im) for x, (g_re, g_im) in zip(offsets, coeffs)]
     ((p_re, p_im),), q = _over_common_denominator([GaussianRational.of(z)])
     # vertex -> (m_re, m_im, d, |D_u|): 1 / (D_u + z) = (m_re + i m_im) / d, d > 0
     scale: Dict[int, Tuple[int, int, int, int]] = {}
@@ -301,26 +316,31 @@ def _walk_sums(
     den, e = 1, 0
     for t in range(1, max(out, default=0) + 1):
         nxt: Dict[int, Tuple[int, int, int, int]] = {}
-        end_re = end_im = end1 = end0 = 0
+        live = want >> t  # (mask[u] << t) & want, shifted once per layer
         for v, (a, b, m1, m0) in layer.items():
             for x, g_re, g_im in int_steps:
                 u = v + x
-                if u == end:
-                    if t in out:
-                        end_re += a * g_re - b * g_im
-                        end_im += a * g_im + b * g_re
-                        end1 += m1
-                        end0 += m0
-                elif abs(u) != n and (mask.get(u, 0) << t) & want:
-                    re, im = a * g_re - b * g_im, a * g_im + b * g_re
+                # end (+-n) collects the walks of a requested length t
+                if u == end and live & 1 or abs(u) != n and mask.get(u, 0) & live:
+                    re, im = (a * g_re - b * g_im, a * g_im + b * g_re) if weighted else (a, b)
                     if u in nxt:
                         old_re, old_im, old1, old0 = nxt[u]
                         nxt[u] = (old_re + re, old_im + im, old1 + m1, old0 + m0)
                     else:
                         nxt[u] = (re, im, m1, m0)
-        den *= c_den
+        end_re, end_im, end1, end0 = nxt.pop(end, (0, 0, 0, 0))
+        if weighted:
+            den *= c_den
         if t in out:
-            out[t] = (GaussianRational(Fraction(end_re, den), Fraction(end_im, den)), end1, end0, e)
+            num_re, num_im, total = end_re, end_im, den
+            if not weighted and (end_re or end_im):
+                # t - k_2 steps x_1 and k_2 steps x_2
+                k_2 = (end - start - t * offsets[0]) // (offsets[1] - offsets[0]) if offsets[1:] else 0
+                for (_, g_re, g_im), k in zip(int_steps, (t - k_2, k_2)):
+                    h_re, h_im = gaussian_power(g_re, g_im, k)
+                    num_re, num_im = num_re * h_re - num_im * h_im, num_re * h_im + num_im * h_re
+                total *= c_den ** t
+            out[t] = (GaussianRational(Fraction(num_re, total), Fraction(num_im, total)), end1, end0, e)
         # a vertex already in `scale` passed the check, so only new ones can be singular
         for u in sorted(u for u in nxt if u not in scale):
             d_u = n * n - u * u
@@ -345,27 +365,21 @@ def _walk_sums(
             top1 = m1 if m1 > top1 else top1
             nxt[u] = (a * m_re - b * m_im, a * m_im + b * m_re, m1, (m0 << _BOUND_BITS) // d_u)
         den *= lcm
-        g = den
-        for a, b, _, _ in nxt.values():
-            g = math.gcd(g, a, b)
-            if g == 1:
-                break
         shift = max(top1.bit_length() - _BOUND_BITS, 0)
         e += shift - _BOUND_BITS
-        den //= g
-        layer = {u: (a // g, b // g, -(-m1 >> shift), m0 >> shift)
-                 for u, (a, b, m1, m0) in nxt.items()}
+        layer = {u: (a, b, -(-m1 >> shift), m0 >> shift) for u, (a, b, m1, m0) in nxt.items()}
     return out
 
 
-def _sqrt_upper(q: Fraction) -> Fraction:
-    """A dyadic upper bound of sqrt(q), q >= 0, to about _BOUND_BITS bits:
-    with X = ceil(q 4^k) for an integer k, sqrt(q) <= ceil(sqrt(X)) / 2^k."""
+def _sqrt_upper(q: Fraction) -> Tuple[int, int]:
+    """(m, e) with m 2^e a dyadic upper bound of sqrt(q), q >= 0, to about
+    _BOUND_BITS bits: with X = ceil(q 4^k) for an integer k, sqrt(q) <=
+    ceil(sqrt(X)) / 2^k."""
     num, den = q.numerator, q.denominator
     k = (2 * _BOUND_BITS - num.bit_length() + den.bit_length()) // 2
     x = -((-num << 2 * k) // den) if k >= 0 else -(-num // (den << -2 * k))
     r = math.isqrt(x)
-    return _dyadic(r + (r * r < x), -k)
+    return r + (r * r < x), -k
 
 
 # (X-walk, Y-walk) shell caps of beta_plus / beta_minus and the criteria
@@ -400,6 +414,22 @@ def shell_sums(
     return [value for _, value, *_ in rows] or [GaussianRational() for _ in shells]
 
 
+def _sum_and_disc_bound(
+    rows: Sequence[Tuple[ShellSteps, GaussianRational, int, int, int]], a2: Fraction, b2: Fraction,
+) -> Tuple[GaussianRational, Fraction]:
+    """The summed values of `rows` (`_shell_walk_sums`) and their disc bound
+    (`sum_and_disc_bound`), |a|^2 = a2 and |b|^2 = b2.  The bound's terms
+    are dyadic, so it is summed exactly in integers over the smallest
+    exponent."""
+    value, terms = GaussianRational(), []
+    for c, shell_value, m1, m0, e in rows:
+        value += shell_value
+        root, f = _sqrt_upper(a2 ** c.neg * b2 ** c.pos)
+        terms.append((root * (m1 - m0), e + f))
+    low = min((f for _, f in terms), default=0)
+    return value, _dyadic(sum(m << (f - low) for m, f in terms), low)
+
+
 def sum_and_disc_bound(
     params: TwoTermParams, n: int, kind: WalkKind, shells: Sequence[int]
 ) -> Tuple[GaussianRational, Fraction]:
@@ -420,12 +450,34 @@ def sum_and_disc_bound(
     A (P1 - P0), P1 and P0 the sums of the two products.  The bound is the
     sum over the shells of an upper bound of A = sqrt(|a|^2neg |b|^2pos)
     times the engine's upper bound of P1 minus its lower bound of P0."""
-    value, bound = GaussianRational(), Fraction(0)
+    rows = _shell_walk_sums(params, n, kind, shells, 0)
+    return _sum_and_disc_bound(rows, params.a.abs2(), params.b.abs2())
+
+
+def sums_and_disc_bounds(
+    params: TwoTermParams, n: int, caps: Tuple[int, int]
+) -> Tuple[Tuple[GaussianRational, Fraction], Tuple[GaussianRational, Fraction]]:
+    """`sum_and_disc_bound` for the X walks of shells 0..caps[0] and the Y
+    walks of shells 0..caps[1], one engine call per distinct lattice.
+
+    The map u -> -u takes the Y walks of (R, S) onto the X walks of (S, R)
+    step by step, interior factors 1/(n^2 - u^2) included.  For R = S both
+    kinds therefore walk one lattice: Y shell k is X shell k with the step
+    counts (neg, pos) swapped, so its sum is the X shell's times
+    (a/b)^(n/d) and its bound takes |a|^pos |b|^neg over the same P1 - P0.
+    One engine call over shells 0..max(caps) serves both.  Its layers also
+    keep the vertices of the longer shells, so their fixed-point shifts,
+    and the last bits of the Y bound, can differ from a Y-only call's; the
+    bound is rigorous either way."""
+    if params.R != params.S:
+        return tuple(sum_and_disc_bound(params, n, kind, range(cap + 1))
+                     for kind, cap in zip((WalkKind.X, WalkKind.Y), caps))
     a2, b2 = params.a.abs2(), params.b.abs2()
-    for c, shell_value, m1, m0, e in _shell_walk_sums(params, n, kind, shells, 0):
-        value += shell_value
-        bound += _sqrt_upper(a2 ** c.neg * b2 ** c.pos) * _dyadic(m1 - m0, e)
-    return value, bound
+    rows = _shell_walk_sums(params, n, WalkKind.X, range(max(caps) + 1), 0)
+    plus = _sum_and_disc_bound(rows[:caps[0] + 1], a2, b2)
+    value, bound = _sum_and_disc_bound(
+        [(ShellSteps(c.pos, c.neg), *rest) for c, *rest in rows[:caps[1] + 1]], a2, b2)
+    return plus, (value * (params.a / params.b) ** (n // params.d), bound)
 
 
 def shell_sum(

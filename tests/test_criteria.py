@@ -393,8 +393,9 @@ def test_criterion1_matches_beta_on_a_violating_family():
 
 def test_reports_call_no_beta_and_sum_one_z_per_engine_call(monkeypatch):
     """Criterion 1 and the analytic reports take their weights from the walk
-    engine, with no beta function: one engine call at z = 0 per (n, kind),
-    which carries the disc bound too.  Criterion 1 adds one call per
+    engine, with no beta function: one engine call at z = 0 per (n, kind)
+    for R != S, which carries the disc bound too, and one per n for R = S,
+    whose Y walks mirror its X walks.  Criterion 1 adds one call per
     sample, four in all, for each (n, kind) the disc bound leaves
     undecided: here the X walks at n = 6 and n = 10, where the samples
     violate the bound.  Each engine call builds one reachability mask, and
@@ -427,13 +428,14 @@ def test_reports_call_no_beta_and_sum_one_z_per_engine_call(monkeypatch):
     assert [r["n"] for r in v.rows if r["class"] == "delta1"] == [2, 4, 6, 8, 10]
     assert [n for n, _ in _stability_failures(v)] == [6] * 4 + [10] * 4
     assert masks == [(n, start) for n, start, _ in calls]
-    for report, ns in ((lambda: theorem31_report(1, 2, 1, 3, [1, 2, 3]), (3, 6, 9)),
-                       (lambda: theorem5_report(1, 1, 3, [2, 3, 4]), (5, 8, 11)),
-                       (lambda: prop20_verdict(1, 2, 2, "per+"), (2, 4, 6, 8, 10, 12))):
+    for report, ns, starts in (
+            (lambda: theorem31_report(1, 2, 1, 3, [1, 2, 3]), (3, 6, 9), (-1, 1)),
+            (lambda: theorem5_report(1, 1, 3, [2, 3, 4]), (5, 8, 11), (-1, 1)),
+            (lambda: prop20_verdict(1, 2, 2, "per+"), (2, 4, 6, 8, 10, 12), (-1,))):
         calls.clear()
         masks.clear()
         report()
-        assert sorted(calls) == [(n, start, "0") for n in ns for start in (-n, n)]
+        assert sorted(calls) == [(n, sign * n, "0") for n in ns for sign in starts]
         assert masks == [(n, start) for n, start, _ in calls]
 
 

@@ -423,12 +423,22 @@ class TestRefinement:
         with pytest.raises(ValueError, match=refusal):
             refined_pair(pot, BC.PER_PLUS, 2, 16)
 
-    def test_dominance_is_checked_over_the_whole_disc(self):
-        """Dirichlet a = b = 3 at n = 3: row k=4 has |9 - 16| - 1 = 6, not
-        above its off-diagonal sum w(2) + w(2) = 6, though at the root
-        z = 0.22 the row dominates."""
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_rows_of_the_other_parity_are_left_out(self, n):
+        """Dirichlet a = b = 3: the couplings w(2) join sin(jx) to sin(kx)
+        only for j = k mod 2, so the rows of the other parity add nothing to
+        S(z) and are not checked.  Row k=4 at n = 3 (and k=3 at n = 4) has
+        |n^2 - k^2| - 1 = 6, not above its off-diagonal sum w(2) + w(2) = 6;
+        the roots z = 0.223 and 0.273 refine to the dense solve's."""
         pot, _ = two_term(3, 3, 1, 1)
-        with pytest.raises(ValueError, match=r"dirichlet reduction at n=3: row k=4 of A\(z\)"):
+        assert abs(complex(refined_dirichlet(pot, n, 32)) - dirichlet_close(pot, 32, n)) < 1e-9
+
+    def test_dominance_is_checked_over_the_whole_disc(self):
+        """Dirichlet a = b = 15 at n = 3: row k=5 is joined to the anchor
+        sin(3x) and couples to sin(7x) in Q by w(2) = 15.  It has
+        |9 - 25| - 1 = 15, not above 15, though at z = 0 it dominates."""
+        pot, _ = two_term(15, 15, 1, 1)
+        with pytest.raises(ValueError, match=r"dirichlet reduction at n=3: row k=5 of A\(z\)"):
             refined_dirichlet(pot, 3, 32)
 
     def test_a_root_outside_the_disc_raises(self):

@@ -2,14 +2,13 @@
 
 import math
 from fractions import Fraction
-from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hillwalk.beta import alpha_n, beta_minus, beta_plus
-from hillwalk.criteria import STABILITY_SAMPLES
+from hillwalk.criteria import STABILITY_SAMPLES, _weights
 from hillwalk.numerics import GaussianRational
 from hillwalk.potential import FourierPotential, two_term
 from hillwalk.walks import (
@@ -441,10 +440,10 @@ class TestClippedMask:
 
 
 class TestFractionFreeLayers:
-    """Cases aimed at the shared-denominator arithmetic of the engine: mixed
-    coefficient denominators, a huge dyadic z, and layers the per-layer gcd
-    reduces.  Each compares exact values and singular positions with the
-    oracle."""
+    """Cases aimed at the fraction-free arithmetic of the engine: mixed
+    coefficient denominators, a huge dyadic z, and integer coefficients
+    whose monomials multiply each length's unit-weight sum.  Each compares
+    exact values and singular positions with the oracle."""
 
     # coefficient denominators 3, 5 and 7 (and 4) meet in one common denominator
     MIXED = FourierPotential.of({
@@ -484,17 +483,10 @@ class TestFractionFreeLayers:
         # no X walk passes: from -7 the only way up is through -5)
         (-16, ((1, -3), (1, 3))), (24, (None, (1, 7))),
     ])
-    def test_layers_reduced_by_shared_factor(self, z, singular, monkeypatch):
-        # every numerator carries 6^t, and every |n^2 - v^2| with v = n mod 2
-        # is a multiple of 4, so the layer gcd is even from the first step on
-        calls = []
-
-        def spy_gcd(*args):
-            g = math.gcd(*args)
-            calls.append((args[0], g))
-            return g
-
-        monkeypatch.setattr("hillwalk.walks.math", SimpleNamespace(lcm=math.lcm, gcd=spy_gcd))
+    def test_integer_coefficient_sums_match_the_oracle(self, z, singular):
+        """a = 6, b = 1/2 at n = 5: the X shells and the closed walks each
+        take a monomial 6^k / 2^(t-k) once per length; the sums, and the
+        first singular position where z zeroes a factor, are the oracle's."""
         pot, params = two_term(6, GaussianRational(6, 12), 1, 1)
         n = 5
         walks_x = [w for k in range(3) for w in enumerate_shell(params, n, WalkKind.X, k)]
@@ -504,12 +496,51 @@ class TestFractionFreeLayers:
         assert engine_outcome(lambda: alpha_n(pot, n, z=z, step_cap=6)) == closed
         for outcome, position in zip((want, closed), singular or (None, None)):
             assert outcome == position if position else isinstance(outcome, GaussianRational)
-        if isinstance(want, GaussianRational):
-            # a layer's gcd is a chain of calls, each from the last result;
-            # a chain that ends above 1 reduced its layer
-            ends = [g for (_, g), (first, _) in zip(calls, calls[1:] + [(None, None)])
-                    if first != g]
-            assert any(g > 1 for g in ends)
+
+
+@st.composite
+def engine_points(draw, n):
+    """z = 0, a rational, a Gaussian rational, a z that zeroes the factor
+    at some vertex v = n mod 2, or the 1074-bit dyadic z."""
+    return draw(st.one_of(
+        st.just(GaussianRational()),
+        st.fractions(-9, 9, max_denominator=9).map(GaussianRational),
+        gaussian_rationals,
+        st.integers(-n - 4, 4).map(lambda j: n + 2 * j).filter(lambda v: abs(v) != n)
+        .map(lambda v: GaussianRational.of(v * v - n * n)),
+        st.just(GaussianRational(Fraction(1, 3), Fraction(1, 2**1074))),
+    ))
+
+
+class TestEngineContract:
+    """Every engine path against walk-by-walk sums: unit-weight two-offset
+    lattices with their monomials, and coefficients inside the loop for
+    three offsets."""
+
+    @given(
+        R=st.integers(1, 4), S=st.integers(1, 4), n=st.integers(1, 14),
+        cap=st.integers(0, 2), step_cap=st.integers(1, 6),
+        a=gaussian_rationals, b=gaussian_rationals, mixed=st.booleans(), data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_sums_match_the_oracle(self, R, S, n, cap, step_cap, a, b, mixed, data):
+        """Shell sums per shell and kind, and closed sums of a two-term
+        potential or of the three-term MIXED one, equal the oracle's sums,
+        or raise at its first singular (t, vertex)."""
+        assume(not a.is_zero() and not b.is_zero())
+        z = data.draw(engine_points(n))
+        pot, params = two_term(a, b, R, S)
+        for kind in (WalkKind.X, WalkKind.Y):
+            if sum(shell_size_bound(params, n, kind, k) for k in range(cap + 1)) > 400:
+                continue
+            shells = [enumerate_shell(params, n, kind, k) for k in range(cap + 1)]
+            want = oracle_outcome([w for walks in shells for w in walks], pot, z)
+            if isinstance(want, GaussianRational):
+                want = [oracle_outcome(walks, pot, z) for walks in shells]
+            assert sums_outcome(lambda: shell_sums(params, n, kind, range(cap + 1), z)) == want
+        closed = TestFractionFreeLayers.MIXED if mixed else pot
+        want = oracle_outcome(enumerate_closed(closed, n, step_cap), closed, z)
+        assert engine_outcome(lambda: alpha_n(closed, n, z=z, step_cap=step_cap)) == want
 
 
 def exact_products(params, n, kind, shell):
@@ -605,7 +636,7 @@ class TestDiscBound:
     @settings(max_examples=200, deadline=None)
     def test_sqrt_upper_rounds_up_tightly(self, num, den):
         q = Fraction(num, den)
-        root = _sqrt_upper(q)
+        root = _dyadic(*_sqrt_upper(q))
         assert root ** 2 >= q
         assert (root * (1 - Fraction(1, 2**60))) ** 2 <= q
 
@@ -613,3 +644,33 @@ class TestDiscBound:
         _, params = two_term(1, 1, 1, 1)
         with pytest.raises(ValueError):
             sum_and_disc_bound(params, 4, WalkKind.W, (1,))
+
+
+class TestMirrorSharing:
+    """For R = S the Y walks mirror the X walks, and `_weights` reads both
+    kinds from one engine call."""
+
+    @given(a=gaussian_up_to_8, b=gaussian_up_to_8, R=st.integers(1, 4), n=st.integers(1, 20))
+    @settings(max_examples=60, deadline=None)
+    def test_shared_weights_equal_the_unshared_sums(self, a, b, R, n):
+        """beta^+- are exactly one `sum_and_disc_bound` per kind, over X
+        shells 0..3 and Y shells 0..2, and so is eps^+.  eps^- takes the
+        shared pass's P1 - P0, whose fixed-point shifts follow layers that
+        also hold the shell-3 vertices, so its last bits may differ from
+        the Y pass's: both bound the sum over the Y shells of the rounded-up
+        A times the exact P1 - P0, walk by walk, from above and within
+        2^-40 of it."""
+        pot, params = two_term(a, b, R, R)
+        (plus, minus), (eps_plus, eps_minus) = _weights(pot, params, n)
+        assert (plus, eps_plus) == sum_and_disc_bound(params, n, WalkKind.X, range(4))
+        alone, eps_alone = sum_and_disc_bound(params, n, WalkKind.Y, range(3))
+        assert minus == alone
+        exact = Fraction(0)
+        for shell in range(3):
+            counts = shell_step_counts(params, n, WalkKind.Y, shell)
+            if counts is not None:
+                p1, p0 = exact_products(params, n, WalkKind.Y, shell)
+                root = _dyadic(*_sqrt_upper(params.a.abs2() ** counts.neg * params.b.abs2() ** counts.pos))
+                exact += root * (p1 - p0)
+        for eps in (eps_minus, eps_alone):
+            assert exact <= eps <= exact * (1 + Fraction(1, 2**40))
