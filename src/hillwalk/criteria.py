@@ -30,8 +30,6 @@ from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-import mpmath
-
 from .numerics import GaussianRational, printed
 from .potential import FourierPotential, TwoTermParams, two_term
 from .spectra import (
@@ -312,6 +310,8 @@ def theorem31_report(
     the analytic rule then refuses a basis under periodic conditions
     always, and under antiperiodic ones when both offsets are odd (the
     index family contains odd n exactly then)."""
+    import mpmath
+
     if R == S:
         raise ValueError("ratio-collapse analysis needs R != S")
     bc = BoundaryCondition(bc)
@@ -470,6 +470,8 @@ def concordance_report(
     range, so pairs and the Dirichlet eigenvalue are refined at high
     precision before the ratios are formed.  c1 and c2 are t_n at z = 0
     and at z* of the same simple pair, from its Schur complement."""
+    import mpmath
+
     pot, _ = two_term(a, b, 1, 1)
     rows = []
     for n in ns:

@@ -15,9 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple, Union
 
-import mpmath
-from mpmath.libmp import from_rational, round_nearest
-
 DEFAULT_PRECISION = 256
 MIN_PRECISION = 64
 
@@ -189,8 +186,11 @@ ScalarLike = Union[int, Fraction, str, GaussianRational]
 # -- exact <-> floating conversions ---------------------------------------
 
 
-def fraction_to_mpf(value: RationalLike, precision: int = DEFAULT_PRECISION) -> mpmath.mpf:
+def fraction_to_mpf(value: RationalLike, precision: int = DEFAULT_PRECISION) -> "mpmath.mpf":
     """Correctly rounded (single rounding) conversion of a rational to mpf."""
+    import mpmath
+    from mpmath.libmp import from_rational, round_nearest
+
     check_precision(precision)
     q = _coerce_fraction(value)
     with mpmath.mp.workprec(precision):
@@ -198,8 +198,10 @@ def fraction_to_mpf(value: RationalLike, precision: int = DEFAULT_PRECISION) -> 
         return +mpmath.mp.make_mpf(raw)
 
 
-def to_mpc(value: ScalarLike, precision: int = DEFAULT_PRECISION) -> mpmath.mpc:
+def to_mpc(value: ScalarLike, precision: int = DEFAULT_PRECISION) -> "mpmath.mpc":
     """Correctly rounded conversion of an exact scalar to an mpc at `precision` bits."""
+    import mpmath
+
     g = GaussianRational.of(value)
     with mpmath.mp.workprec(precision):
         return mpmath.mpc(fraction_to_mpf(g.re, precision), fraction_to_mpf(g.im, precision))

@@ -20,16 +20,17 @@ banded elimination of the other positions on fixed-point Gaussian
 integers, and Newton on z = S(z) from the disc centre gives n^2 + z.
 One layout of that elimination per disc also gives the pair couplings
 beta+- = S12, S21 and the residual |det(z - S(z))| of a hardware root.
+The layout marks the live slots, where the solve can be nonzero, and the
+kernel does only that arithmetic; S'22 is S'11 under per+-, and the
+couplings at z = 0 are the pair's first Newton evaluation.  mpmath is
+imported only inside the functions that refine.
 """
 
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from operator import mul
-from typing import Optional, Sequence
-
-import mpmath
-from mpmath.libmp import to_fixed
+from typing import NamedTuple, Optional, Sequence
 
 from .numerics import GaussianRational, check_precision
 from .potential import FourierPotential
@@ -80,6 +81,8 @@ class ConvergenceError(ArithmeticError):
     """A Newton loop ran out of iterations before its step met the tolerance."""
 
     def __init__(self, what: str, iterations: int, step):
+        import mpmath
+
         self.iterations = iterations
         self.step = step
         super().__init__(
@@ -366,6 +369,8 @@ def reduction_residual(pot: FourierPotential, n: int, K: int, lam: complex) -> f
     z = complex(lam) - n * n
     if abs(z) >= DISC_RADIUS:
         raise ValueError(f"need |lam - n^2| < {DISC_RADIUS:g}, got |z| = {abs(z):.3g} at n = {n}")
+    import mpmath
+
     bc = BoundaryCondition.PER_MINUS if n % 2 else BoundaryCondition.PER_PLUS
     plan = _reduction(pot, bc, n, K, 2, REFINE_PRECISION)
     with mpmath.workprec(REFINE_PRECISION):
@@ -400,8 +405,23 @@ def _disc_anchors(bc: BoundaryCondition, K: int, n: int, count: int) -> list:
     return anchors
 
 
+class _Layout(NamedTuple):
+    """The layout of one disc's Schur-complement elimination (`_reduction`)."""
+
+    bits: int  # fixed-point entries are integers over 2^bits
+    re: list  # A(0) per slot, real parts
+    im: list  # A(0) per slot, imaginary parts
+    steps: list  # per row j: (slot of A[j, j], eliminations of row j)
+    back: list  # per row q: ((k, slot of A[q, k]) for k > q)
+    forward: list  # per anchor p: (j, q, e) for each elimination e that moves x_p[j]
+    backward: list  # per anchor p: the rows of x_p back-substitution moves, last first
+    columns: list  # per anchor: V_QP as (row, re, im) over its nonzero rows
+    vpp: tuple  # V_PP over 2^(2 bits)
+    mirror: bool  # whether the reflection J reverses Q (per+-) or is 1
+
+
 def _reduction(pot: FourierPotential, bc: BoundaryCondition, n: int, K: int, count: int,
-               precision: int) -> tuple:
+               precision: int) -> _Layout:
     """The layout (plan) of the Schur complement of the truncation onto the
     `count` basis functions with free eigenvalue n^2 (`_disc_anchors`).
 
@@ -416,11 +436,23 @@ def _reduction(pot: FourierPotential, bc: BoundaryCondition, n: int, K: int, cou
     |z| <= DISC_RADIUS, with no seed: it passes when |n^2 - free - V_jj| -
     DISC_RADIUS exceeds its off-diagonal sum by a margin delta > 0, and a
     row that does not raises ValueError.  The fill pattern does not depend
-    on z, so the plan gives each of its entries a slot, holding A(0) with each exact cell rounded
-    once over 2^(precision + GUARD_BITS) (`_fixed`), or 0.  steps[j] = (slot
-    of A[j, j], ((q, slot of A[j, q], ((slot of A[j, k], slot of A[q, k])
-    for k > q)) for q < j in row j)); back[q] = ((k, slot of A[q, k]) for
-    k > q); mirror says whether the reflection J reverses Q or is 1."""
+    on z, so the plan gives each of its entries a slot, holding A(0) with
+    each exact cell rounded once over 2^(precision + GUARD_BITS) (`_fixed`),
+    or 0.  steps[j] = (slot of A[j, j], ((q, slot of A[j, q], ((slot of
+    A[j, k], slot of A[q, k]) for k > q)) for q < j in row j)), and the
+    eliminations are numbered e = 0, 1, ... in that order; back[q] = ((k,
+    slot of A[q, k]) for k > q).
+
+    Live slots.  The solve x_p = A^-1 V_QP of `_schur` can be nonzero
+    during forward elimination only in the rows where V_QP[p] is nonzero
+    and the rows an elimination reaches from them, and after
+    back-substitution only in those and the rows whose back entries reach
+    them.  Both sets come from one bit per anchor, OR-ed along the fill
+    pattern as it is built and then back along `back`.  forward[p] keeps
+    the eliminations (j, q, e) whose row q is live, backward[p] the live
+    rows of back-substitution in the order it visits them, and columns[p]
+    the rows of V_QP[p] whose rounded value is nonzero, as (row, re, im):
+    every product left out multiplies an exact zero."""
     anchors = _disc_anchors(bc, K, n, count)
     cells = _potential_cells(pot, bc, K)
     ks = basis_indices(bc, K)
@@ -441,10 +473,18 @@ def _reduction(pot: FourierPotential, bc: BoundaryCondition, n: int, K: int, cou
     distinct = {id(v): v for v in cells.values()}  # the cells of one line share one object
     rounded = {key: _fixed(v, bits) for key, v in distinct.items()}
     approx = {key: complex(v) for key, v in distinct.items()}
+    anchor = {p: a for a, p in enumerate(anchors)}
     rows = [{} for _ in Q]  # off the diagonal: column -> id of the cell value
+    columns = [[] for _ in anchors]  # V_QP[p] as (row, re, im) over its nonzero rows
     for (i, j), value in cells.items():
         if i != j and i in at and j in at:
             rows[at[i]][at[j]] = id(value)
+        elif i in at and j in anchor and rounded[id(value)] != (0, 0):
+            columns[anchor[j]].append((at[i], *rounded[id(value)]))
+    live = [0] * len(Q)  # bit p: x_p can be nonzero in this row
+    for p, column in enumerate(columns):
+        for q, _, _ in column:
+            live[q] |= 1 << p
     pattern, slot, values = [], {}, []
     for j, i in enumerate(Q):
         cell, free = id(cells.get((i, i))), n * n - free_eigenvalue(bc, ks[i])
@@ -453,10 +493,13 @@ def _reduction(pot: FourierPotential, bc: BoundaryCondition, n: int, K: int, cou
             raise ValueError(f"{bc.value} reduction at n={n}: row k={ks[i]} of A(z) is not strictly "
                              f"diagonally dominant on |z| <= {DISC_RADIUS:g}, so elimination may be unstable")
         cols = set(rows[j]) | {j}
+        reach = live[j]
         for q in range(min(cols), j):
             if q in cols:
                 cols |= {k for k in pattern[q] if k > q}
+                reach |= live[q]
         pattern.append(sorted(cols))
+        live[j] = reach
         for k in pattern[j]:
             slot[j, k] = len(values)
             re, im = rounded.get(cell if k == j else rows[j].get(k), (0, 0))
@@ -465,22 +508,36 @@ def _reduction(pot: FourierPotential, bc: BoundaryCondition, n: int, K: int, cou
     back = [[(k, slot[q, k]) for k in cols] for q, cols in enumerate(upper)]
     steps = [(slot[j, j], [(q, slot[j, q], [(slot[j, k], slot[q, k]) for k in upper[q]])
                            for q in cols if q < j]) for j, cols in enumerate(pattern)]
-    coupling = {i: [rounded.get(id(cells.get((i, p))), (0, 0)) for p in anchors] for i in joined}
-    columns = tuple(tuple(tuple(coupling[i][p][part] for i in Q) for part in (0, 1))
-                    for p in range(len(anchors)))
-    vpp = tuple(tuple((re << bits, im << bits) for re, im in coupling[i]) for i in anchors)
-    mirror = bc != BoundaryCondition.DIRICHLET
-    return bits, [v[0] for v in values], [v[1] for v in values], steps, back, columns, vpp, mirror
+    eliminations = [(j, q) for j, cols in enumerate(pattern) for q in cols if q < j]
+    forward = [[(j, q, e) for e, (j, q) in enumerate(eliminations) if live[q] >> p & 1]
+               for p in range(len(anchors))]
+    for q in reversed(range(len(Q))):
+        for k in upper[q]:
+            live[q] |= live[k]
+    backward = [[q for q in reversed(range(len(Q))) if live[q] >> p & 1] for p in range(len(anchors))]
+    vpp = tuple(tuple((re << bits, im << bits) for re, im in
+                      (rounded.get(id(cells.get((i, p))), (0, 0)) for p in anchors)) for i in anchors)
+    return _Layout(bits, [v[0] for v in values], [v[1] for v in values], steps, back,
+                   forward, backward, columns, vpp, bc != BoundaryCondition.DIRICHLET)
 
 
-def _dot(a, b, start=(0, 0)):
-    """start + sum a_k b_k for Gaussian-integer vectors held as (re, im) lists."""
+def _negated_dot(a, b):
+    """-sum a_k b_k for Gaussian-integer vectors held as (re, im) lists."""
     (ar, ai), (br, bi) = a, b
-    return (sum(map(mul, ar, br), start[0]) - sum(map(mul, ai, bi)),
-            sum(map(mul, ar, bi), start[1]) + sum(map(mul, ai, br)))
+    return (sum(map(mul, ai, bi)) - sum(map(mul, ar, br)),
+            -sum(map(mul, ar, bi)) - sum(map(mul, ai, br)))
 
 
-def _schur(plan: tuple, z) -> tuple:
+def _sparse_dot(left, column, start):
+    """start + sum left_q (re + i im) over the nonzero rows (q, re, im) of a column."""
+    (lr, li), (sr, si) = left, start
+    for q, cr, ci in column:
+        sr += lr[q] * cr - li[q] * ci
+        si += lr[q] * ci + li[q] * cr
+    return sr, si
+
+
+def _schur(plan: _Layout, z) -> tuple:
     """(S(z), S'(z)) on the layout `plan` of `_reduction`, as lists of rows
     of mpc values: S = V_PP + V_PQ A(z)^-1 V_QP, S' = -V_PQ A(z)^-2 V_QP.
 
@@ -489,16 +546,27 @@ def _schur(plan: tuple, z) -> tuple:
     basis (k -> -k under per+, k -> -k-1 under per-, the identity for the
     symmetric sine matrix) and J swaps the anchors: V_PQ[p] A^-1 is
     (J x_{Jp})^T.  Products are shifted back to 2^-bits as they are formed;
-    the final dot products are summed exactly and rounded once."""
-    F, re, im, steps, back, columns, vpp, mirror = plan
+    the final dot products are summed exactly, and each part of an entry is
+    rounded once from its integer over 2^(2 bits) (`from_man_exp`), which
+    is what mpc() of the integer times the exact power 2^(-2 bits) gives.
+
+    Only the live slots of the plan are touched: x_p moves in the
+    eliminations forward[p] and the rows backward[p], and S sums over the
+    nonzero rows of V_QP, so every product left out is an exact zero and
+    every entry keeps its bits.  Under per+- the two diagonal entries of S'
+    are the same integer products summed in another order, (J x_2) x_1 and
+    (J x_1) x_2, so S'_22 is S'_11 and three dot products are formed."""
+    from mpmath import mp
+    from mpmath.libmp import from_man_exp, round_nearest, to_fixed
+
+    F, re, im, steps, back, forward, backward, columns, vpp, mirror = plan
     re, im = list(re), list(im)
     zr, zi = to_fixed(z.real._mpf_, F), to_fixed(z.imag._mpf_, F)
     for s, _ in steps:
         re[s] += zr
         im[s] += zi
-    xs = [(list(cr), list(ci)) for cr, ci in columns]
-    inverse = []
-    for j, (d, eliminations) in enumerate(steps):
+    inverse, multipliers = [], []
+    for d, eliminations in steps:
         for q, s, updates in eliminations:
             (ir, ii), ar, ai = inverse[q], re[s], im[s]
             lr, li = (ar * ir - ai * ii) >> F, (ar * ii + ai * ir) >> F
@@ -506,27 +574,42 @@ def _schur(plan: tuple, z) -> tuple:
                 ur, ui = re[u], im[u]
                 re[t] -= (lr * ur - li * ui) >> F
                 im[t] -= (lr * ui + li * ur) >> F
-            for xr, xi in xs:
-                ur, ui = xr[q], xi[q]
-                xr[j] -= (lr * ur - li * ui) >> F
-                xi[j] -= (lr * ui + li * ur) >> F
+            multipliers.append((lr, li))
         br, bi = re[d], im[d]
         norm = br * br + bi * bi
         inverse.append(((br << 2 * F) // norm, (-bi << 2 * F) // norm))
-    for q in reversed(range(len(steps))):
-        ir, ii = inverse[q]
-        for xr, xi in xs:
+    xs = []
+    for lower, moved, column in zip(forward, backward, columns):
+        xr, xi = [0] * len(steps), [0] * len(steps)
+        for q, cr, ci in column:
+            xr[q], xi[q] = cr, ci
+        for j, q, e in lower:
+            (lr, li), ur, ui = multipliers[e], xr[q], xi[q]
+            xr[j] -= (lr * ur - li * ui) >> F
+            xi[j] -= (lr * ui + li * ur) >> F
+        for q in moved:
             vr, vi = xr[q], xi[q]
             for k, s in back[q]:
                 ar, ai, ur, ui = re[s], im[s], xr[k], xi[k]
                 vr -= (ar * ur - ai * ui) >> F
                 vi -= (ar * ui + ai * ur) >> F
+            ir, ii = inverse[q]
             xr[q], xi[q] = (vr * ir - vi * ii) >> F, (vr * ii + vi * ir) >> F
-    unit = mpmath.ldexp(1, -2 * F)
+        xs.append((xr, xi))
+    prec = mp.prec
+
+    def entry(re, im):  # (re + i im) 2^(-2F), each part rounded once
+        return mp.make_mpc((from_man_exp(re, -2 * F, prec, round_nearest),
+                            from_man_exp(im, -2 * F, prec, round_nearest)))
+
     lefts = [(xr[::-1], xi[::-1]) if mirror else (xr, xi) for xr, xi in reversed(xs)]
-    return ([[mpmath.mpc(*_dot(left, c, v)) * unit for c, v in zip(columns, row)]
-             for left, row in zip(lefts, vpp)],
-            [[-mpmath.mpc(*_dot(left, x)) * unit for x in xs] for left in lefts])
+    S = [[entry(*_sparse_dot(left, column, v)) for column, v in zip(columns, row)]
+         for left, row in zip(lefts, vpp)]
+    if not mirror:
+        return S, [[entry(*_negated_dot(left, x)) for x in xs] for left in lefts]
+    (l1, l2), (x1, x2) = lefts, xs
+    t11, t12, t21 = (entry(*_negated_dot(left, x)) for left, x in ((l1, x1), (l1, x2), (l2, x1)))
+    return S, [[t11, t12], [t21, t11]]
 
 
 def _newton(step, z, tol, what):
@@ -541,6 +624,8 @@ def _newton(step, z, tol, what):
     over the whole disc |z| <= DISC_RADIUS, so at every iterate inside it;
     away from a zero of d, where the two roots meet, sqrt(d)'' is sqrt(d)
     times squared log-derivatives of S and adds no more."""
+    import mpmath
+
     stop = mpmath.sqrt(tol) / 2**16
     for _ in range(NEWTON_ITERATIONS):
         s = step(z)
@@ -554,6 +639,8 @@ def _resolved(z, tol):
     """z with every component below the Newton resolution tol set to zero:
     those digits were never resolved and would follow the Newton path, not
     the operator."""
+    import mpmath
+
     return mpmath.mpc(0 if abs(z.real) < tol else z.real, 0 if abs(z.imag) < tol else z.imag)
 
 
@@ -576,17 +663,25 @@ def refined_pair(pot: FourierPotential, bc: BoundaryCondition, n: int, K: int,
     tol = 2^-(precision-16) n^2."""
     check_precision(precision)
     bc = BoundaryCondition(bc)
-    return _pair(_reduction(pot, bc, n, K, 2, precision), bc, n, precision)
+    return _pair(_reduction(pot, bc, n, K, 2, precision), bc, n, precision)[0]
 
 
-def _pair(plan: tuple, bc: BoundaryCondition, n: int, precision: int) -> SpectralPair:
-    """`refined_pair` on the layout `plan` of `_reduction`."""
+def _pair(plan: _Layout, bc: BoundaryCondition, n: int, precision: int) -> tuple:
+    """(`refined_pair` on the layout `plan` of `_reduction`, S(0)): Newton's
+    first evaluation is the kernel at the disc centre, z = mpc(0) at the
+    working precision, and its S is handed on."""
+    import mpmath
+
     with mpmath.workprec(precision):
         tol = mpmath.ldexp(n * n, 16 - precision)
         last = [None, None]  # m and sqrt(d) at the latest evaluation
+        origin = []  # S at the first evaluation, z = 0
 
         def step(z):
-            ((s11, s12), (s21, s22)), ((t11, t12), (t21, t22)) = _schur(plan, z)
+            S, ((t11, t12), (t21, t22)) = _schur(plan, z)
+            (s11, s12), (s21, s22) = S
+            if not origin:
+                origin.append(S)
             m, h = (s11 + s22) / 2, (s11 - s22) / 2
             w = mpmath.sqrt(h * h + s12 * s21)
             if last[1] is not None and (w * mpmath.conj(last[1])).real < 0:
@@ -606,7 +701,7 @@ def _pair(plan: tuple, bc: BoundaryCondition, n: int, precision: int) -> Spectra
                         key=lambda v: (v.real, v.imag))
         gap = abs(first - second)
         return SpectralPair(n, lo, hi, _resolved((lo + hi) / 2 - n**2, tol), gap,
-                            "simple-pair" if gap > tol else "double")
+                            "simple-pair" if gap > tol else "double"), origin[0]
 
 
 def pair_couplings(pot: FourierPotential, bc: BoundaryCondition, n: int, K: int,
@@ -614,18 +709,22 @@ def pair_couplings(pot: FourierPotential, bc: BoundaryCondition, n: int, K: int,
     """(pair, [(beta+, beta-) at z = 0 and at z*]): the refined D_n pair
     (`refined_pair`) and the entries (S12, S21) of its 2x2 Schur complement
     (`_schur`), sums over every walk of the cut-off lattice, from one layout
-    of the reduction.  A pair that is not simple raises DegenerateRatioError,
-    and so does an entry at or below the kernel's resolution 2^-(precision-16),
-    instead of handing a ratio of noise on."""
+    of the reduction.  S(0) is the one the pair's Newton loop evaluated
+    first (`_pair`), so only z* costs a kernel call here.  A pair that is
+    not simple raises DegenerateRatioError, and so does an entry at or
+    below the kernel's resolution 2^-(precision-16), instead of handing a
+    ratio of noise on."""
+    import mpmath
+
     check_precision(precision)
     bc = BoundaryCondition(bc)
     plan = _reduction(pot, bc, n, K, 2, precision)
-    pair = _pair(plan, bc, n, precision)
+    pair, at_zero = _pair(plan, bc, n, precision)
     if pair.multiplicity_flag != "simple-pair":
         raise DegenerateRatioError(f"pair at n={n} is not simple")
     with mpmath.workprec(precision):
-        couplings = [(s12, s21) for (_, s12), (s21, _) in
-                     (_schur(plan, mpmath.mpc(z))[0] for z in (0, pair.z_star))]
+        at_star = _schur(plan, mpmath.mpc(pair.z_star))[0]
+        couplings = [(s12, s21) for (_, s12), (s21, _) in (at_zero, at_star)]
         if min(abs(s) for c in couplings for s in c) <= mpmath.ldexp(1, 16 - precision):
             raise DegenerateRatioError(f"beta+ or beta- at n={n} is at or below the resolution "
                                        f"2^-{precision - 16} of the reduction")
@@ -633,12 +732,14 @@ def pair_couplings(pot: FourierPotential, bc: BoundaryCondition, n: int, K: int,
 
 
 def refined_dirichlet(pot: FourierPotential, n: int, K: int,
-                      precision: int = REFINE_PRECISION) -> mpmath.mpc:
+                      precision: int = REFINE_PRECISION) -> "mpmath.mpc":
     """mu_n at arbitrary precision, mu = n^2 + z: Newton on the 1x1
     reduction z = S(z) onto sin(nx) from the disc centre z = 0, with the
     tolerance and resolution of `refined_pair`.  A root outside the disc
     |z| < DISC_RADIUS, where `_reduction` checks dominance, raises
     DirichletUniquenessError."""
+    import mpmath
+
     check_precision(precision)
     plan = _reduction(pot, BoundaryCondition.DIRICHLET, n, K, 1, precision)
     with mpmath.workprec(precision):

@@ -639,10 +639,11 @@ def test_concordance_gaps_track_refinement(concordance_12):
 
 def test_concordance_determinant_count(monkeypatch):
     """concordance_report(1, 2) refines four pairs and four Dirichlet
-    eigenvalues and takes beta+- at z = 0 and z* of each pair in at most 58
+    eigenvalues and takes beta+- at z = 0 and z* of each pair in at most 54
     evaluations of the Schur-complement kernel, with every Newton loop
-    started at the disc centre.  The count does not depend on timing, so a
-    change to the Newton path shows here."""
+    started at the disc centre and S(0) taken from the pair's first Newton
+    step.  The count does not depend on timing, so a change to the Newton
+    path shows here."""
     calls = []
     kernel = spectra._schur
 
@@ -652,7 +653,7 @@ def test_concordance_determinant_count(monkeypatch):
 
     monkeypatch.setattr(spectra, "_schur", counted)
     concordance_report(1, 2)
-    assert 0 < len(calls) <= 58
+    assert 0 < len(calls) <= 54
 
 
 def test_concordance_symmetric_potential_all_three_bounded(concordance_11):

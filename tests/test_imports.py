@@ -122,6 +122,13 @@ def test_module_layers(path):
     assert set(_hillwalk_imports(ast.parse(path.read_text()))) == LAYERS[path.stem]
 
 
+def _stderr_of(child):
+    """What a fresh interpreter running `child` with this hillwalk prints to stderr."""
+    paths = [str(Path(hillwalk.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    return subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env).stderr
+
+
 @pytest.mark.parametrize("args", [
     ["--preset", "thm31"],
     ["--preset", "crit-compare"],
@@ -131,13 +138,26 @@ def test_verdict_loads_no_numpy(args):
     """numpy is imported only where a truncation is assembled; no verdict
     path assembles one, the concordance's refinement and the first
     criterion's disc bound included."""
-    paths = [str(Path(hillwalk.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
     child = ("import sys\nfrom hillwalk import cli\n"
              f"code = cli.main(['verdict', *{args!r}])\n"
              "print(code, 'numpy' in sys.modules, file=sys.stderr)")
-    proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env)
-    assert proc.stderr == "0 False\n"
+    assert _stderr_of(child) == "0 False\n"
+
+
+@pytest.mark.parametrize("code", [
+    "from hillwalk import cli\nassert cli.main(['verdict', '--preset', 'thm5']) == 0",
+    "from hillwalk import cli\nassert cli.main(['verdict', '--preset', 'prop20']) == 0",
+    "import hillwalk\npot, _ = hillwalk.two_term(1, 1, 1, 1)\n"
+    "hillwalk.eigenvalues(hillwalk.assemble(pot, 'per+', 32))",
+], ids=["thm5", "prop20", "assemble"])
+def test_mpmath_loads_only_where_a_number_is_refined(code):
+    """mpmath is imported inside the functions that refine or render a
+    number at arbitrary precision, so the exact verdicts and a hardware
+    eigensolve never load it."""
+    child = ("import contextlib, io, sys\nwith contextlib.redirect_stdout(io.StringIO()):\n"
+             + "".join(f"    {line}\n" for line in code.splitlines())
+             + "print('mpmath' in sys.modules, file=sys.stderr)")
+    assert _stderr_of(child) == "False\n"
 
 
 def test_cli_imports_no_mpmath():

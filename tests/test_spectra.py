@@ -551,7 +551,7 @@ class TestSchurKernel:
 
     @given(
         bc=st.sampled_from(list(BC)),
-        K=st.integers(5, 7),
+        K=st.one_of(st.integers(5, 7), st.integers(12, 16)),
         m=st.integers(1, 3),
         coeffs=st.dictionaries(st.sampled_from([-6, -4, -2, 2, 4, 6]),
                                st.builds(GaussianRational, _small, _small), min_size=1, max_size=3),
@@ -579,6 +579,45 @@ class TestSchurKernel:
             # to an absolute 2^-precision
             for g, w in entries:
                 assert abs(g - w) <= mpmath.mpf(2) ** -precision * max(1, abs(w))
+
+    @given(
+        bc=st.sampled_from(list(BC)),
+        R=st.integers(1, 4),
+        S=st.integers(1, 4),
+        K=st.integers(5, 20),
+        m=st.integers(1, 4),
+        a=st.builds(GaussianRational, _small, _small),
+        b=st.builds(GaussianRational, _small, _small),
+        z=st.sampled_from([0, GaussianRational(Fraction(-1, 5), Fraction(3, 10)),
+                           GaussianRational(Fraction(0), Fraction(1, 2))]),
+        precision=st.sampled_from([64, 200, 320]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_live_slots_keep_every_bit(self, bc, R, S, K, m, a, b, z, precision):
+        """The kernel on its pruned layout equals the kernel on the same
+        layout with every slot live and V_QP dense: the products it skips
+        are exact zeros."""
+        assume(not (a.is_zero() or b.is_zero()))
+        pot, _ = two_term(a, b, R, S)
+        n = {BC.PER_PLUS: 2 * m, BC.PER_MINUS: 2 * m + 1, BC.DIRICHLET: m + 1}[bc]
+        try:
+            plan = _reduction(pot, bc, n, K, 1 if bc == BC.DIRICHLET else 2, precision)
+        except ValueError:  # no dominance on the disc
+            assume(False)
+        size = len(plan.steps)
+        eliminations = [(j, q) for j, (_, row) in enumerate(plan.steps) for q, _, _ in row]
+
+        def dense_column(column):
+            values = {q: (re, im) for q, re, im in column}
+            return [(q, *values.get(q, (0, 0))) for q in range(size)]
+
+        dense = plan._replace(
+            forward=[[(j, q, e) for e, (j, q) in enumerate(eliminations)] for _ in plan.forward],
+            backward=[list(reversed(range(size))) for _ in plan.backward],
+            columns=[dense_column(column) for column in plan.columns])
+        with mpmath.workprec(precision):
+            zp = to_mpc(z, precision)
+            assert _schur(plan, zp) == _schur(dense, zp)
 
 
 class TestPairCouplings:
@@ -613,6 +652,22 @@ class TestPairCouplings:
         assert pair == want and pair.z_star != 0
         assert len({complex(plus) for plus, _ in couplings}) == 2
 
+    def test_couplings_at_zero_are_the_first_newton_evaluation(self, monkeypatch):
+        """S(0) is the kernel call the pair's Newton loop starts with, handed
+        on to the couplings: exactly the kernel at z = 0, and one kernel call
+        more than `refined_pair` makes, for z*."""
+        pot, _ = two_term(GaussianRational.parse("1/2+i"), 2, 1, 1)
+        plan = _reduction(pot, BC.PER_MINUS, 7, 32, 2, 320)
+        with mpmath.workprec(320):
+            (_, s12), (s21, _) = _schur(plan, mpmath.mpc(0))[0]
+        calls = []
+        monkeypatch.setattr(spectra, "_schur", lambda *args: calls.append(None) or _schur(*args))
+        refined_pair(pot, BC.PER_MINUS, 7, 32)
+        pair_calls = len(calls)
+        _, (at_zero, at_star) = pair_couplings(pot, BC.PER_MINUS, 7, 32)
+        assert at_zero == (s12, s21) and at_star != at_zero
+        assert len(calls) == 2 * pair_calls + 1
+
     def test_refuses_a_pair_that_is_not_simple(self):
         # at 128 bits the n = 22 gap 3.57e-49 lies below the pair's resolution
         pot, _ = two_term(1, 2, 1, 1)
@@ -627,7 +682,7 @@ class TestPairCouplings:
         kernel = spectra._schur
         scale = [1]
 
-        def tiny(plan, z):  # only at z = 0, which no Newton step of the pair visits
+        def tiny(plan, z):  # at z = 0: the pair's first Newton step, whose S the couplings reuse
             S, T = kernel(plan, z)
             if z == 0:
                 S[entry[0]][entry[1]] = mpmath.ldexp(scale[0], 16 - 128)
