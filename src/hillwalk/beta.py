@@ -18,7 +18,7 @@ from typing import Optional, Union
 
 from .numerics import GaussianRational, ScalarLike, gamma_product_identity
 from .potential import FourierPotential, TwoTermParams
-from .walks import DEFAULT_SHELL_CAPS, WalkKind, closed_sum, shell_sums
+from .walks import DEFAULT_SHELL_CAPS, WalkKind, _reduced, _shells_total, closed_sum
 
 
 @dataclass(frozen=True)
@@ -47,7 +47,7 @@ def _beta(
         params = TwoTermParams.from_potential(pot)
     if (pot.coefficient(-2 * params.R), pot.coefficient(2 * params.S)) != (params.a, params.b):
         raise ValueError("params do not match the potential coefficients")
-    return BetaValue(sum(shell_sums(params, n, kind, range(shell_cap + 1), z), GaussianRational()))
+    return BetaValue(_reduced(*_shells_total(params, n, kind, range(shell_cap + 1), z)))
 
 
 def beta_plus(

@@ -43,9 +43,9 @@ from .spectra import (
 from .walks import (
     DEFAULT_SHELL_CAPS,
     WalkKind,
+    _shells_total,
+    _sums_and_disc_bounds,
     shell_step_counts,
-    shell_sums,
-    sums_and_disc_bounds,
 )
 
 STABILITY_SAMPLES = (
@@ -155,24 +155,33 @@ _KIND_SHELLS = tuple((kind, range(cap + 1))
 
 
 def _weights(pot, params, n):
-    """Exact (beta^+(0), beta^-(0)), each summed over its walk shells
-    0..cap (DEFAULT_SHELL_CAPS), and their disc bounds (eps^+, eps^-)
-    (`sum_and_disc_bound`), one engine call per distinct lattice
-    (`sums_and_disc_bounds`): one per kind for R != S, and one in all for
-    R = S, whose Y walks mirror its X walks."""
+    """|beta^+(0)|^2 and |beta^-(0)|^2 as integer pairs (`_norm2`), each
+    summed over its walk shells 0..cap (DEFAULT_SHELL_CAPS), and their disc
+    bounds (eps^+, eps^-) (`sum_and_disc_bound`), one engine call per
+    lattice (`_sums_and_disc_bounds`): one per kind for R != S, one in all
+    for R = S, whose Y walks mirror its X walks."""
     if (pot.coefficient(-2 * params.R), pot.coefficient(2 * params.S)) != (params.a, params.b):
         raise ValueError("params do not match the potential coefficients")
-    pairs = sums_and_disc_bounds(params, n, DEFAULT_SHELL_CAPS)
-    return tuple(value for value, _ in pairs), tuple(eps for _, eps in pairs)
+    pairs = _sums_and_disc_bounds(params, n, DEFAULT_SHELL_CAPS)
+    return tuple(_norm2(*value) for value, _ in pairs), tuple(eps for _, eps in pairs)
+
+
+def _norm2(re: int, im: int, den: int) -> tuple:
+    """|(re + i im) / den|^2 as (re^2 + im^2, den^2), unreduced."""
+    return re * re + im * im, den * den
+
+
+def _t_squared(plus: tuple, minus: tuple) -> Fraction:
+    """max(q, 1/q), q = |beta^-|^2 / |beta^+|^2 from integer pairs, reduced once."""
+    if plus[0] == 0 or minus[0] == 0:
+        raise DegenerateRatioError("t_n needs both weight functionals nonzero")
+    x, y = minus[0] * plus[1], plus[0] * minus[1]
+    return Fraction(max(x, y), min(x, y))
 
 
 def t_n_squared(bp: GaussianRational, bm: GaussianRational) -> Fraction:
     """Exact t_n^2 = max(|b-/b+|, |b+/b-|)^2 as a rational."""
-    p2, m2 = bp.abs2(), bm.abs2()
-    if p2 == 0 or m2 == 0:
-        raise DegenerateRatioError("t_n needs both weight functionals nonzero")
-    q = m2 / p2
-    return max(q, 1 / q)
+    return _t_squared(*((q.numerator, q.denominator) for q in (bp.abs2(), bm.abs2())))
 
 
 def structurally_zero(params: TwoTermParams, n: int) -> bool:
@@ -242,21 +251,21 @@ def criterion1_verdict(
             rows.append({"n": n, "class": "delta0", "t": None})
             continue
         base, bounds = _weights(pot, params, n)
-        if any(w.is_zero() for w in base):
+        if any(num == 0 for num, _ in base):
             raise DegenerateRatioError(
                 f"beta vanishes numerically at n={n} though walks exist"
             )
-        sq = t_n_squared(*base)
+        sq = _t_squared(*base)
         squares.append(sq)
         rows.append({"n": n, "class": "delta1", "t": printed(sq, 2)})
-        # per kind: |beta|^2 at each sample, or none where the disc bound certifies it
-        moved = [[] if 4 * eps ** 2 <= fixed.abs2()
-                 else [sum(shell_sums(params, n, kind, shells, z), GaussianRational()).abs2()
-                       for z in STABILITY_SAMPLES]
-                 for fixed, eps, (kind, shells) in zip(base, bounds, _KIND_SHELLS)]
+        # per kind: |beta|^2 at each sample, or none where 4 eps^2 <= |beta|^2 certifies it
+        moved = [[] if 4 * eps.numerator ** 2 * den <= num * eps.denominator ** 2
+                 else [_norm2(*_shells_total(params, n, kind, shells, z)) for z in STABILITY_SAMPLES]
+                 for (num, den), eps, (kind, shells) in zip(base, bounds, _KIND_SHELLS)]
         for i, z in enumerate(STABILITY_SAMPLES):
-            stability_failures += [(n, str(z)) for fixed, sums in zip(base, moved)
-                                   if sums and not fixed.abs2() <= 4 * sums[i] <= 16 * fixed.abs2()]
+            # |beta(0)|^2 <= 4 |beta(z)|^2 <= 16 |beta(0)|^2
+            stability_failures += [(n, str(z)) for (f, g), sums in zip(base, moved) if sums
+                                   and not f * sums[i][1] <= 4 * sums[i][0] * g <= 16 * f * sums[i][1]]
     caveats = [DESK_SCALE_CAVEAT, "two-sided z-stability sampled at z in {0, 1, -1, i, -i} only"]
     if stability_failures:
         caveats.append(f"two-sided stability violated at {stability_failures}")
@@ -287,9 +296,9 @@ def _ratio_rows(pot, params, m_range, index_of):
     for m in ms:
         n = index_of(m)
         (bp, bm), _ = _weights(pot, params, n)
-        if bp.is_zero() or bm.is_zero():
+        if bp[0] == 0 or bm[0] == 0:
             raise DegenerateRatioError(f"vanishing weight sum at n={n}")
-        sq = bm.abs2() / bp.abs2()
+        sq = Fraction(bm[0] * bp[1], bp[0] * bm[1])
         squares.append(sq)
         rows.append({"n": n, "m": m, "ratio": printed(sq, 2)})
     return ms, rows, squares
@@ -420,7 +429,7 @@ def prop20_verdict(
             rows.append({"n": n, "class": "delta0", "t": None})
         elif n % R == 0:
             # corroboration: t_n against the leading modulus ratio power
-            sq = t_n_squared(*_weights(pot, params, n)[0])
+            sq = _t_squared(*_weights(pot, params, n)[0])
             lead2 = q2 ** (n // R)
             corroborated &= Fraction(1, 4) <= sq / lead2 <= 4  # within factor 2 on t itself
             rows.append({"n": n, "class": "delta1", "t": printed(sq, 2),

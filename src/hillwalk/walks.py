@@ -16,16 +16,18 @@ closed-walk enumeration and `weight` are kept for walk inspection, and the
 tests enumerate shells walk by walk as their oracle.
 
 The DP is fraction-free: a layer holds Gaussian-integer numerators over
-one shared denominator, and nothing is divided until the sums become
-GaussianRationals, each reduced once.  On a lattice of one or two offsets
-(every X/Y shell and every two-term closed walk) a walk's length fixes
-its step counts, so the steps carry unit weight and each length's sum
-takes its coefficient monomial once; three or more offsets keep their
-coefficients inside the same loop.  The same pass carries, in fixed point
-with outward rounding, the products that bound how far the X/Y shell sums
-move on the disc |z| <= 1 (`sum_and_disc_bound`).  At z = 0 the map
-u -> -u takes the Y walks of (R, S) onto the X walks of (S, R), so for
-R = S one call serves both kinds (`sums_and_disc_bounds`).
+one shared denominator, which only ever multiplies, and each length's sum
+is returned unreduced over it.  So the denominators of one call nest, and
+a sum over shells or lengths is added in integers over the largest and
+reduced once, as it becomes a GaussianRational.  On a lattice of one or
+two offsets (every X/Y shell and every two-term closed walk) a walk's
+length fixes its step counts, so the steps carry unit weight and each
+length's sum takes its coefficient monomial once; three or more offsets
+keep their coefficients inside the same loop.  The same pass carries, in
+fixed point with outward rounding, the products that bound how far the X/Y
+shell sums move on the disc |z| <= 1 (`sum_and_disc_bound`).  At z = 0 the
+map u -> -u takes the Y walks of (R, S) onto the X walks of (S, R), so for
+R = S one call serves both kinds (`_sums_and_disc_bounds`).
 """
 
 from __future__ import annotations
@@ -265,10 +267,11 @@ def _dyadic(m: int, e: int) -> Fraction:
 def _walk_sums(
     steps: Sequence[Tuple[int, GaussianRational]], n: int, start: int, end: int,
     lengths: Iterable[int], z: ScalarLike,
-) -> Dict[int, Tuple[GaussianRational, int, int, int]]:
+) -> Dict[int, Tuple[int, int, int, int, int, int]]:
     """Per requested step count, over the admissible walks start -> end of
     that many steps (`steps` pairs each step with its coefficient): the
-    exact sum of h(x, z), and (m1, m0, e) with P1 = m1 2^e and P0 = m0 2^e
+    exact sum of h(x, z) as (re, im, den), the sum being (re + i im) / den
+    unreduced with den > 0, then (m1, m0, e) with P1 = m1 2^e and P0 = m0 2^e
     bounds from above of the sum of prod_t 1/(|D_t| - 1) and from below of
     the sum of prod_t 1/|D_t|, D_t = n^2 - j(t)^2 at the interior vertices.
 
@@ -278,9 +281,10 @@ def _walk_sums(
     With z = P / Q, the factor 1 / (n^2 - u^2 + z) is Q / W_u with W_u =
     Q(n^2 - u^2) + P; the layer is brought over the lcm L of the |W_u|^2
     (of the |W_u| when z is real) by multiplying vertex u by
-    Q conj(W_u) L / |W_u|^2, and `den` by L.  Nothing is divided during the
-    pass: each sum reaching `end` is reduced once, as it becomes a
-    GaussianRational.
+    Q conj(W_u) L / |W_u|^2, and `den` by L.  Nothing is divided and
+    nothing reduced: `den` and the C^t below only ever multiply, so the
+    denominator of a length divides that of every longer one, and a
+    caller adds lengths over the largest and reduces once (`_summed`).
 
     Coefficients g_x / C over a common denominator C enter where they
     depend on the walk.  With three or more offsets a step multiplies the
@@ -289,7 +293,7 @@ def _walk_sums(
     k_1 x_1 + k_2 x_2 = end - start, so every walk of length t carries the
     same coefficient product: steps carry unit weight, and the sum of
     length t is multiplied once by g_1^k_1 g_2^k_2 / C^t (a length with no
-    integer solution has no walks and stays zero).
+    integer solution has no walks and stays zero, over the same C^t).
 
     Each vertex also carries P1 and P0 in fixed point: integer mantissas
     over one binary exponent e per layer.  A vertex factor multiplies by
@@ -302,7 +306,7 @@ def _walk_sums(
     A vertex is kept only if `end` is reachable from it at a requested
     length (`_reach_mask`).  A zero denominator on a kept vertex raises
     WalkSingularityError at the smallest t, then the smallest vertex."""
-    out = {length: (GaussianRational(), 0, 0, 0) for length in lengths}
+    out = {length: (0, 0, 1, 0, 0, 0) for length in lengths}
     offsets = [x for x, _ in steps]
     mask, want = _reach_mask(offsets, n, start, end, out)
     coeffs, c_den = _over_common_denominator([c for _, c in steps])
@@ -332,15 +336,15 @@ def _walk_sums(
         if weighted:
             den *= c_den
         if t in out:
-            num_re, num_im, total = end_re, end_im, den
+            # a zero sum keeps the C^t too, so that the denominators nest
+            num_re, num_im, total = end_re, end_im, den if weighted else den * c_den ** t
             if not weighted and (end_re or end_im):
                 # t - k_2 steps x_1 and k_2 steps x_2
                 k_2 = (end - start - t * offsets[0]) // (offsets[1] - offsets[0]) if offsets[1:] else 0
                 for (_, g_re, g_im), k in zip(int_steps, (t - k_2, k_2)):
                     h_re, h_im = gaussian_power(g_re, g_im, k)
                     num_re, num_im = num_re * h_re - num_im * h_im, num_re * h_im + num_im * h_re
-                total *= c_den ** t
-            out[t] = (GaussianRational(Fraction(num_re, total), Fraction(num_im, total)), end1, end0, e)
+            out[t] = (num_re, num_im, total, end1, end0, e)
         # a vertex already in `scale` passed the check, so only new ones can be singular
         for u in sorted(u for u in nxt if u not in scale):
             d_u = n * n - u * u
@@ -371,15 +375,28 @@ def _walk_sums(
     return out
 
 
-def _sqrt_upper(q: Fraction) -> Tuple[int, int]:
-    """(m, e) with m 2^e a dyadic upper bound of sqrt(q), q >= 0, to about
-    _BOUND_BITS bits: with X = ceil(q 4^k) for an integer k, sqrt(q) <=
-    ceil(sqrt(X)) / 2^k."""
-    num, den = q.numerator, q.denominator
+def _sqrt_upper(num: int, den: int) -> Tuple[int, int]:
+    """(m, e) with m 2^e a dyadic upper bound of sqrt(num / den), num >= 0
+    and den > 0 in lowest terms, to about _BOUND_BITS bits: with X =
+    ceil(num 4^k / den) for an integer k, sqrt(num / den) <= ceil(sqrt(X)) / 2^k."""
     k = (2 * _BOUND_BITS - num.bit_length() + den.bit_length()) // 2
     x = -((-num << 2 * k) // den) if k >= 0 else -(-num // (den << -2 * k))
     r = math.isqrt(x)
     return r + (r * r < x), -k
+
+
+def _summed(parts: Iterable[Tuple[int, int, int]]) -> Tuple[int, int, int]:
+    """The sum of the quotients (re + i im) / den in `parts`, unreduced over
+    their largest den, which the others must divide, as in one `_walk_sums` call."""
+    parts = list(parts)
+    top = max((den for *_, den in parts), default=1)
+    return (sum(re * (top // den) for re, _, den in parts),
+            sum(im * (top // den) for _, im, den in parts), top)
+
+
+def _reduced(re: int, im: int, den: int) -> GaussianRational:
+    """(re + i im) / den in lowest terms: the one reduction of an exact sum."""
+    return GaussianRational(Fraction(re, den), Fraction(im, den))
 
 
 # (X-walk, Y-walk) shell caps of beta_plus / beta_minus and the criteria
@@ -388,11 +405,11 @@ DEFAULT_SHELL_CAPS = (3, 2)
 
 def _shell_walk_sums(
     params: TwoTermParams, n: int, kind: WalkKind, shells: Sequence[int], z: ScalarLike
-) -> List[Tuple[ShellSteps, GaussianRational, int, int, int]]:
-    """Per shell in `shells`: its step counts and the engine's (sum, m1, m0,
-    e) over its X or Y walks, from one engine call: shell k holds the walks of
-    t0 + k(r+s) steps, so a step count names its shell.  Empty when d does
-    not divide n: then no shell has a step-count solution."""
+) -> List[Tuple[ShellSteps, int, int, int, int, int, int]]:
+    """Per shell in `shells`: its step counts and the engine's (re, im, den,
+    m1, m0, e) over its X or Y walks, from one engine call: shell k holds
+    the walks of t0 + k(r+s) steps, so a step count names its shell.  Empty
+    when d does not divide n: then no shell has a step-count solution."""
     if kind is WalkKind.W:
         raise ValueError("shell sums cover kinds X and Y; use alpha_n for W")
     counts = [shell_step_counts(params, n, kind, k) for k in shells]
@@ -411,23 +428,33 @@ def shell_sums(
     """Exact sums of h(x, z) over the X or Y walks of each shell in `shells`,
     from one engine call.  Infeasible shells sum to zero."""
     rows = _shell_walk_sums(params, n, kind, shells, z)
-    return [value for _, value, *_ in rows] or [GaussianRational() for _ in shells]
+    return [_reduced(*row[1:4]) for row in rows] or [GaussianRational() for _ in shells]
+
+
+def _shells_total(
+    params: TwoTermParams, n: int, kind: WalkKind, shells: Sequence[int], z: ScalarLike
+) -> Tuple[int, int, int]:
+    """`shell_sums` added into one unreduced (re, im, den) (`_summed`)."""
+    return _summed(row[1:4] for row in _shell_walk_sums(params, n, kind, shells, z))
 
 
 def _sum_and_disc_bound(
-    rows: Sequence[Tuple[ShellSteps, GaussianRational, int, int, int]], a2: Fraction, b2: Fraction,
-) -> Tuple[GaussianRational, Fraction]:
-    """The summed values of `rows` (`_shell_walk_sums`) and their disc bound
-    (`sum_and_disc_bound`), |a|^2 = a2 and |b|^2 = b2.  The bound's terms
-    are dyadic, so it is summed exactly in integers over the smallest
-    exponent."""
-    value, terms = GaussianRational(), []
-    for c, shell_value, m1, m0, e in rows:
-        value += shell_value
-        root, f = _sqrt_upper(a2 ** c.neg * b2 ** c.pos)
+    rows: Sequence[Tuple[ShellSteps, int, int, int, int, int, int]], params: TwoTermParams,
+) -> Tuple[Tuple[int, int, int], Fraction]:
+    """The sum of `rows` (`_shell_walk_sums`) as an unreduced (re, im, den),
+    and their disc bound (`sum_and_disc_bound`), whose dyadic terms are
+    summed exactly in integers over the smallest exponent."""
+    # a = g_a / q and b = g_b / q, so |a|^2neg |b|^2pos = |g_a|^2neg |g_b|^2pos / q^2(neg+pos)
+    (g_a, g_b), q = _over_common_denominator([params.a, params.b])
+    a2, b2 = (x * x + y * y for x, y in (g_a, g_b))
+    terms = []
+    for c, *_, m1, m0, e in rows:
+        num, den = a2 ** c.neg * b2 ** c.pos, q ** (2 * c.total)
+        g = math.gcd(num, den)
+        root, f = _sqrt_upper(num // g, den // g)
         terms.append((root * (m1 - m0), e + f))
     low = min((f for _, f in terms), default=0)
-    return value, _dyadic(sum(m << (f - low) for m, f in terms), low)
+    return _summed(row[1:4] for row in rows), _dyadic(sum(m << (f - low) for m, f in terms), low)
 
 
 def sum_and_disc_bound(
@@ -450,34 +477,38 @@ def sum_and_disc_bound(
     A (P1 - P0), P1 and P0 the sums of the two products.  The bound is the
     sum over the shells of an upper bound of A = sqrt(|a|^2neg |b|^2pos)
     times the engine's upper bound of P1 minus its lower bound of P0."""
-    rows = _shell_walk_sums(params, n, kind, shells, 0)
-    return _sum_and_disc_bound(rows, params.a.abs2(), params.b.abs2())
+    value, bound = _sum_and_disc_bound(_shell_walk_sums(params, n, kind, shells, 0), params)
+    return _reduced(*value), bound
 
 
-def sums_and_disc_bounds(
+def _sums_and_disc_bounds(
     params: TwoTermParams, n: int, caps: Tuple[int, int]
-) -> Tuple[Tuple[GaussianRational, Fraction], Tuple[GaussianRational, Fraction]]:
+) -> Tuple[Tuple[Tuple[int, int, int], Fraction], Tuple[Tuple[int, int, int], Fraction]]:
     """`sum_and_disc_bound` for the X walks of shells 0..caps[0] and the Y
-    walks of shells 0..caps[1], one engine call per distinct lattice.
+    walks of shells 0..caps[1], sums unreduced, one engine call per lattice.
 
     The map u -> -u takes the Y walks of (R, S) onto the X walks of (S, R)
     step by step, interior factors 1/(n^2 - u^2) included.  For R = S both
     kinds therefore walk one lattice: Y shell k is X shell k with the step
-    counts (neg, pos) swapped, so its sum is the X shell's times
-    (a/b)^(n/d) and its bound takes |a|^pos |b|^neg over the same P1 - P0.
-    One engine call over shells 0..max(caps) serves both.  Its layers also
-    keep the vertices of the longer shells, so their fixed-point shifts,
-    and the last bits of the Y bound, can differ from a Y-only call's; the
-    bound is rigorous either way."""
+    counts (neg, pos) swapped, so its sum is the X shell's times the
+    Gaussian-integer quotient (a/b)^(n/d), and its bound takes |a|^pos
+    |b|^neg over the same P1 - P0.  One engine call over shells
+    0..max(caps) serves both.  Its layers also keep the vertices of the
+    longer shells, so their fixed-point shifts, and the last bits of the Y
+    bound, can differ from a Y-only call's; the bound is rigorous either way."""
     if params.R != params.S:
-        return tuple(sum_and_disc_bound(params, n, kind, range(cap + 1))
+        return tuple(_sum_and_disc_bound(_shell_walk_sums(params, n, kind, range(cap + 1), 0), params)
                      for kind, cap in zip((WalkKind.X, WalkKind.Y), caps))
-    a2, b2 = params.a.abs2(), params.b.abs2()
     rows = _shell_walk_sums(params, n, WalkKind.X, range(max(caps) + 1), 0)
-    plus = _sum_and_disc_bound(rows[:caps[0] + 1], a2, b2)
-    value, bound = _sum_and_disc_bound(
-        [(ShellSteps(c.pos, c.neg), *rest) for c, *rest in rows[:caps[1] + 1]], a2, b2)
-    return plus, (value * (params.a / params.b) ** (n // params.d), bound)
+    plus = _sum_and_disc_bound(rows[:caps[0] + 1], params)
+    (re, im, den), bound = _sum_and_disc_bound(
+        [(ShellSteps(c.pos, c.neg), *rest) for c, *rest in rows[:caps[1] + 1]], params)
+    # a/b = g_a conj(g_b) / |g_b|^2 for a = g_a / q and b = g_b / q
+    ((a_re, a_im), (b_re, b_im)), _ = _over_common_denominator([params.a, params.b])
+    k = n // params.d
+    p_re, p_im = gaussian_power(a_re * b_re + a_im * b_im, a_im * b_re - a_re * b_im, k)
+    return plus, ((re * p_re - im * p_im, re * p_im + im * p_re,
+                   den * (b_re * b_re + b_im * b_im) ** k), bound)
 
 
 def shell_sum(
@@ -489,8 +520,8 @@ def shell_sum(
 
 def closed_sum(pot: FourierPotential, n: int, step_cap: int, z: ScalarLike) -> GaussianRational:
     """Exact sum of h(x, z) over admissible closed walks (kind W) of 1..step_cap
-    steps over the full potential support."""
+    steps over the full potential support, reduced once."""
     if step_cap < 1:
         raise ValueError(f"step_cap must be >= 1, got {step_cap}")
     sums = _walk_sums(pot.coeffs, n, n, n, range(1, step_cap + 1), z)
-    return sum((value for value, *_ in sums.values()), GaussianRational())
+    return _reduced(*_summed(row[:3] for row in sums.values()))

@@ -59,6 +59,20 @@ def test_t_rejects_vanishing_weight():
         t_n(GR(2), GR(0))
 
 
+@given(bp=st.builds(GaussianRational, st.fractions(), st.fractions()),
+       bm=st.builds(GaussianRational, st.fractions(), st.fractions()))
+@settings(max_examples=100, deadline=None)
+def test_t_squared_in_integers_is_the_fraction_ratio(bp, bm):
+    """t_n^2 formed once from integer numerators and denominators equals
+    the larger of |bm|^2 / |bp|^2 and its inverse in Fractions."""
+    if bp.is_zero() or bm.is_zero():
+        with pytest.raises(DegenerateRatioError):
+            t_n_squared(bp, bm)
+        return
+    q = bm.abs2() / bp.abs2()
+    assert t_n_squared(bp, bm) == max(q, 1 / q)
+
+
 def test_t_complex_route_matches_exact_route():
     bp = GaussianRational.parse("1/3+1/5i")
     bm = GaussianRational.parse("-2/7+1/2i")
@@ -693,6 +707,28 @@ def test_concordance_z_star_drops_unresolved_imaginary_part():
     row = concordance_report(a, b, ns=(20,)).rows[0]
     # |a| = |b|: beta^+ and beta^- have one modulus at every z
     assert row["c2"] == 1.0
+
+
+# (p + q i) / 5 with {|p|, |q|} one of these, as the benchmark draws them:
+# |a b| >= 1 keeps every pair gap up to n = 20 resolvable at 320 bits
+_PARTS = ((3, 4), (4, 3), (3, 6), (6, 3), (4, 4))
+_fifths = st.builds(lambda parts, re, im: GaussianRational(Fraction(re * parts[0], 5),
+                                                             Fraction(im * parts[1], 5)),
+                    st.sampled_from(_PARTS), st.sampled_from((-1, 1)), st.sampled_from((-1, 1)))
+
+
+@given(a=_fifths, b=_fifths, n=st.sampled_from(range(6, 21, 2)))
+@settings(max_examples=15, deadline=None)
+def test_concordance_commutes_with_conjugation(a, b, n):
+    """Conjugating a and b conjugates T, so its spectrum and every coupling
+    modulus stay: c1, c2, c3 and the gap match within 1e-12 relative.  They
+    are not bit-equal: the kernel's fixed-point floor shifts are not odd."""
+    plain, conjugated = (concordance_report(*coeffs, ns=(n,)).rows[0]
+                         for coeffs in ((a, b), (a.conjugate(), b.conjugate())))
+    assert plain["n"] == conjugated["n"] == n
+    for key in ("c1", "c2", "c3", "gap"):
+        x, y = plain[key], conjugated[key]
+        assert abs(x - y) <= 1e-12 * max(abs(x), abs(y)), key
 
 
 def test_concordance_sums_no_walks(monkeypatch):

@@ -5,7 +5,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from hillwalk.numerics import GaussianRational, to_mpc
@@ -543,6 +543,22 @@ class TestRefinement:
 _small = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 4))
 
 
+def dense_layout(plan):
+    """The same layout with every elimination, every back row and a dense
+    V_QP live: the kernel on it does every product the pruned one skips."""
+    size = len(plan.steps)
+    eliminations = [(j, q) for j, (_, row) in enumerate(plan.steps) for q, _, _ in row]
+
+    def dense_column(column):
+        values = {q: (re, im) for q, re, im in column}
+        return [(q, *values.get(q, (0, 0))) for q in range(size)]
+
+    return plan._replace(
+        forward=[[(j, q, e) for e, (j, q) in enumerate(eliminations)] for _ in plan.forward],
+        backward=[list(reversed(range(size))) for _ in plan.backward],
+        columns=[dense_column(column) for column in plan.columns])
+
+
 class TestSchurKernel:
     """The fixed-point banded kernel against the dense mpmath Schur
     complement of the oracle, 64 bits above the kernel's precision.  Complex
@@ -558,8 +574,14 @@ class TestSchurKernel:
         z=st.builds(GaussianRational, _small, _small).map(lambda g: g * Fraction(1, 4)),
         precision=st.sampled_from([128, 320]),
     )
-    @settings(max_examples=60, deadline=None)
+    # no shrink phase: each candidate would call the dense mpmath oracle
+    # (0.5 s at K = 16), and test_live_slots_keep_every_bit shrinks a
+    # pruning fault cheaply
+    @settings(max_examples=60, deadline=None,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
     def test_matches_the_dense_schur_complement(self, bc, K, m, coeffs, z, precision):
+        """The kernel first equals itself on the dense layout, a cheap check
+        that fails first on a pruning fault, then matches the oracle."""
         pot = FourierPotential.of(coeffs)
         assume(not pot.is_empty())
         n = {BC.PER_PLUS: 2 * m + 2, BC.PER_MINUS: 2 * m + 1, BC.DIRICHLET: m + 2}[bc]
@@ -571,6 +593,7 @@ class TestSchurKernel:
         zp = to_mpc(z, precision)  # the same z for both
         with mpmath.workprec(precision):
             got = _schur(plan, zp)
+            assert got == _schur(dense_layout(plan), zp)
         with mpmath.workprec(precision + 64):
             want = schur_complement(pot, bc, K, n, zp)
             entries = [(g, w) for ms in zip(got, want) for rows in zip(*ms) for g, w in zip(*rows)]
@@ -604,20 +627,9 @@ class TestSchurKernel:
             plan = _reduction(pot, bc, n, K, 1 if bc == BC.DIRICHLET else 2, precision)
         except ValueError:  # no dominance on the disc
             assume(False)
-        size = len(plan.steps)
-        eliminations = [(j, q) for j, (_, row) in enumerate(plan.steps) for q, _, _ in row]
-
-        def dense_column(column):
-            values = {q: (re, im) for q, re, im in column}
-            return [(q, *values.get(q, (0, 0))) for q in range(size)]
-
-        dense = plan._replace(
-            forward=[[(j, q, e) for e, (j, q) in enumerate(eliminations)] for _ in plan.forward],
-            backward=[list(reversed(range(size))) for _ in plan.backward],
-            columns=[dense_column(column) for column in plan.columns])
         with mpmath.workprec(precision):
             zp = to_mpc(z, precision)
-            assert _schur(plan, zp) == _schur(dense, zp)
+            assert _schur(plan, zp) == _schur(dense_layout(plan), zp)
 
 
 class TestPairCouplings:

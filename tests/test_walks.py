@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hillwalk.beta import alpha_n, beta_minus, beta_plus
-from hillwalk.criteria import STABILITY_SAMPLES, _weights
+from hillwalk.criteria import STABILITY_SAMPLES
 from hillwalk.numerics import GaussianRational
 from hillwalk.potential import FourierPotential, two_term
 from hillwalk.walks import (
@@ -17,7 +17,11 @@ from hillwalk.walks import (
     WalkSingularityError,
     _dyadic,
     _reach_mask,
+    _reduced,
+    _shell_walk_sums,
+    _shells_total,
     _sqrt_upper,
+    _sums_and_disc_bounds,
     _walk_sums,
     enumerate_closed,
     shell_step_counts,
@@ -563,7 +567,7 @@ def bound_products(params, n, kind, shell):
     counts = shell_step_counts(params, n, kind, shell)
     start = -n if kind is WalkKind.X else n
     steps = ((-2 * params.R, params.a), (2 * params.S, params.b))
-    _, m1, m0, e = _walk_sums(steps, n, start, -start, [counts.total], 0)[counts.total]
+    *_, m1, m0, e = _walk_sums(steps, n, start, -start, [counts.total], 0)[counts.total]
     return _dyadic(m1, e), _dyadic(m0, e)
 
 
@@ -636,7 +640,7 @@ class TestDiscBound:
     @settings(max_examples=200, deadline=None)
     def test_sqrt_upper_rounds_up_tightly(self, num, den):
         q = Fraction(num, den)
-        root = _dyadic(*_sqrt_upper(q))
+        root = _dyadic(*_sqrt_upper(q.numerator, q.denominator))
         assert root ** 2 >= q
         assert (root * (1 - Fraction(1, 2**60))) ** 2 <= q
 
@@ -647,8 +651,8 @@ class TestDiscBound:
 
 
 class TestMirrorSharing:
-    """For R = S the Y walks mirror the X walks, and `_weights` reads both
-    kinds from one engine call."""
+    """For R = S the Y walks mirror the X walks, and `_sums_and_disc_bounds`
+    reads both kinds from one engine call."""
 
     @given(a=gaussian_up_to_8, b=gaussian_up_to_8, R=st.integers(1, 4), n=st.integers(1, 20))
     @settings(max_examples=60, deadline=None)
@@ -660,17 +664,70 @@ class TestMirrorSharing:
         the Y pass's: both bound the sum over the Y shells of the rounded-up
         A times the exact P1 - P0, walk by walk, from above and within
         2^-40 of it."""
-        pot, params = two_term(a, b, R, R)
-        (plus, minus), (eps_plus, eps_minus) = _weights(pot, params, n)
-        assert (plus, eps_plus) == sum_and_disc_bound(params, n, WalkKind.X, range(4))
+        _, params = two_term(a, b, R, R)
+        (plus, eps_plus), (minus, eps_minus) = _sums_and_disc_bounds(params, n, (3, 2))
+        assert (_reduced(*plus), eps_plus) == sum_and_disc_bound(params, n, WalkKind.X, range(4))
         alone, eps_alone = sum_and_disc_bound(params, n, WalkKind.Y, range(3))
-        assert minus == alone
+        assert _reduced(*minus) == alone
         exact = Fraction(0)
         for shell in range(3):
             counts = shell_step_counts(params, n, WalkKind.Y, shell)
             if counts is not None:
                 p1, p0 = exact_products(params, n, WalkKind.Y, shell)
-                root = _dyadic(*_sqrt_upper(params.a.abs2() ** counts.neg * params.b.abs2() ** counts.pos))
+                q = params.a.abs2() ** counts.neg * params.b.abs2() ** counts.pos
+                root = _dyadic(*_sqrt_upper(q.numerator, q.denominator))
                 exact += root * (p1 - p0)
         for eps in (eps_minus, eps_alone):
             assert exact <= eps <= exact * (1 + Fraction(1, 2**40))
+
+
+def nested(dens):
+    """Whether each denominator divides the next, in length order."""
+    return all(den > 0 for den in dens) and all(b % a == 0 for a, b in zip(dens, dens[1:]))
+
+
+class TestUnreducedSums:
+    """`_walk_sums` returns each length's sum as a Gaussian-integer numerator
+    over an integer denominator, unreduced.  The denominators of one call
+    nest, so a sum over shells or lengths is formed over the largest and
+    reduced once; it equals the sum of the per-shell values, the oracle's
+    walk-by-walk sum, and raises at the same singular (t, vertex)."""
+
+    @given(
+        R=st.integers(1, 4), S=st.integers(1, 4), n=st.integers(1, 20),
+        cap=st.integers(0, 3), step_cap=st.integers(1, 6),
+        a=gaussian_up_to_8, b=gaussian_up_to_8, c=gaussian_up_to_8,
+        third=st.sampled_from([None, -6, 4, 8]), data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_one_reduction_of_nested_denominators(self, R, S, n, cap, step_cap, a, b, c,
+                                                  third, data):
+        z = data.draw(engine_points(n))
+        pot, params = two_term(a, b, R, S)
+        shells = range(cap + 1)
+        for kind, beta in ((WalkKind.X, beta_plus), (WalkKind.Y, beta_minus)):
+            per_shell = sums_outcome(lambda: shell_sums(params, n, kind, shells, z))
+            once = sums_outcome(lambda: _reduced(*_shells_total(params, n, kind, shells, z)))
+            value = engine_outcome(lambda: beta(pot, params, n, z=z, shell_cap=cap))
+            if isinstance(per_shell, tuple):
+                assert once == value == per_shell
+                continue
+            assert nested([row[3] for row in _shell_walk_sums(params, n, kind, shells, z)])
+            assert once == value == sum(per_shell, GaussianRational())
+            if sum(shell_size_bound(params, n, kind, k) for k in shells) <= 400:
+                walks = [w for k in shells for w in enumerate_shell(params, n, kind, k)]
+                assert once == oracle_outcome(walks, pot, z)
+        # closed walks of a two-term or a three-term support
+        bands = dict(pot.coeffs)
+        if third is not None and third not in bands:
+            bands[third] = c
+        closed = FourierPotential.of(bands)
+        lengths = range(1, step_cap + 1)
+        rows = sums_outcome(lambda: _walk_sums(closed.coeffs, n, n, n, lengths, z))
+        want = oracle_outcome(enumerate_closed(closed, n, step_cap), closed, z)
+        if isinstance(rows, tuple):
+            assert rows == want
+        else:
+            assert nested([rows[t][2] for t in lengths])
+            assert sum((_reduced(*rows[t][:3]) for t in lengths), GaussianRational()) == want
+        assert engine_outcome(lambda: alpha_n(closed, n, z=z, step_cap=step_cap)) == want
