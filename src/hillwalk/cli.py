@@ -32,7 +32,7 @@ from .criteria import (
     theorem31_report,
     theorem5_report,
 )
-from .numerics import DEFAULT_PRECISION, MIN_PRECISION, GaussianRational, printed
+from .numerics import MIN_PRECISION, GaussianRational, printed
 from .potential import TwoTermParams, _scalar_from_json, parse_potential, potential_to_json
 from .spectra import (
     BoundaryCondition,
@@ -41,12 +41,9 @@ from .spectra import (
     LocalizationError,
     MAX_K,
     REFINE_PRECISION,
-    assemble,
     basis_indices,
-    eigenvalues,
     find_working_N,
     free_eigenvalue,
-    localize_pairs,
     spectrum_csv,
 )
 from .verify import run_verify
@@ -100,7 +97,6 @@ _FLAGS = {
     "potential": {"help": "JSON literal: {'a','b','R','S'} or {'terms': [...]}"},
     "bc": {"choices": ["per+", "per-", "dirichlet"]},
     "K": {"type": int, "help": "Galerkin truncation half-width"},
-    "N": {"type": int, "help": "low-block cutoff; scanned when omitted"},
     "precision": {"type": int, "help": "working precision in bits"},
     "delta": {"help": "index family 'kind:lo:hi[:parity]' or 'explicit:5,8,11'"},
     "range": {"help": "n values: comma list or 'lo:hi'"},
@@ -114,8 +110,8 @@ _FLAGS = {
 # --config file sets and the chosen path does not read exits 64
 _READS = {
     ("beta", None): {"potential", "range", "format", "z", "out"},
-    ("spectrum", None): {"potential", "bc", "K", "N", "range", "format", "out"},
-    ("verify", None): {"K", "precision", "inject_error", "out"},
+    ("spectrum", None): {"potential", "bc", "K", "range", "format", "out"},
+    ("verify", None): {"inject_error", "out"},
     ("verdict", None): {"report", "potential", "delta", "out"},
     ("verdict", "ratio-collapse"): {"report", "potential", "bc", "m_range", "out"},
     ("verdict", "shifted-collapse"): {"report", "potential", "m_range", "out"},
@@ -176,18 +172,15 @@ def _read_potential(config: dict):
 
 
 # the least and the greatest value of each integer key, as the library bounds it
-_INT_BOUNDS = {"K": (1, MAX_K), "N": (0, None), "precision": (MIN_PRECISION, None)}
+_INT_BOUNDS = {"K": (1, MAX_K), "precision": (MIN_PRECISION, None)}
 
 
-def _read_int(config: dict, key: str, default: Optional[int]) -> Optional[int]:
-    """An int within the key's bounds; a None default lets the key be left unset."""
+def _read_int(config: dict, key: str, default: int) -> int:
+    """An int within the key's bounds."""
     value = config.get(key, default)
-    if value is None and default is None:
-        return None
     least, most = _INT_BOUNDS[key]
-    if type(value) is not int or value < min(least, 1):  # a JSON true is no integer
-        kind = ("nonnegative", "positive")[least > 0]
-        raise UsageError(f"--{key} must be a {kind} integer, got {value!r}")
+    if type(value) is not int or value < 1:  # a JSON true is no integer
+        raise UsageError(f"--{key} must be a positive integer, got {value!r}")
     if value < least:
         raise UsageError(f"--{key} must be at least {least}, got {value}")
     if most is not None and value > most:
@@ -369,7 +362,8 @@ def cmd_beta(config: dict) -> int:
 
 
 def cmd_spectrum(config: dict) -> int:
-    """localized eigenvalue pairs; gaps and flags are hardware values (see refined_pair)"""
+    """localized eigenvalue pairs above the least cutoff N that localizes
+    them; gaps and flags are hardware values (see refined_pair)"""
     pot, _ = _read_potential(config)
     bc = _read_bc(config)
     if bc == BoundaryCondition.DIRICHLET:
@@ -377,18 +371,12 @@ def cmd_spectrum(config: dict) -> int:
     K = _read_int(config, "K", 32)
     ns = _read_range(config)
     n_max = max(ns) if ns else 12
-    N = _read_int(config, "N", None)
-    if N is not None and N >= n_max:
-        raise UsageError(f"--N must be below the largest n of the scan, {n_max}, got {N}")
     # a disc n needs a basis function with free eigenvalue n^2; discs of one
     # parity sit two apart, so the disc after the last one is reach + 2
     reach = max(math.isqrt(free_eigenvalue(bc, k)) for k in basis_indices(bc, K))
     if n_max > reach + 1:
         raise UsageError(f"--K {K} holds {bc.value} discs up to n = {reach}, got n up to {n_max}")
-    if N is None:
-        _, result = find_working_N(pot, bc, K, n_max)
-    else:
-        result = localize_pairs(eigenvalues(assemble(pot, bc, K)), bc, N, n_max)
+    _, result = find_working_N(pot, bc, K, n_max)
     if ns:
         want, other = ((0, BoundaryCondition.PER_MINUS) if bc == BoundaryCondition.PER_PLUS
                        else (1, BoundaryCondition.PER_PLUS))
@@ -465,11 +453,7 @@ def cmd_verdict(config: dict) -> int:
 
 def cmd_verify(config: dict) -> int:
     """built-in cross-route identity suite"""
-    report = run_verify(
-        K=_read_int(config, "K", 32),
-        precision=_read_int(config, "precision", DEFAULT_PRECISION),
-        inject_error=bool(config.get("inject_error")),
-    )
+    report = run_verify(inject_error=bool(config.get("inject_error")))
     _emit("\n".join(report.lines()) + "\n", config)
     return EXIT_OK if report.passed else EXIT_VERIFY_FAIL
 

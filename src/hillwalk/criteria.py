@@ -45,7 +45,6 @@ from .walks import (
     WalkKind,
     _shells_total,
     _sums_and_disc_bounds,
-    shell_step_counts,
 )
 
 STABILITY_SAMPLES = (
@@ -189,7 +188,7 @@ def structurally_zero(params: TwoTermParams, n: int) -> bool:
 
     Decided by step-count feasibility, never numerically: X and Y walks
     both exist exactly when d divides n."""
-    return shell_step_counts(params, n, WalkKind.X, 0) is None
+    return n % params.d != 0
 
 
 def criterion3_ratio(pair: SpectralPair) -> float:

@@ -35,13 +35,15 @@ def _coerce_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
-_RATIONAL_RE = _re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RATIONAL_RE = _re.compile(r"[+-]?\d+(?:/\d+)?")
 
 
 def _parse_rational(text: str) -> Fraction:
-    if not _RATIONAL_RE.match(text):
+    """'3' or '-1/2', spaces ignored: each part of a scalar literal."""
+    s = text.strip().replace(" ", "")
+    if not _RATIONAL_RE.fullmatch(s):
         raise ValueError(f"not a rational literal: {text!r}")
-    return Fraction(text)
+    return Fraction(s)
 
 
 def gaussian_power(re: int, im: int, k: int) -> Tuple[int, int]:

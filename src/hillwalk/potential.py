@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Tuple, Union
 
-from .numerics import GaussianRational, ScalarLike
+from .numerics import GaussianRational, ScalarLike, _parse_rational
 
 
 @dataclass(frozen=True)
@@ -103,22 +103,26 @@ def two_term(a: ScalarLike, b: ScalarLike, R: int, S: int) -> Tuple[FourierPoten
 # -- JSON literals ---------------------------------------------------------
 
 
+def _rational_from_json(value) -> Fraction:
+    """An int or a string 'p/q': the grammar of each part of a scalar."""
+    if type(value) is int:  # a JSON true is no integer
+        return Fraction(value)
+    if isinstance(value, str):
+        return _parse_rational(value)
+    raise TypeError(f"a rational must be an int or a 'p/q' string, got {value!r}")
+
+
 def _scalar_from_json(value) -> GaussianRational:
-    if isinstance(value, bool):
-        raise TypeError("boolean is not a scalar")
-    if isinstance(value, int):
-        return GaussianRational.of(value)
+    """A string in the grammar of `GaussianRational.parse`, an int, or an
+    object {"re", "im"} of rationals; an absent part is 0."""
     if isinstance(value, str):
         return GaussianRational.parse(value)
-    if isinstance(value, dict):
-        known = set(value) - {"re", "im"}
-        if known:
-            raise ValueError(f"unknown scalar fields: {sorted(known)}")
-        return GaussianRational(
-            Fraction(str(value.get("re", "0"))),
-            Fraction(str(value.get("im", "0"))),
-        )
-    raise TypeError(f"cannot read scalar from {value!r}")
+    if not isinstance(value, dict):
+        return GaussianRational(_rational_from_json(value))
+    unknown = set(value) - {"re", "im"}
+    if unknown:
+        raise ValueError(f"unknown scalar fields: {sorted(unknown)}")
+    return GaussianRational(*(_rational_from_json(value.get(key, 0)) for key in ("re", "im")))
 
 
 def parse_potential(text_or_obj: Union[str, dict]) -> Tuple[FourierPotential, Optional[TwoTermParams]]:
@@ -128,9 +132,11 @@ def parse_potential(text_or_obj: Union[str, dict]) -> Tuple[FourierPotential, Op
       {"terms": [{"m": -2, "re": "1", "im": "0"}, ...]}   explicit coefficients
       {"a": "1", "b": "1", "R": 1, "S": 3}                two-term shorthand
 
-    Rationals are strings 'p/q' (or ints); the two-term form also returns the
-    derived parameter block, the explicit form returns one when the support
-    happens to be two-term shaped.
+    A term is its frequency "m" and the parts of a {"re", "im"} scalar; a
+    shorthand coefficient is any scalar (`_scalar_from_json`).  Every
+    rational is an int or a string 'p/q': "1.5", 1.5 and "1e-3" are refused.
+    The two-term form also returns the derived parameter block, the explicit
+    form returns one when the support happens to be two-term shaped.
     """
     obj = json.loads(text_or_obj) if isinstance(text_or_obj, str) else text_or_obj
     if not isinstance(obj, dict):
@@ -139,15 +145,11 @@ def parse_potential(text_or_obj: Union[str, dict]) -> Tuple[FourierPotential, Op
         coeffs: dict = {}
         for term in obj["terms"]:
             m = term["m"]
-            if not isinstance(m, int):
+            if type(m) is not int:
                 raise ValueError(f"frequency must be an int, got {m!r}")
-            value = GaussianRational(
-                Fraction(str(term.get("re", "0"))),
-                Fraction(str(term.get("im", "0"))),
-            )
             if m in coeffs:
                 raise ValueError(f"duplicate frequency {m}")
-            coeffs[m] = value
+            coeffs[m] = _scalar_from_json({key: v for key, v in term.items() if key != "m"})
         pot = FourierPotential.of(coeffs)
         try:
             params: Optional[TwoTermParams] = TwoTermParams.from_potential(pot)

@@ -235,12 +235,12 @@ def localize_pairs(
     bc: BoundaryCondition,
     N: int,
     n_max: int,
-    pairing_tol: float = DEFAULT_PAIRING_TOL,
 ) -> LocalizationResult:
     """Group eigenvalues into unit discs D_n, N < n <= n_max.
 
     Each disc must hold exactly two eigenvalues (else LocalizationError);
-    leftovers below the disc range form the low block, the rest (truncation
+    a pair whose gap is at most DEFAULT_PAIRING_TOL is flagged double.
+    Leftovers below the disc range form the low block, the rest (truncation
     edge) are dropped."""
     bc = BoundaryCondition(bc)
     if N < 0:
@@ -268,7 +268,7 @@ def localize_pairs(
             raise LocalizationError(bc, n, found)
         lo, hi = found
         gap = abs(hi - lo)
-        flag = "double" if gap <= pairing_tol else "simple-pair"
+        flag = "double" if gap <= DEFAULT_PAIRING_TOL else "simple-pair"
         pairs.append(
             SpectralPair(
                 n=n,

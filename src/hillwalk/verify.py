@@ -11,10 +11,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .beta import A_alpha, H_minus, H_plus, beta_plus_leading, beta_plus_leading_exact, ratio_H
-from .numerics import DEFAULT_PRECISION, GaussianRational, check_precision, to_mpc
+from .numerics import DEFAULT_PRECISION, GaussianRational, to_mpc
 from .potential import two_term
 from .spectra import BoundaryCondition, find_working_N, reduction_residual
 from .walks import WalkKind, shell_sum
+
+# the Galerkin truncation of the reduction-residual checks
+RESIDUAL_K = 32
 
 
 @dataclass(frozen=True)
@@ -145,37 +148,37 @@ def check_gamma_ratio() -> list:
     return out
 
 
-def check_factorial_identity(precision: int) -> list:
+def check_factorial_identity() -> list:
     """Telescoped Gamma route against a b^m (H+ - H-) at m = 40.
 
-    Both sides are exact rationals; the precision knob only touches the
-    float rendering, so this passes at 64 bits as well as 256."""
+    Both sides are exact rationals and are compared exactly; the second
+    check compares their DEFAULT_PRECISION-bit renders."""
     import mpmath
 
-    check_precision(precision)
     _, params = two_term(1, 1, 1, 3)
     m = 40
     gamma_route = beta_plus_leading(params, m)
     direct = beta_plus_leading_exact(params, m)
     results = [_exact("factorial-identity[m=40]", direct, gamma_route)]
-    with mpmath.workprec(precision):
-        rendered = to_mpc(gamma_route, precision)
-        again = to_mpc(direct, precision)
-        results.append(_exact(f"factorial-identity-render[{precision} bits]", again, rendered))
+    with mpmath.workprec(DEFAULT_PRECISION):
+        rendered = to_mpc(gamma_route, DEFAULT_PRECISION)
+        again = to_mpc(direct, DEFAULT_PRECISION)
+        results.append(_exact(f"factorial-identity-render[{DEFAULT_PRECISION} bits]", again, rendered))
     return results
 
 
-def check_reduction_residual(K: int) -> list:
-    """Truncated-operator eigenvalues near n^2 = 36 plugged into the same
-    truncation's Schur-complement equation det(z - S(z)) = 0; residual at most 1e-6."""
+def check_reduction_residual() -> list:
+    """Truncated-operator eigenvalues near n^2 = 36 at K = RESIDUAL_K plugged
+    into the same truncation's Schur-complement equation det(z - S(z)) = 0;
+    residual at most 1e-6."""
     pot, _ = two_term(1, 1, 1, 1)
-    _, result = find_working_N(pot, BoundaryCondition.PER_PLUS, K, n_max=8)
+    _, result = find_working_N(pot, BoundaryCondition.PER_PLUS, RESIDUAL_K, n_max=8)
     pair = result.pair(6)
     out = []
     for tag, lam in (("lam-", pair.lam_minus), ("lam+", pair.lam_plus)):
-        res = reduction_residual(pot, 6, K, lam)
+        res = reduction_residual(pot, 6, RESIDUAL_K, lam)
         out.append(CheckResult(
-            f"reduction-residual[n=6,{tag},K={K}]",
+            f"reduction-residual[n=6,{tag},K={RESIDUAL_K}]",
             res <= 1e-6,
             "<= 1e-06",
             f"{res:.3e}",
@@ -183,19 +186,17 @@ def check_reduction_residual(K: int) -> list:
     return out
 
 
-def run_verify(
-    K: int = 32,
-    precision: int = DEFAULT_PRECISION,
-    inject_error: bool = False,
-) -> VerifyReport:
-    """Run the whole suite; `inject_error` perturbs one closed form to
-    prove the harness can fail."""
+def run_verify(inject_error: bool = False) -> VerifyReport:
+    """Run the whole suite, 33 checks; `inject_error` perturbs one closed
+    form to prove the harness can fail.  The identities are decided on
+    exact rationals and the residual checks run at K = RESIDUAL_K, so the
+    suite takes no settings."""
     checks = []
     checks += check_shell0_mixed_bands(inject_error)
     checks += check_shell0_single_walks()
     checks += check_convolution()
     checks += check_generating_function()
     checks += check_gamma_ratio()
-    checks += check_factorial_identity(precision)
-    checks += check_reduction_residual(K)
+    checks += check_factorial_identity()
+    checks += check_reduction_residual()
     return VerifyReport(tuple(checks))

@@ -412,9 +412,12 @@ def _shell_walk_sums(
     when d does not divide n: then no shell has a step-count solution."""
     if kind is WalkKind.W:
         raise ValueError("shell sums cover kinds X and Y; use alpha_n for W")
-    counts = [shell_step_counts(params, n, kind, k) for k in shells]
-    if counts[0] is None:
+    if min(shells) < 0:
+        raise ValueError(f"shell indices must be >= 0, got {min(shells)}")
+    zero = shell_step_counts(params, n, kind, 0)
+    if zero is None:
         return []
+    counts = [ShellSteps(zero.neg + params.s * k, zero.pos + params.r * k) for k in shells]
     start = _START_SIGN[kind] * n
     steps = ((-2 * params.R, params.a), (2 * params.S, params.b))
     sums = _walk_sums(steps, n, start, start + _STEP_SUM_FACTOR[kind] * n,

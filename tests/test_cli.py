@@ -1,5 +1,6 @@
 """Command-line surface: subcommands, exit codes, byte stability."""
 
+import argparse
 import json
 import math
 import os
@@ -161,6 +162,19 @@ def test_beta_rejects_boolean_band_offsets(capsys, potential):
     assert err == "hillwalk: bad potential literal: R and S must be integers\n"
 
 
+@pytest.mark.parametrize("literal", ['"1.5"', "1.5", '"1e-3"'])
+def test_decimal_rationals_exit_64_in_every_form(capsys, literal):
+    # a rational is an int or a string 'p/q' wherever it stands
+    for potential in (f'{{"a":{literal},"b":"1","R":1,"S":3}}',
+                      f'{{"a":{{"re":{literal}}},"b":"1","R":1,"S":3}}',
+                      f'{{"a":{{"re":"1","im":{literal}}},"b":"1","R":1,"S":3}}',
+                      f'{{"terms":[{{"m":-2,"re":{literal}}}]}}',
+                      f'{{"terms":[{{"m":-2,"re":"1","im":{literal}}}]}}'):
+        code, out, err = run_cli(capsys, "beta", "--potential", potential, "--range", "5")
+        assert code == 64 and out == "", potential
+        assert err.startswith("hillwalk: bad potential literal: "), potential
+
+
 def test_spectrum_rejects_nonpositive_K(capsys):
     code, _, err = run_cli(capsys, "spectrum", "--potential", '{"terms": []}', "--K", "0")
     assert code == 64
@@ -168,10 +182,11 @@ def test_spectrum_rejects_nonpositive_K(capsys):
 
 
 def test_spectrum_localization_violation_exits_3(capsys):
-    code, _, err = run_cli(capsys, "spectrum", "--potential", '{"a":"8","b":"8","R":1,"S":1}',
-                           "--K", "16", "--N", "1", "--range", "4:12")
-    assert code == 3
-    assert "disc" in err
+    # no cutoff N <= N_CAP localizes this strong a potential at K = 16
+    code, out, err = run_cli(capsys, "spectrum", "--potential", '{"a":"20","b":"20","R":1,"S":1}',
+                             "--K", "16", "--range", "4:12")
+    assert code == 3 and out == ""
+    assert err.startswith("hillwalk: disc around ") and err.endswith(", expected 2\n")
 
 
 def test_spectrum_rejects_range_without_discs(capsys):
@@ -183,12 +198,11 @@ def test_spectrum_rejects_range_without_discs(capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (("spectrum", "--potential", TWO_TERM_13, "--K", "300"), "--K must be at most 256, got 300"),
-    (("verify", "--K", "300"), "--K must be at most 256, got 300"),
     (("verdict", "--preset", "crit-compare", "--precision", "32"),
      "--precision must be at least 64, got 32"),
     (("beta", "--potential", TWO_TERM_13, "--range", "0,5"),
      "--range must hold positive integers, got 0"),
-], ids=["spectrum", "verify", "verdict", "beta"])
+], ids=["spectrum", "verdict", "beta"])
 def test_out_of_range_integers_exit_64(capsys, argv, message):
     # the readers refuse what the library would refuse as a criteria error
     code, out, err = run_cli(capsys, *argv)
@@ -233,11 +247,9 @@ def test_spectrum_range_of_the_other_parity_exits_64(capsys):
 
 
 @pytest.mark.parametrize("extra, message", [
-    (("--N", "12"), "--N must be below the largest n of the scan, 12, got 12"),
-    (("--N", "9", "--range", "4:8"), "--N must be below the largest n of the scan, 8, got 9"),
     (("--K", "2", "--range", "4:12"), "--K 2 holds per+ discs up to n = 4, got n up to 12"),
     (("--K", "2", "--bc", "per-", "--range", "3:5"), "--K 2 holds per- discs up to n = 3, got n up to 5"),
-], ids=["N-at-n_max", "N-above-n_max", "per+-beyond-K", "per--beyond-K"])
+], ids=["per+-beyond-K", "per--beyond-K"])
 def test_spectrum_scan_outside_the_input_exits_64(capsys, extra, message):
     # usage errors, not a criteria error (4) or a localization violation (3)
     code, out, err = _spectrum(capsys, *extra)
@@ -447,11 +459,30 @@ def test_unknown_subcommand_exits_64(capsys):
     assert run_cli(capsys, "nonsense")[0] == 64
 
 
+# every option each subcommand registers besides --help: an option that is
+# added, dropped or brought back shows up here as a diff
+FLAG_SETS = {
+    "beta": {"--potential", "--range", "--format", "--out", "--preset", "--config"},
+    "spectrum": {"--potential", "--bc", "--K", "--range", "--format", "--out", "--preset",
+                 "--config"},
+    "verdict": {"--potential", "--bc", "--K", "--precision", "--delta", "--range", "--out",
+                "--preset", "--config"},
+    "verify": {"--inject-error", "--out", "--preset", "--config"},
+}
+# options that were removed: the spectrum cutoff, the shell caps
+REMOVED_FLAGS = {"--N", "--caps"}
+
+
+def test_each_command_registers_exactly_its_flags():
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    registered = {name: {o for a in p._actions for o in a.option_strings if o.startswith("--")}
+                  for name, p in sub.choices.items()}
+    assert registered == {name: flags | {"--help"} for name, flags in FLAG_SETS.items()}
+
+
 @pytest.mark.parametrize("command,flags", [
-    ("beta", ("--bc", "--K", "--N", "--precision", "--delta", "--caps")),
-    ("spectrum", ("--caps", "--precision", "--delta")),
-    ("verdict", ("--N", "--format", "--caps")),
-    ("verify", ("--potential", "--bc", "--N", "--caps", "--delta", "--range", "--format")),
+    (command, tuple(sorted(set().union(REMOVED_FLAGS, *FLAG_SETS.values()) - flags)))
+    for command, flags in FLAG_SETS.items()
 ])
 def test_flags_a_command_does_not_read_exit_64(capsys, command, flags):
     for flag in flags:
@@ -471,8 +502,8 @@ def test_config_keys_a_command_does_not_read_exit_64(capsys, tmp_path, command, 
     conf = tmp_path / "conf.json"
     conf.write_text('{"bogus": 1, "K": 16}')
     code, out, err = run_cli(capsys, command, *argv, "--config", str(conf))
-    # the equal-offsets report that prop20 picks reads no K either
-    unread = "K, bogus" if command in ("beta", "verdict") else "bogus"
+    # the equal-offsets report that prop20 picks reads no K, nor does verify
+    unread = "bogus" if command == "spectrum" else "K, bogus"
     where = "the equal-offsets report" if command == "verdict" else command
     assert code == 64 and out == ""
     assert err == f"hillwalk: {where} does not read config keys {unread}\n"
@@ -571,8 +602,9 @@ def test_every_path_has_a_command():
     assert all(_as_config(argv)[0] == path for path, argv in PATH_COMMANDS.items())
 
 
-# keys no path reads: the shell caps and the verdict thresholds are fixed
-REMOVED_KEYS = {"caps", "thresholds"}
+# keys no path reads: the shell caps and the verdict thresholds are fixed,
+# and spectrum scans for its cutoff N
+REMOVED_KEYS = {"caps", "thresholds", "N"}
 
 
 @pytest.mark.parametrize("path", PATH_COMMANDS, ids=_path_id)

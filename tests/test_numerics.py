@@ -38,7 +38,7 @@ class TestGaussianRational:
         )
 
     def test_parse_rejects_junk(self):
-        for bad in ("", "x", "1.5", "1+2", "i3", "1//2"):
+        for bad in ("", "x", "1.5", "1e-3", "1+2", "i3", "1//2"):
             with pytest.raises(ValueError):
                 GaussianRational.parse(bad)
 

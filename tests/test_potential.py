@@ -123,3 +123,33 @@ class TestJson:
             parse_potential({"a": "1", "b": "1"})
         with pytest.raises(ValueError):
             parse_potential('{"a": "1", "b": "1", "R": "x", "S": 3}')
+
+
+# the places a rational stands in a literal, each holding the coefficient of
+# e^{-2ix}: a shorthand scalar, a part of a {"re", "im"} scalar, a term's part
+PLACES = {
+    "scalar": lambda lit: {"a": lit, "b": "1", "R": 1, "S": 3},
+    "part-re": lambda lit: {"a": {"re": lit}, "b": "1", "R": 1, "S": 3},
+    "part-im": lambda lit: {"a": {"im": lit}, "b": "1", "R": 1, "S": 3},
+    "term-re": lambda lit: {"terms": [{"m": -2, "re": lit}, {"m": 6, "re": "1"}]},
+    "term-im": lambda lit: {"terms": [{"m": -2, "im": lit}, {"m": 6, "re": "1"}]},
+}
+
+
+def _coefficient(place, literal):
+    value = parse_potential(PLACES[place](literal))[0].coefficient(-2)
+    return value.im if place.endswith("im") else value.re
+
+
+class TestOneGrammar:
+    @given(p=st.integers(-10 ** 6, 10 ** 6).filter(bool), q=st.integers(1, 10 ** 6))
+    @settings(max_examples=100)
+    def test_every_place_reads_a_rational_alike(self, p, q):
+        """A JSON int and a string 'p/q', unreduced or not, read as the same
+        rational in every place."""
+        forms = [(Fraction(p, q), [f"{p}/{q}", f"{p} / {q}", str(Fraction(p, q))]),
+                 (Fraction(p), [p, str(p), f"{p}/1"])]
+        for place in PLACES:
+            for value, literals in forms:
+                for literal in literals:
+                    assert _coefficient(place, literal) == value, (place, literal)

@@ -15,6 +15,7 @@ from hillwalk.criteria import concordance_report
 from hillwalk.spectra import (
     BoundaryCondition,
     ConvergenceError,
+    DEFAULT_PAIRING_TOL,
     DegenerateRatioError,
     DirichletUniquenessError,
     LocalizationError,
@@ -211,13 +212,15 @@ class TestLocalization:
     def test_simple_pairs_when_moduli_differ(self):
         pot, _ = two_term(1, 2, 1, 1)
         eigs = eigenvalues(assemble(pot, BC.PER_PLUS, 64))
-        res = localize_pairs(eigs, BC.PER_PLUS, 2, 12, pairing_tol=1e-12)
+        res = localize_pairs(eigs, BC.PER_PLUS, 2, 12)
         for p in res.pairs:
+            assert p.multiplicity_flag == ("double" if p.gap <= DEFAULT_PAIRING_TOL else "simple-pair")
             if p.n <= 8:
                 # hardware can still resolve these gaps; beyond n=8 the
                 # true gap sinks below eigensolver noise
-                assert p.multiplicity_flag == "simple-pair"
                 assert p.gap > 1e-12
+        # the n = 8 gap, near 1e-10, is below the pairing tolerance
+        assert [p.n for p in res.pairs if p.multiplicity_flag == "simple-pair"] == [4, 6]
 
     def test_parity_decoupling_doubles(self):
         pot, _ = two_term(1, 1, 2, 2)

@@ -9,6 +9,11 @@ def test_default_suite_passes():
     assert len(report.checks) == 33
     assert all(c.line().startswith("PASS") for c in report.checks)
     assert report.lines()[-1] == "33/33 checks passed"
+    # the suite's fixed settings: the residual truncation and the render precision
+    names = [c.name for c in report.checks]
+    assert "reduction-residual[n=6,lam-,K=32]" in names
+    assert "reduction-residual[n=6,lam+,K=32]" in names
+    assert "factorial-identity-render[256 bits]" in names
 
 
 def test_injected_perturbation_fails_by_name():
@@ -21,20 +26,6 @@ def test_injected_perturbation_fails_by_name():
     assert report.lines()[-1] == "32/33 checks passed"
 
 
-def test_low_precision_does_not_break_exact_identities():
-    # every identity is decided on rationals; 64 bits only touches renders
-    report = run_verify(precision=64)
-    assert report.passed
-    assert any("[64 bits]" in c.name for c in report.checks)
-
-
 def test_check_line_shows_expected_and_actual():
     line = CheckResult("sample", False, "1/2", "1/3").line()
     assert line == "FAIL sample: expected 1/2, got 1/3"
-
-
-def test_residual_checks_present_at_requested_K():
-    report = run_verify(K=24)
-    names = [c.name for c in report.checks]
-    assert "reduction-residual[n=6,lam-,K=24]" in names
-    assert "reduction-residual[n=6,lam+,K=24]" in names

@@ -503,17 +503,19 @@ class TestFractionFreeLayers:
 
 
 @st.composite
-def engine_points(draw, n):
+def engine_points(draw, n, dyadic=True):
     """z = 0, a rational, a Gaussian rational, a z that zeroes the factor
-    at some vertex v = n mod 2, or the 1074-bit dyadic z."""
-    return draw(st.one_of(
+    at some vertex v = n mod 2, or, when `dyadic`, the 1074-bit dyadic z."""
+    points = [
         st.just(GaussianRational()),
         st.fractions(-9, 9, max_denominator=9).map(GaussianRational),
         gaussian_rationals,
         st.integers(-n - 4, 4).map(lambda j: n + 2 * j).filter(lambda v: abs(v) != n)
         .map(lambda v: GaussianRational.of(v * v - n * n)),
-        st.just(GaussianRational(Fraction(1, 3), Fraction(1, 2**1074))),
-    ))
+    ]
+    if dyadic:
+        points.append(st.just(GaussianRational(Fraction(1, 3), Fraction(1, 2**1074))))
+    return draw(st.one_of(points))
 
 
 class TestEngineContract:
@@ -702,7 +704,10 @@ class TestUnreducedSums:
     @settings(max_examples=80, deadline=None)
     def test_one_reduction_of_nested_denominators(self, R, S, n, cap, step_cap, a, b, c,
                                                   third, data):
-        z = data.draw(engine_points(n))
+        # the 1074-bit z only within TestEngineContract's n <= 14 and cap <= 2:
+        # at that z an engine call's cost grows with its step counts, and the
+        # shells 0..3 of (R, S) = (3, 4) take about 3 times as long as 0..2
+        z = data.draw(engine_points(n, dyadic=n <= 14 and cap <= 2))
         pot, params = two_term(a, b, R, S)
         shells = range(cap + 1)
         for kind, beta in ((WalkKind.X, beta_plus), (WalkKind.Y, beta_minus)):
