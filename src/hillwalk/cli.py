@@ -121,10 +121,12 @@ _READS = {
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="hillwalk", description="walk functionals and basis verdicts for Hill operators")
+    # no flag prefixes: what one would mean changes whenever a flag is added or removed
+    parser = _Parser(prog="hillwalk", allow_abbrev=False,
+                     description="walk functionals and basis verdicts for Hill operators")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, run in _COMMANDS.items():
-        p = sub.add_parser(name, help=run.__doc__)
+        p = sub.add_parser(name, help=run.__doc__, allow_abbrev=False)
         # each subcommand registers only the flags one of its paths reads
         read = set().union(*(keys for (command, _), keys in _READS.items() if command == name))
         for key in (k for k in _FLAGS if k in read):

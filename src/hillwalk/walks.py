@@ -28,6 +28,13 @@ fixed point with outward rounding, the products that bound how far the X/Y
 shell sums move on the disc |z| <= 1 (`sum_and_disc_bound`).  At z = 0 the
 map u -> -u takes the Y walks of (R, S) onto the X walks of (S, R), so for
 R = S one call serves both kinds (`_sums_and_disc_bounds`).
+
+Crossing walks (X and Y, from -+n to +-n) are walked to half their length.
+Reversed and reflected j -> -j, a crossing walk is again one, of the same
+weight, so its second half is a reflected first half: each length's sum
+joins, at the middle layer, the prefixes that end at v with those that end
+at -v, as exact integer products.  The denominators still nest, and a zero
+factor raises at the same position as in a full-length pass (`_walk_sums`).
 """
 
 from __future__ import annotations
@@ -283,8 +290,9 @@ def _walk_sums(
     (of the |W_u| when z is real) by multiplying vertex u by
     Q conj(W_u) L / |W_u|^2, and `den` by L.  Nothing is divided and
     nothing reduced: `den` and the C^t below only ever multiply, so the
-    denominator of a length divides that of every longer one, and a
-    caller adds lengths over the largest and reduces once (`_summed`).
+    denominator of a length divides that of every longer one (for crossing
+    walks see below), and a caller adds lengths over the largest and
+    reduces once (`_summed`).
 
     Coefficients g_x / C over a common denominator C enter where they
     depend on the walk.  With three or more offsets a step multiplies the
@@ -305,7 +313,43 @@ def _walk_sums(
 
     A vertex is kept only if `end` is reachable from it at a requested
     length (`_reach_mask`).  A zero denominator on a kept vertex raises
-    WalkSingularityError at the smallest t, then the smallest vertex."""
+    WalkSingularityError at the smallest t, then the smallest vertex.
+
+    Crossing walks (start = -end: kinds X and Y) are joined at the middle
+    layer.  The factor of a vertex u depends on u^2 only and start = -end,
+    so reversing a walk and reflecting it, j'(t) = -j(L - t), maps the
+    admissible L-step walks start -> end one to one onto themselves, with
+    the same steps in reverse order: weight, coefficient product and the
+    P1, P0 products are kept.  Cut an L-step walk, L >= 2, at m = ceil(L/2)
+    and v = j(m), an interior vertex.  Its first half is an m-step prefix
+    ending at v, v's factor included; the image of its second half is an
+    (L - m)-step prefix ending at -v, whose own factor is no part of the
+    walk.  Every such pair of prefixes makes one admissible walk, and the
+    full-length mask keeps both halves of every walk, each being a prefix
+    of a walk of length L.  So the sum of length L is sum_v F_m(v)
+    G_{L-m}(-v), F the layer after the vertex factors and G the layer
+    before them, and the loop runs only to depth max ceil(L/2).  The
+    products are exact integers: numerators over den_F den_G (times C^L on
+    two offsets), mantissas over 2^(e_F + e_G), where products of the
+    nonnegative upper bounds bound P1 from above and of the lower bounds
+    P0 from below.
+
+    Nesting: m = ceil(L/2) and L - m = floor(L/2) never decrease with L,
+    and the layer denominators only multiply, so den_F den_G of a length
+    divides that of every longer one.  Hence every length >= 2 is joined,
+    even one whose whole pass lies within the depth: read at its own layer,
+    its denominator need not divide the next joined one's.  One step has
+    no middle vertex; it is read at t = 1 over C or 1, which divides every
+    joined denominator.
+
+    Singular position: the layers up to the depth are those of a
+    full-length pass, since the mask is.  Let that pass first meet a zero
+    factor at (t, u), u kept for a length L, so that u lies at t on an
+    admissible L-step walk.  The image of that walk passes -u, whose factor
+    is the same, at L - t, through vertices the mask keeps.  Were t > L/2,
+    the pass would have met -u at L - t < t first.  So t <= L/2 <= the
+    depth: this loop raises at the full pass's (t, vertex), and where the
+    full pass meets no zero factor its first layers have none either."""
     out = {length: (0, 0, 1, 0, 0, 0) for length in lengths}
     offsets = [x for x, _ in steps]
     mask, want = _reach_mask(offsets, n, start, end, out)
@@ -313,12 +357,29 @@ def _walk_sums(
     weighted = len(steps) > 2
     int_steps = [(x, g_re, g_im) for x, (g_re, g_im) in zip(offsets, coeffs)]
     ((p_re, p_im),), q = _over_common_denominator([GaussianRational.of(z)])
+
+    def collect(t: int, num_re: int, num_im: int, total: int, p1: int, p0: int, e: int) -> None:
+        # a zero sum keeps the C^t too, so that the denominators nest
+        if not weighted:
+            total *= c_den ** t
+            if num_re or num_im:
+                # t - k_2 steps x_1 and k_2 steps x_2
+                k_2 = (end - start - t * offsets[0]) // (offsets[1] - offsets[0]) if offsets[1:] else 0
+                for (_, g_re, g_im), k in zip(int_steps, (t - k_2, k_2)):
+                    h_re, h_im = gaussian_power(g_re, g_im, k)
+                    num_re, num_im = num_re * h_re - num_im * h_im, num_re * h_im + num_im * h_re
+        out[t] = (num_re, num_im, total, p1, p0, e)
+
+    joined = [length for length in out if length >= 2] if start == -end else []
+    # depth -> (layer, den, e): F after the vertex factors, G before them
+    heads = {(length + 1) // 2: None for length in joined}
+    tails = {length // 2: None for length in joined}
     # vertex -> (m_re, m_im, d, |D_u|): 1 / (D_u + z) = (m_re + i m_im) / d, d > 0
     scale: Dict[int, Tuple[int, int, int, int]] = {}
     # vertex -> (numerator re, im over den; P1, P0 mantissas over 2^e)
     layer: Dict[int, Tuple[int, int, int, int]] = {start: (1, 0, 1, 1)}
     den, e = 1, 0
-    for t in range(1, max(out, default=0) + 1):
+    for t in range(1, (max(heads) if joined else max(out, default=0)) + 1):
         nxt: Dict[int, Tuple[int, int, int, int]] = {}
         live = want >> t  # (mask[u] << t) & want, shifted once per layer
         for v, (a, b, m1, m0) in layer.items():
@@ -335,16 +396,10 @@ def _walk_sums(
         end_re, end_im, end1, end0 = nxt.pop(end, (0, 0, 0, 0))
         if weighted:
             den *= c_den
-        if t in out:
-            # a zero sum keeps the C^t too, so that the denominators nest
-            num_re, num_im, total = end_re, end_im, den if weighted else den * c_den ** t
-            if not weighted and (end_re or end_im):
-                # t - k_2 steps x_1 and k_2 steps x_2
-                k_2 = (end - start - t * offsets[0]) // (offsets[1] - offsets[0]) if offsets[1:] else 0
-                for (_, g_re, g_im), k in zip(int_steps, (t - k_2, k_2)):
-                    h_re, h_im = gaussian_power(g_re, g_im, k)
-                    num_re, num_im = num_re * h_re - num_im * h_im, num_re * h_im + num_im * h_re
-            out[t] = (num_re, num_im, total, end1, end0, e)
+        if t in out and (t < 2 or not joined):
+            collect(t, end_re, end_im, den, end1, end0, e)
+        if t in tails:
+            tails[t] = (dict(nxt), den, e)
         # a vertex already in `scale` passed the check, so only new ones can be singular
         for u in sorted(u for u in nxt if u not in scale):
             d_u = n * n - u * u
@@ -372,6 +427,18 @@ def _walk_sums(
         shift = max(top1.bit_length() - _BOUND_BITS, 0)
         e += shift - _BOUND_BITS
         layer = {u: (a, b, -(-m1 >> shift), m0 >> shift) for u, (a, b, m1, m0) in nxt.items()}
+        if t in heads:
+            heads[t] = (layer, den, e)
+    for length in joined:
+        head, head_den, head_e = heads[(length + 1) // 2]
+        tail, tail_den, tail_e = tails[length // 2]
+        re = im = p1 = p0 = 0
+        for v, (a, b, m1, m0) in head.items():
+            if -v in tail:
+                c, d, n1, n0 = tail[-v]
+                re, im = re + a * c - b * d, im + a * d + b * c
+                p1, p0 = p1 + m1 * n1, p0 + m0 * n0
+        collect(length, re, im, head_den * tail_den, p1, p0, head_e + tail_e)
     return out
 
 

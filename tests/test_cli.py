@@ -492,6 +492,22 @@ def test_flags_a_command_does_not_read_exit_64(capsys, command, flags):
         assert err == f"hillwalk: unrecognized arguments: {flag} {value}\n"
 
 
+@pytest.mark.parametrize("command,argv,unread", [
+    ("verify", ("--inj",), "--inj"),
+    ("beta", ("--potential", TWO_TERM_13, "--ra", "5"), "--ra 5"),
+] + [
+    # the longest proper prefix of every flag, which alone would pick it
+    (command, (flag[:-1], "1"), f"{flag[:-1]} 1")
+    for command, flags in FLAG_SETS.items() for flag in sorted(flags) if len(flag) > 3
+])
+def test_flag_prefixes_exit_64(capsys, command, argv, unread):
+    """A prefix is not its flag: what one would mean changes whenever a
+    flag is added or removed."""
+    code, out, err = run_cli(capsys, command, *argv)
+    assert code == 64 and out == ""
+    assert err == f"hillwalk: unrecognized arguments: {unread}\n"
+
+
 @pytest.mark.parametrize("command,argv", [
     ("beta", ("--potential", TWO_TERM_13, "--range", "5")),
     ("spectrum", ("--potential", TWO_TERM_13)),

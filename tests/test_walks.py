@@ -488,8 +488,8 @@ class TestFractionFreeLayers:
         (-16, ((1, -3), (1, 3))), (24, (None, (1, 7))),
     ])
     def test_integer_coefficient_sums_match_the_oracle(self, z, singular):
-        """a = 6, b = 1/2 at n = 5: the X shells and the closed walks each
-        take a monomial 6^k / 2^(t-k) once per length; the sums, and the
+        """a = 6, b = 6 + 12i at n = 5: the X shells and the closed walks
+        each take a monomial 6^k (6 + 12i)^(t-k) once per length; the sums, and the
         first singular position where z zeroes a factor, are the oracle's."""
         pot, params = two_term(6, GaussianRational(6, 12), 1, 1)
         n = 5
@@ -736,3 +736,18 @@ class TestUnreducedSums:
             assert nested([rows[t][2] for t in lengths])
             assert sum((_reduced(*rows[t][:3]) for t in lengths), GaussianRational()) == want
         assert engine_outcome(lambda: alpha_n(closed, n, z=z, step_cap=step_cap)) == want
+
+    @pytest.mark.parametrize("R,S,n", [(1, 2, 5), (1, 1, 1)])
+    def test_join_at_the_edge_lengths(self, R, S, n):
+        """Crossing sums are joined at the middle layer.  For (R, S) = (1, 2)
+        r + s = 3 is odd, so the middle depth ceil(L/2) alternates parity
+        from shell to shell; at R = S = 1, n = 1 shell 0 is one step, with no
+        middle vertex.  Shells 0..3 of both kinds keep nested denominators
+        and the oracle's sums."""
+        pot, params = two_term("i", "i", R, S)
+        shells = range(4)
+        for kind in (WalkKind.X, WalkKind.Y):
+            rows = _shell_walk_sums(params, n, kind, shells, 0)
+            assert nested([row[3] for row in rows])
+            assert ([_reduced(*row[1:4]) for row in rows]
+                    == [enum_sum(pot, params, n, kind, k, 0) for k in shells])
