@@ -429,9 +429,9 @@ def cmd_verdict(config: dict) -> int:
     """basis verdict for a root-function system"""
     report = config.get("report")
     pot, params = _read_potential(config)
+    if params is None:
+        raise UsageError("verdicts need a two-term potential")
     if report is not None:
-        if params is None:
-            raise UsageError("analytic reports need a two-term potential")
         covers, need = _BANDS[report]
         if not covers(params.R, params.S):
             raise UsageError(f"the {report} report needs bands {need}, got R = {params.R}, S = {params.S}")

@@ -135,12 +135,16 @@ def parse_potential(text_or_obj: Union[str, dict]) -> Tuple[FourierPotential, Op
     A term is its frequency "m" and the parts of a {"re", "im"} scalar; a
     shorthand coefficient is any scalar (`_scalar_from_json`).  Every
     rational is an int or a string 'p/q': "1.5", 1.5 and "1e-3" are refused.
-    The two-term form also returns the derived parameter block, the explicit
-    form returns one when the support happens to be two-term shaped.
+    A literal holds the keys of one form and no other key.  The two-term
+    form also returns the derived parameter block, the explicit form
+    returns one when the support happens to be two-term shaped.
     """
     obj = json.loads(text_or_obj) if isinstance(text_or_obj, str) else text_or_obj
     if not isinstance(obj, dict):
         raise ValueError("potential literal must be a JSON object")
+    form = {"terms"} if "terms" in obj else {"a", "b", "R", "S"}
+    if set(obj) != form:
+        raise ValueError(f"potential literal needs the keys {sorted(form)} and no other, got {sorted(obj)}")
     if "terms" in obj:
         coeffs: dict = {}
         for term in obj["terms"]:
@@ -156,14 +160,12 @@ def parse_potential(text_or_obj: Union[str, dict]) -> Tuple[FourierPotential, Op
         except ValueError:
             params = None
         return pot, params
-    if {"a", "b", "R", "S"} <= set(obj):
-        a = _scalar_from_json(obj["a"])
-        b = _scalar_from_json(obj["b"])
-        R, S = obj["R"], obj["S"]
-        if type(R) is not int or type(S) is not int:  # a JSON true is no integer
-            raise ValueError("R and S must be integers")
-        return two_term(a, b, R, S)
-    raise ValueError("potential literal needs either 'terms' or {'a','b','R','S'}")
+    a = _scalar_from_json(obj["a"])
+    b = _scalar_from_json(obj["b"])
+    R, S = obj["R"], obj["S"]
+    if type(R) is not int or type(S) is not int:  # a JSON true is no integer
+        raise ValueError("R and S must be integers")
+    return two_term(a, b, R, S)
 
 
 def potential_to_json(pot: FourierPotential) -> dict:

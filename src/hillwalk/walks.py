@@ -33,8 +33,10 @@ Crossing walks (X and Y, from -+n to +-n) are walked to half their length.
 Reversed and reflected j -> -j, a crossing walk is again one, of the same
 weight, so its second half is a reflected first half: each length's sum
 joins, at the middle layer, the prefixes that end at v with those that end
-at -v, as exact integer products.  The denominators still nest, and a zero
-factor raises at the same position as in a full-length pass (`_walk_sums`).
+at -v, as exact integer products.  The denominators still nest.  Layers keep
+the vertices inside the step cone of the walks' end, and a zero factor
+raises only where it lies on a summed walk, at the position a full-length
+pass would first meet it (`_walk_sums`).
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Collection, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .numerics import GaussianRational, ScalarLike, gaussian_power
 from .potential import FourierPotential, TwoTermParams
@@ -230,38 +232,6 @@ def _over_common_denominator(
     ], q
 
 
-def _reach_mask(
-    offsets: Sequence[int], n: int, start: int, end: int, lengths: Collection[int]
-) -> Tuple[Dict[int, int], int]:
-    """The reachability mask of walks start -> end: mask[v] has bit k set
-    when some admissible k-step tail over `offsets` leads from v to `end`
-    and v lies in the window of depth k; and `want`, the bitmask of
-    `lengths`.  A prefix reaching u after t steps can still be completed
-    at a requested length iff (mask[u] << t) & want.
-
-    With `top` the largest length and `up`, `down` the largest step up and
-    down (0 if none), the window of depth k is start - down (top - k) <= v
-    <= start + up (top - k), the forward cone of `start`.  The clip is
-    exact: the DP reads bit k of u only at t = L - k for a length L <= top,
-    and u, t steps from `start`, lies in the window of depth k.  One step
-    moves a vertex of window k into window k - 1, so by induction on k a
-    vertex keeps every bit k of the unclipped mask inside window k, and
-    the sums and singular positions are those of the unclipped mask."""
-    want = sum(1 << length for length in lengths)
-    top = max(lengths, default=0)
-    up = max((x for x in offsets if x > 0), default=0)
-    down = max((-x for x in offsets if x < 0), default=0)
-    mask: Dict[int, int] = {end: 1}
-    frontier = {end}
-    for k in range(1, top + 1):
-        low, high = start - down * (top - k), start + up * (top - k)
-        frontier = {w for u in frontier if k == 1 or abs(u) != n
-                    for x in offsets if low <= (w := u - x) <= high}
-        for v in frontier:
-            mask[v] = mask.get(v, 0) | 1 << k
-    return mask, want
-
-
 # significant bits the disc bound keeps per layer
 _BOUND_BITS = 64
 
@@ -311,9 +281,18 @@ def _walk_sums(
     down, so neither underflows nor rounds the wrong way, however small
     the products get.
 
-    A vertex is kept only if `end` is reachable from it at a requested
-    length (`_reach_mask`).  A zero denominator on a kept vertex raises
-    WalkSingularityError at the smallest t, then the smallest vertex.
+    Layer t keeps a vertex u only inside the step cone of `end`, end - up
+    (top - t) <= u <= end + down (top - t), `top` the longest requested
+    length and `up`, `down` the largest step up and down (0 if none): from
+    outside it no walk of at most `top` steps reaches `end`.
+
+    A zero factor takes the value 0 and marks its vertex with (t, u), and
+    each vertex carries the least mark over the prefixes that end there
+    (`marks`).  After the pass, WalkSingularityError is raised at the
+    least mark that reaches a sum, through a collected `end` or a joined
+    head (below): the least (t, vertex) at which a zero factor lies on a
+    requested walk.  A prefix that no requested walk completes reaches no
+    sum, so its marks raise nothing.
 
     Crossing walks (start = -end: kinds X and Y) are joined at the middle
     layer.  The factor of a vertex u depends on u^2 only and start = -end,
@@ -325,10 +304,10 @@ def _walk_sums(
     ending at v, v's factor included; the image of its second half is an
     (L - m)-step prefix ending at -v, whose own factor is no part of the
     walk.  Every such pair of prefixes makes one admissible walk, and the
-    full-length mask keeps both halves of every walk, each being a prefix
-    of a walk of length L.  So the sum of length L is sum_v F_m(v)
-    G_{L-m}(-v), F the layer after the vertex factors and G the layer
-    before them, and the loop runs only to depth max ceil(L/2).  The
+    cone keeps both halves of every walk, each being a prefix of an
+    admissible walk of length L <= top.  So the sum of length L is sum_v
+    F_m(v) G_{L-m}(-v), F the layer after the vertex factors and G the
+    layer before them, and the loop runs only to depth max ceil(L/2).  The
     products are exact integers: numerators over den_F den_G (times C^L on
     two offsets), mantissas over 2^(e_F + e_G), where products of the
     nonnegative upper bounds bound P1 from above and of the lower bounds
@@ -342,17 +321,17 @@ def _walk_sums(
     no middle vertex; it is read at t = 1 over C or 1, which divides every
     joined denominator.
 
-    Singular position: the layers up to the depth are those of a
-    full-length pass, since the mask is.  Let that pass first meet a zero
-    factor at (t, u), u kept for a length L, so that u lies at t on an
-    admissible L-step walk.  The image of that walk passes -u, whose factor
-    is the same, at L - t, through vertices the mask keeps.  Were t > L/2,
-    the pass would have met -u at L - t < t first.  So t <= L/2 <= the
-    depth: this loop raises at the full pass's (t, vertex), and where the
-    full pass meets no zero factor its first layers have none either."""
+    Singular position: tails need no marks.  A zero factor at (t, u) in
+    the second half of a requested L-step walk, t > m >= L/2, lies on its
+    image, a requested walk too, at (L - t, -u), with L - t < L/2 <= m:
+    in a head, and lower.  So tail marks never lower the least mark, and
+    the least mark over the joined heads and the collected ends is the
+    first zero factor a full-length pass over the requested walks meets."""
     out = {length: (0, 0, 1, 0, 0, 0) for length in lengths}
     offsets = [x for x, _ in steps]
-    mask, want = _reach_mask(offsets, n, start, end, out)
+    top = max(out, default=0)
+    up = max((x for x in offsets if x > 0), default=0)
+    down = max((-x for x in offsets if x < 0), default=0)
     coeffs, c_den = _over_common_denominator([c for _, c in steps])
     weighted = len(steps) > 2
     int_steps = [(x, g_re, g_im) for x, (g_re, g_im) in zip(offsets, coeffs)]
@@ -371,45 +350,59 @@ def _walk_sums(
         out[t] = (num_re, num_im, total, p1, p0, e)
 
     joined = [length for length in out if length >= 2] if start == -end else []
-    # depth -> (layer, den, e): F after the vertex factors, G before them
+    # depth -> (layer, den, e, marks) after the vertex factors (F), (layer, den, e) before (G)
     heads = {(length + 1) // 2: None for length in joined}
     tails = {length // 2: None for length in joined}
-    # vertex -> (m_re, m_im, d, |D_u|): 1 / (D_u + z) = (m_re + i m_im) / d, d > 0
+    # vertex -> (m_re, m_im, d, |D_u|): 1 / (D_u + z) = (m_re + i m_im) / d, d > 0, or 0 / 1
     scale: Dict[int, Tuple[int, int, int, int]] = {}
+    zero = set()  # the vertices whose factor is 0
     # vertex -> (numerator re, im over den; P1, P0 mantissas over 2^e)
     layer: Dict[int, Tuple[int, int, int, int]] = {start: (1, 0, 1, 1)}
+    marks: Dict[int, Tuple[int, int]] = {}
+    reached: List[Tuple[int, int]] = []  # the marks that reach a sum
     den, e = 1, 0
-    for t in range(1, (max(heads) if joined else max(out, default=0)) + 1):
+    for t in range(1, (max(heads) if joined else top) + 1):
         nxt: Dict[int, Tuple[int, int, int, int]] = {}
-        live = want >> t  # (mask[u] << t) & want, shifted once per layer
+        low, high = end - up * (top - t), end + down * (top - t)
         for v, (a, b, m1, m0) in layer.items():
             for x, g_re, g_im in int_steps:
                 u = v + x
-                # end (+-n) collects the walks of a requested length t
-                if u == end and live & 1 or abs(u) != n and mask.get(u, 0) & live:
+                # end (+-n) collects the walks of length t
+                if low <= u <= high and (u == end or abs(u) != n):
                     re, im = (a * g_re - b * g_im, a * g_im + b * g_re) if weighted else (a, b)
                     if u in nxt:
                         old_re, old_im, old1, old0 = nxt[u]
                         nxt[u] = (old_re + re, old_im + im, old1 + m1, old0 + m0)
                     else:
                         nxt[u] = (re, im, m1, m0)
+        carried: Dict[int, Tuple[int, int]] = {}
+        for v, mark in marks.items():
+            for u in (v + x for x in offsets):
+                if u in nxt:
+                    carried[u] = min(carried.get(u, mark), mark)
+        marks = carried
         end_re, end_im, end1, end0 = nxt.pop(end, (0, 0, 0, 0))
+        end_mark = marks.pop(end, None)
         if weighted:
             den *= c_den
         if t in out and (t < 2 or not joined):
             collect(t, end_re, end_im, den, end1, end0, e)
+            reached += [end_mark] if end_mark else []
         if t in tails:
             tails[t] = (dict(nxt), den, e)
-        # a vertex already in `scale` passed the check, so only new ones can be singular
-        for u in sorted(u for u in nxt if u not in scale):
+        for u in [u for u in nxt if u not in scale]:
             d_u = n * n - u * u
             w_re = q * d_u + p_re
             if w_re == 0 and p_im == 0:
-                raise WalkSingularityError(n, t, u)
-            if p_im == 0:
+                zero.add(u)
+                scale[u] = (0, 0, 1, abs(d_u))
+            elif p_im == 0:
                 scale[u] = (q, 0, w_re, abs(d_u)) if w_re > 0 else (-q, 0, -w_re, abs(d_u))
             else:
                 scale[u] = (q * w_re, -q * p_im, w_re * w_re + p_im * p_im, abs(d_u))
+        for u in zero & nxt.keys():
+            # a mark carried from an earlier layer is the lesser
+            marks.setdefault(u, (t, u))
         # pairwise: unpacking a layer into one call builds large argument
         # tuples whose frees fragment the heap and raise the peak RSS
         lcm = 1
@@ -428,10 +421,11 @@ def _walk_sums(
         e += shift - _BOUND_BITS
         layer = {u: (a, b, -(-m1 >> shift), m0 >> shift) for u, (a, b, m1, m0) in nxt.items()}
         if t in heads:
-            heads[t] = (layer, den, e)
+            heads[t] = (layer, den, e, marks)
     for length in joined:
-        head, head_den, head_e = heads[(length + 1) // 2]
+        head, head_den, head_e, head_marks = heads[(length + 1) // 2]
         tail, tail_den, tail_e = tails[length // 2]
+        reached += [mark for v, mark in head_marks.items() if -v in tail]
         re = im = p1 = p0 = 0
         for v, (a, b, m1, m0) in head.items():
             if -v in tail:
@@ -439,6 +433,8 @@ def _walk_sums(
                 re, im = re + a * c - b * d, im + a * d + b * c
                 p1, p0 = p1 + m1 * n1, p0 + m0 * n0
         collect(length, re, im, head_den * tail_den, p1, p0, head_e + tail_e)
+    if reached:
+        raise WalkSingularityError(n, *min(reached))
     return out
 
 

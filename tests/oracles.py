@@ -6,7 +6,7 @@ library avoids.
 
 from fractions import Fraction
 from math import comb
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import List
 
 import mpmath
 import numpy as np
@@ -138,22 +138,3 @@ def enumerate_shell(
 
     extend(start, counts.neg, counts.pos)
     return out
-
-
-def reach_mask(
-    offsets: Sequence[int], n: int, end: int, lengths: Iterable[int]
-) -> Tuple[Dict[int, int], int]:
-    """The reachability mask over the whole backward cone of `end`: mask[v]
-    has bit k set when some admissible k-step tail over `offsets` leads from
-    v to `end`, for k up to the largest of `lengths`; and `want`, the
-    bitmask of `lengths`.  The engine's mask is this one clipped to the
-    forward cone of the walks' start."""
-    lengths = list(lengths)
-    want = sum(1 << length for length in lengths)
-    mask: Dict[int, int] = {end: 1}
-    frontier = {end}
-    for k in range(1, max(lengths, default=0) + 1):
-        frontier = {u - x for u in frontier if k == 1 or abs(u) != n for x in offsets}
-        for v in frontier:
-            mask[v] = mask.get(v, 0) | 1 << k
-    return mask, want

@@ -175,6 +175,20 @@ def test_decimal_rationals_exit_64_in_every_form(capsys, literal):
         assert err.startswith("hillwalk: bad potential literal: "), potential
 
 
+@pytest.mark.parametrize("potential, form", [
+    ('{"a":"1","b":"2","R":1,"S":1,"c":"9"}', "['R', 'S', 'a', 'b']"),
+    ('{"terms":[{"m":-2,"re":"1"},{"m":2,"re":"2"}],"R":5}', "['terms']"),
+    ('{"terms":[{"m":-2,"re":"1"},{"m":2,"re":"2"}],"a":"1","b":"2","R":1,"S":1}', "['terms']"),
+], ids=["two-term", "terms", "both-forms"])
+def test_potential_keys_outside_the_form_exit_64(capsys, potential, form):
+    # they used to pass unread
+    code, out, err = run_cli(capsys, "beta", "--potential", potential, "--range", "5")
+    keys = sorted(json.loads(potential))
+    assert code == 64 and out == ""
+    assert err == ("hillwalk: bad potential literal: potential literal needs the keys "
+                   f"{form} and no other, got {keys}\n")
+
+
 def test_spectrum_rejects_nonpositive_K(capsys):
     code, _, err = run_cli(capsys, "spectrum", "--potential", '{"terms": []}', "--K", "0")
     assert code == 64
@@ -407,6 +421,15 @@ def test_verdict_report_refuses_bands_it_does_not_cover(capsys, preset, potentia
     R, S = json.loads(potential)["R"], json.loads(potential)["S"]
     assert code == 64 and out == ""
     assert err.startswith("hillwalk: the ") and f"needs bands {need}, got R = {R}, S = {S}\n" in err
+
+
+@pytest.mark.parametrize("extra", [("--delta", "explicit:2,4"), ("--delta", "R-multiples:1:8"),
+                                   ("--preset", "thm31")], ids=["explicit", "family", "report"])
+def test_verdict_refuses_a_potential_that_is_not_two_term(capsys, extra):
+    # the first criterion read the band parameters of no two-term potential
+    code, out, err = run_cli(capsys, "verdict", "--potential", '{"terms":[{"m":-4,"re":"1"}]}', *extra)
+    assert code == 64 and out == ""
+    assert err == "hillwalk: verdicts need a two-term potential\n"
 
 
 @pytest.mark.parametrize("m_range", [[2, 3, 4], "ab", [True, 3], [5, 2], [0, 3]])

@@ -412,45 +412,33 @@ def test_reports_call_no_beta_and_sum_one_z_per_engine_call(monkeypatch):
     whose Y walks mirror its X walks.  Criterion 1 adds one call per
     sample, four in all, for each (n, kind) the disc bound leaves
     undecided: here the X walks at n = 6 and n = 10, where the samples
-    violate the bound.  Each engine call builds one reachability mask, and
-    no other pass builds one."""
+    violate the bound."""
     def refuse(*args, **kwargs):
         raise AssertionError("a verdict report called into beta")
 
     for name in ("_beta", "closed_sum"):
         monkeypatch.setattr(beta, name, refuse)
-    calls, masks = [], []
-    engine, reach = walks._walk_sums, walks._reach_mask
+    calls = []
+    engine = walks._walk_sums
 
     def counted(steps, n, start, end, lengths, z):
         calls.append((n, start, str(GaussianRational.of(z))))
-        masks_before = len(masks)
-        out = engine(steps, n, start, end, lengths, z)
-        assert len(masks) == masks_before + 1
-        return out
-
-    def counted_mask(offsets, n, start, end, lengths):
-        masks.append((n, start))
-        return reach(offsets, n, start, end, lengths)
+        return engine(steps, n, start, end, lengths, z)
 
     monkeypatch.setattr(walks, "_walk_sums", counted)
-    monkeypatch.setattr(walks, "_reach_mask", counted_mask)
     pot, params = two_term(1, 2, 2, 4)
     v = criterion1_verdict(pot, params, IndexSet("explicit", 1, 10, explicit=tuple(range(1, 11))))
     assert sorted(calls) == sorted([(n, start, "0") for n in (2, 4, 6, 8, 10) for start in (-n, n)]
                                    + [(n, -n, str(z)) for n in (6, 10) for z in STABILITY_SAMPLES])
     assert [r["n"] for r in v.rows if r["class"] == "delta1"] == [2, 4, 6, 8, 10]
     assert [n for n, _ in _stability_failures(v)] == [6] * 4 + [10] * 4
-    assert masks == [(n, start) for n, start, _ in calls]
     for report, ns, starts in (
             (lambda: theorem31_report(1, 2, 1, 3, [1, 2, 3]), (3, 6, 9), (-1, 1)),
             (lambda: theorem5_report(1, 1, 3, [2, 3, 4]), (5, 8, 11), (-1, 1)),
             (lambda: prop20_verdict(1, 2, 2, "per+"), (2, 4, 6, 8, 10, 12), (-1,))):
         calls.clear()
-        masks.clear()
         report()
         assert sorted(calls) == [(n, sign * n, "0") for n in ns for sign in starts]
-        assert masks == [(n, start) for n, start, _ in calls]
 
 
 def test_criterion1_matches_the_five_z_loop_below_the_double_range():

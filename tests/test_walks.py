@@ -16,7 +16,6 @@ from hillwalk.walks import (
     WalkKind,
     WalkSingularityError,
     _dyadic,
-    _reach_mask,
     _reduced,
     _shell_walk_sums,
     _shells_total,
@@ -31,7 +30,7 @@ from hillwalk.walks import (
     vertices,
     weight,
 )
-from oracles import enumerate_shell, is_admissible, reach_mask, shell_size_bound
+from oracles import enumerate_shell, is_admissible, shell_size_bound
 
 
 def enum_sum(pot, params, n, kind, shell, z):
@@ -384,40 +383,8 @@ class TestOneZ:
         assert (err.value.n, err.value.t, err.value.vertex) == (5, 1, -7)
 
 
-def mask_queries(mask, want, offsets, n, start, end, top):
-    """Every (t, u) query the engine makes of a mask, with its answer: the
-    layers grow from `start` and keep a vertex on a yes."""
-    layer, answers = {start}, []
-    for t in range(1, top + 1):
-        nxt = set()
-        for v in layer:
-            for u in (v + x for x in offsets):
-                if u != end and abs(u) != n:
-                    kept = bool((mask.get(u, 0) << t) & want)
-                    answers.append((t, u, kept))
-                    if kept:
-                        nxt.add(u)
-        layer = nxt
-    return answers
-
-
-class TestClippedMask:
-    """The reachability mask clipped to the forward cone of the start."""
-
-    @given(
-        offsets=st.lists(st.sampled_from([-8, -6, -4, -2, 2, 4, 6, 8]),
-                         min_size=1, max_size=4, unique=True),
-        n=st.integers(1, 12), start=st.integers(-20, 20), end=st.integers(-20, 20),
-        lengths=st.lists(st.integers(0, 10), min_size=1, max_size=4, unique=True),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_answers_every_query_as_the_unclipped_mask(self, offsets, n, start, end, lengths):
-        top = max(lengths)
-        clipped = _reach_mask(offsets, n, start, end, lengths)
-        unclipped = reach_mask(offsets, n, end, lengths)
-        assert clipped[1] == unclipped[1]
-        assert (mask_queries(*clipped, offsets, n, start, end, top)
-                == mask_queries(*unclipped, offsets, n, start, end, top))
+class TestReflection:
+    """The reflection j -> -j between the X and the Y walks."""
 
     @given(
         R=st.integers(1, 4), S=st.integers(1, 4), n=st.integers(1, 14), cap=st.integers(0, 3),
