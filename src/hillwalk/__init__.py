@@ -55,7 +55,6 @@ from .spectra import (
     find_working_N,
     localize_pairs,
     pair_couplings,
-    reduction_residual,
     refined_dirichlet,
     refined_pair,
     spectrum_csv,

@@ -10,7 +10,6 @@ configs; rationals serialize as 'p/q' strings and complex values as
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -41,9 +40,8 @@ from .spectra import (
     LocalizationError,
     MAX_K,
     REFINE_PRECISION,
-    basis_indices,
+    disc_reach,
     find_working_N,
-    free_eigenvalue,
     spectrum_csv,
 )
 from .verify import run_verify
@@ -227,12 +225,16 @@ def _read_m_range(config: dict, default: list) -> range:
     return range(raw[0], raw[1] + 1)
 
 
-def _read_bc(config: dict, default: str = "per+") -> BoundaryCondition:
+def _read_bc(config: dict, default: str, use: str) -> BoundaryCondition:
+    """per+ or per-: every reader of bc reads pairs, and `use` names what it does."""
     raw = config.get("bc", default)
     try:
-        return BoundaryCondition(raw)
+        bc = BoundaryCondition(raw)
     except ValueError:
         raise UsageError(f"bad bc {raw!r}")
+    if bc == BoundaryCondition.DIRICHLET:
+        raise UsageError(f"{use} to per+ / per- only")
+    return bc
 
 
 def _read_z(config: dict) -> GaussianRational:
@@ -367,15 +369,12 @@ def cmd_spectrum(config: dict) -> int:
     """localized eigenvalue pairs above the least cutoff N that localizes
     them; gaps and flags are hardware values (see refined_pair)"""
     pot, _ = _read_potential(config)
-    bc = _read_bc(config)
-    if bc == BoundaryCondition.DIRICHLET:
-        raise UsageError("pair localization applies to per+ / per- only")
+    bc = _read_bc(config, "per+", "pair localization applies")
     K = _read_int(config, "K", 32)
     ns = _read_range(config)
     n_max = max(ns) if ns else 12
-    # a disc n needs a basis function with free eigenvalue n^2; discs of one
-    # parity sit two apart, so the disc after the last one is reach + 2
-    reach = max(math.isqrt(free_eigenvalue(bc, k)) for k in basis_indices(bc, K))
+    # discs of one parity sit two apart, so the disc after the last one is reach + 2
+    reach = disc_reach(bc, K)
     if n_max > reach + 1:
         raise UsageError(f"--K {K} holds {bc.value} discs up to n = {reach}, got n up to {n_max}")
     _, result = find_working_N(pot, bc, K, n_max)
@@ -436,18 +435,33 @@ def cmd_verdict(config: dict) -> int:
         if not covers(params.R, params.S):
             raise UsageError(f"the {report} report needs bands {need}, got R = {params.R}, S = {params.S}")
     if report is None:
-        verdict = criterion1_verdict(pot, params, _read_delta(config))
+        delta = _read_delta(config)
+        if not delta.indices(params):
+            raise UsageError(f"--delta holds no index for R = {params.R}, S = {params.S}: "
+                             f"{delta.describe()}")
+        verdict = criterion1_verdict(pot, params, delta)
     elif report == "ratio-collapse":
-        verdict = theorem31_report(params.a, params.b, params.R, params.S,
-                                   _read_m_range(config, [2, 6]), bc=_read_bc(config))
+        verdict = theorem31_report(params.a, params.b, params.R, params.S, _read_m_range(config, [2, 6]),
+                                   bc=_read_bc(config, "per+", "basis verdicts apply"))
     elif report == "shifted-collapse":
         verdict = theorem5_report(params.a, params.b, params.S, _read_m_range(config, [2, 7]))
     elif report == "equal-offsets":
-        verdict = prop20_verdict(params.a, params.b, params.R, _read_bc(config, "per-"))
+        verdict = prop20_verdict(params.a, params.b, params.R,
+                                 _read_bc(config, "per-", "basis verdicts apply"))
     else:
         ns = _read_range(config, default=[6, 8, 10, 12])
-        verdict = concordance_report(params.a, params.b, ns=tuple(ns),
-                                     K=_read_int(config, "K", 32),
+        K = _read_int(config, "K", 32)
+        odd = [n for n in ns if n % 2]
+        if odd:
+            raise UsageError(f"the concordance reads per+ pairs, which sit at even n, got n = "
+                             f"{', '.join(map(str, odd))}")
+        # each row refines the per+ pair and the Dirichlet eigenvalue of its disc
+        reach = {bc: disc_reach(bc, K) for bc in (BoundaryCondition.PER_PLUS, BoundaryCondition.DIRICHLET)}
+        if ns and max(ns) > min(reach.values()):
+            raise UsageError(f"--K {K} holds per+ discs up to n = {reach[BoundaryCondition.PER_PLUS]} "
+                             f"and Dirichlet discs up to n = {reach[BoundaryCondition.DIRICHLET]}, "
+                             f"got n up to {max(ns)}")
+        verdict = concordance_report(params.a, params.b, ns=tuple(ns), K=K,
                                      precision=_read_int(config, "precision", REFINE_PRECISION))
     _dump(verdict.to_json_dict(), config)
     return EXIT_OK

@@ -43,7 +43,10 @@ def _parse_rational(text: str) -> Fraction:
     s = text.strip().replace(" ", "")
     if not _RATIONAL_RE.fullmatch(s):
         raise ValueError(f"not a rational literal: {text!r}")
-    return Fraction(s)
+    try:
+        return Fraction(s)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def gaussian_power(re: int, im: int, k: int) -> Tuple[int, int]:

@@ -19,13 +19,13 @@ eigenvalue n^2 (2x2 for a pair, 1x1 for a Dirichlet disc) comes from one
 banded elimination of the other positions on fixed-point Gaussian
 integers, and Newton on z = S(z) from the disc centre gives n^2 + z.
 One layout of that elimination per disc also gives the pair couplings
-beta+- = S12, S21 and the residual |det(z - S(z))| of a hardware root.
-The layout marks the live slots, where the solve can be nonzero, and the
-kernel does only that arithmetic; S'22 is S'11 under per+-, and the
-couplings at z = 0 are the pair's first Newton evaluation.  mpmath is
-imported only inside the functions that refine.
+beta+- = S12, S21.  The layout marks the live slots, where the solve can
+be nonzero, and the kernel does only that arithmetic; S'22 is S'11 under
+per+-, and the couplings at z = 0 are the pair's first Newton evaluation.
+mpmath is imported only inside the functions that refine.
 """
 
+import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
@@ -109,6 +109,13 @@ def free_eigenvalue(bc: BoundaryCondition, k: int) -> int:
     if bc == BoundaryCondition.PER_MINUS:
         return (2 * k + 1) ** 2
     return k * k
+
+
+def disc_reach(bc: BoundaryCondition, K: int) -> int:
+    """The last n whose disc D_n the cutoff-K truncation holds: the largest n
+    with a basis function of free eigenvalue n^2 (2K under per+, 2K - 1
+    under per-, K under Dirichlet)."""
+    return max(math.isqrt(free_eigenvalue(bc, k)) for k in basis_indices(bc, K))
 
 
 @dataclass(frozen=True)
@@ -354,31 +361,6 @@ def spectrum_csv(result: LocalizationResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-# -- cross-path residual ---------------------------------------------------
-
-
-def reduction_residual(pot: FourierPotential, n: int, K: int, lam: complex) -> float:
-    """|det(z - S(z))| at z = lam - n^2, for the 2x2 Schur complement S of the
-    cutoff-K truncation onto the D_n basis functions (`_schur`), under per+
-    for even n and per- for odd n.
-
-    Vanishes exactly when lam is an eigenvalue of that truncation, so at a
-    hardware eigenvalue it measures how far the dense solver and the
-    reduction agree.  |det| is about |lam - lam+| |lam - lam-|, so it scales
-    with the gap of the pair.  Needs |z| < DISC_RADIUS, the disc `_reduction` checks."""
-    z = complex(lam) - n * n
-    if abs(z) >= DISC_RADIUS:
-        raise ValueError(f"need |lam - n^2| < {DISC_RADIUS:g}, got |z| = {abs(z):.3g} at n = {n}")
-    import mpmath
-
-    bc = BoundaryCondition.PER_MINUS if n % 2 else BoundaryCondition.PER_PLUS
-    plan = _reduction(pot, bc, n, K, 2, REFINE_PRECISION)
-    with mpmath.workprec(REFINE_PRECISION):
-        z = mpmath.mpc(z)
-        ((s11, s12), (s21, s22)), _ = _schur(plan, z)
-        return float(abs((z - s11) * (z - s22) - s12 * s21))
-
-
 # -- arbitrary-precision refinement ----------------------------------------
 
 
@@ -396,11 +378,12 @@ def _disc_anchors(bc: BoundaryCondition, K: int, n: int, count: int) -> list:
     ks = basis_indices(bc, K) if n >= 1 else ()
     anchors = [i for i, k in enumerate(ks) if free_eigenvalue(bc, k) == n * n]
     if len(anchors) != count:
-        parity = {BoundaryCondition.PER_PLUS: " (per+ discs sit at even n)",
-                  BoundaryCondition.PER_MINUS: " (per- discs sit at odd n)"}.get(bc, "")
+        parity = {BoundaryCondition.PER_PLUS: (1, " (per+ discs sit at even n)"),
+                  BoundaryCondition.PER_MINUS: (0, " (per- discs sit at odd n)")}
+        other, hint = parity.get(bc, (None, ""))
         raise ValueError(
             f"{bc.value} at K={K} has {len(anchors)} basis functions with free "
-            f"eigenvalue n^2 for n={n}, need {count}{parity}"
+            f"eigenvalue n^2 for n={n}, need {count}{hint if n % 2 == other else ''}"
         )
     return anchors
 

@@ -2,9 +2,10 @@
 
 Every check here compares two independently coded routes to the same
 quantity: walk sums against closed forms, coefficient identities
-against their generating function, and truncated-operator eigenvalues
-against the Schur-complement reduction of their disc.  The suite needs
-no fixtures and is the backing for the `verify` subcommand."""
+against their generating function, and the LAPACK eigenvalue pair of a
+disc against the same truncation's pair refined on its Schur-complement
+reduction (`refined_pair`).  The suite needs no fixtures and is the
+backing for the `verify` subcommand."""
 
 import math
 from dataclasses import dataclass
@@ -13,11 +14,13 @@ from fractions import Fraction
 from .beta import A_alpha, H_minus, H_plus, beta_plus_leading, beta_plus_leading_exact, ratio_H
 from .numerics import DEFAULT_PRECISION, GaussianRational, to_mpc
 from .potential import two_term
-from .spectra import BoundaryCondition, find_working_N, reduction_residual
+from .spectra import BoundaryCondition, find_working_N, refined_pair
 from .walks import WalkKind, shell_sum
 
-# the Galerkin truncation of the reduction-residual checks
-RESIDUAL_K = 32
+# the Galerkin truncation of the pair checks, and their bound on a root's
+# error in units of the refined gap
+PAIR_K = 32
+PAIR_TOLERANCE = 1e-4
 
 
 @dataclass(frozen=True)
@@ -119,16 +122,10 @@ def check_generating_function() -> list:
         alpha = Fraction(1, s)
         ok = True
         detail = "all equal"
-        for k in range(0, 21):
-            # binomial route: -(-1)^k binom(alpha, k), falling factorial
-            if k == 0:
-                binom = Fraction(1)
-            else:
-                binom = Fraction(1)
-                for t in range(k):
-                    binom *= (alpha - t)
-                binom /= math.factorial(k)
-            coeff = -((-1) ** k) * binom if k > 0 else Fraction(0)
+        for k in range(21):
+            # binomial route: [k = 0] - (-1)^k binom(alpha, k), falling factorial
+            binom = math.prod((alpha - t for t in range(k)), start=Fraction(1)) / math.factorial(k)
+            coeff = (1 if k == 0 else 0) - (-1) ** k * binom
             if coeff != A_alpha(alpha, k):
                 ok = False
                 detail = f"k={k}: {coeff} vs {A_alpha(alpha, k)}"
@@ -167,30 +164,32 @@ def check_factorial_identity() -> list:
     return results
 
 
-def check_reduction_residual() -> list:
-    """Truncated-operator eigenvalues near n^2 = 36 at K = RESIDUAL_K plugged
-    into the same truncation's Schur-complement equation det(z - S(z)) = 0;
-    residual at most 1e-6."""
+def _pair_errors(pot, bc: BoundaryCondition, n: int, K: int) -> tuple:
+    """|lam - refined lam| / refined gap for the LAPACK roots lam-, lam+ of
+    the disc D_n, each against the root of the same order that `refined_pair`
+    finds on the same cutoff-K truncation.  A root's error, not a residual:
+    a near-double pair's residual |det(z - S(z))| shrinks with its gap."""
+    _, result = find_working_N(pot, bc, K, n_max=n)
+    hardware, refined = result.pair(n), refined_pair(pot, bc, n, K)
+    return tuple(float(abs(lam - ref) / refined.gap) for lam, ref in
+                 ((hardware.lam_minus, refined.lam_minus), (hardware.lam_plus, refined.lam_plus)))
+
+
+def check_refined_pair() -> list:
+    """The LAPACK pair near n^2 = 36 at K = PAIR_K against the refined pair
+    of the same truncation: each root within PAIR_TOLERANCE gaps."""
     pot, _ = two_term(1, 1, 1, 1)
-    _, result = find_working_N(pot, BoundaryCondition.PER_PLUS, RESIDUAL_K, n_max=8)
-    pair = result.pair(6)
-    out = []
-    for tag, lam in (("lam-", pair.lam_minus), ("lam+", pair.lam_plus)):
-        res = reduction_residual(pot, 6, RESIDUAL_K, lam)
-        out.append(CheckResult(
-            f"reduction-residual[n=6,{tag},K={RESIDUAL_K}]",
-            res <= 1e-6,
-            "<= 1e-06",
-            f"{res:.3e}",
-        ))
-    return out
+    errors = _pair_errors(pot, BoundaryCondition.PER_PLUS, 6, PAIR_K)
+    return [CheckResult(f"refined-pair[n=6,{tag},K={PAIR_K}]", error <= PAIR_TOLERANCE,
+                        f"<= {PAIR_TOLERANCE:.0e} gaps", f"{error:.3e}")
+            for tag, error in zip(("lam-", "lam+"), errors)]
 
 
 def run_verify(inject_error: bool = False) -> VerifyReport:
     """Run the whole suite, 33 checks; `inject_error` perturbs one closed
     form to prove the harness can fail.  The identities are decided on
-    exact rationals and the residual checks run at K = RESIDUAL_K, so the
-    suite takes no settings."""
+    exact rationals and the pair checks run at K = PAIR_K, so the suite
+    takes no settings."""
     checks = []
     checks += check_shell0_mixed_bands(inject_error)
     checks += check_shell0_single_walks()
@@ -198,5 +197,5 @@ def run_verify(inject_error: bool = False) -> VerifyReport:
     checks += check_generating_function()
     checks += check_gamma_ratio()
     checks += check_factorial_identity()
-    checks += check_reduction_residual()
+    checks += check_refined_pair()
     return VerifyReport(tuple(checks))

@@ -24,7 +24,7 @@ from hillwalk.spectra import (
     assemble,
     localize_pairs,
     find_working_N,
-    reduction_residual,
+    refined_pair,
 )
 from hillwalk.walks import WalkKind, shell_sum
 
@@ -99,20 +99,18 @@ def test_acceptance_3_gamma_ratio():
 
 
 def test_acceptance_4_reduction_residual():
-    gate = _Gate(4, "eigenvalues satisfy the reduced equation det(z - S(z)) = 0", 60.0)
+    gate = _Gate(4, "eigenvalues are the roots refined on the reduced equation z = S(z)", 60.0)
     pot, _ = two_term(1, 1, 1, 1)
     worst = 0.0
-    ok = True
     for bc, ns in ((BoundaryCondition.PER_PLUS, (6, 8, 10, 12)),
                    (BoundaryCondition.PER_MINUS, (7, 9, 11))):
         _, result = find_working_N(pot, bc, 64, max(ns))
         for n in ns:
-            pair = result.pair(n)
-            for lam in (pair.lam_minus, pair.lam_plus):
-                res = reduction_residual(pot, n, 64, lam)
-                worst = max(worst, res)
-                ok &= res <= 1e-6
-    gate.finish(ok, f"n in 6..12, K=64, Schur complement at all shells; worst residual {worst:.2e}")
+            pair, refined = result.pair(n), refined_pair(pot, bc, n, 64)
+            for lam, root in ((pair.lam_minus, refined.lam_minus), (pair.lam_plus, refined.lam_plus)):
+                worst = max(worst, float(abs(lam - root)))
+    gate.finish(worst <= 1e-9, f"n in 6..12, K=64, Schur complement at all shells; "
+                               f"worst root error {worst:.2e}")
 
 
 def test_acceptance_5_localization():

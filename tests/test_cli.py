@@ -109,6 +109,20 @@ def test_beta_rejects_garbage_potential(capsys):
     assert "potential" in err
 
 
+@pytest.mark.parametrize("potential, config, message", [
+    ('{"a":"1/0","b":"1","R":1,"S":1}', "{}", "bad potential literal: zero denominator in '1/0'"),
+    ('{"terms":[{"m":2,"re":"1/0"}]}', "{}", "bad potential literal: zero denominator in '1/0'"),
+    (TWO_TERM_13, '{"z":"1/0"}', "bad z literal: zero denominator in '1/0'"),
+], ids=["shorthand", "term", "config-z"])
+def test_zero_denominator_exits_64(capsys, tmp_path, potential, config, message):
+    # it used to escape as a ZeroDivisionError traceback, with exit 1
+    conf = tmp_path / "conf.json"
+    conf.write_text(config)
+    code, out, err = run_cli(capsys, "beta", "--potential", potential, "--range", "2", "--config", str(conf))
+    assert code == 64 and out == ""
+    assert err == f"hillwalk: {message}\n"
+
+
 # -- spectrum --------------------------------------------------------------
 
 
@@ -317,8 +331,33 @@ def test_verdict_rejects_unknown_family(capsys):
 
 def test_verdict_concordance_rejects_odd_indices_exit_4(capsys):
     code, _, err = run_cli(capsys, "verdict", "--preset", "crit-compare", "--range", "5,7")
-    assert code == 4
+    assert code == 64
     assert "even" in err
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    (("--preset", "thm31"), '{"bc":"dirichlet"}', "basis verdicts apply to per+ / per- only"),
+    (("--preset", "prop20"), '{"bc":"dirichlet"}', "basis verdicts apply to per+ / per- only"),
+    (("--potential", TWO_TERM_13, "--delta", "rsd-multiples:1:2"), "{}",
+     "--delta holds no index for R = 1, S = 3: rsd-multiples in [1, 2]"),
+    (("--preset", "crit-compare", "--range", "100"), "{}",
+     "--K 32 holds per+ discs up to n = 64 and Dirichlet discs up to n = 32, got n up to 100"),
+    (("--preset", "crit-compare", "--K", "7", "--range", "8"), "{}",
+     "--K 7 holds per+ discs up to n = 14 and Dirichlet discs up to n = 7, got n up to 8"),
+], ids=["ratio-collapse-dirichlet", "equal-offsets-dirichlet", "empty-delta",
+        "concordance-beyond-K", "concordance-beyond-dirichlet-K"])
+def test_verdict_inputs_outside_the_reach_exit_64(capsys, tmp_path, argv, config, message):
+    # usage errors, not a criteria error (4)
+    conf = tmp_path / "conf.json"
+    conf.write_text(config)
+    code, out, err = run_cli(capsys, "verdict", *argv, "--config", str(conf))
+    assert code == 64 and out == ""
+    assert err == f"hillwalk: {message}\n"
+
+
+def test_verdict_concordance_runs_to_the_dirichlet_reach(capsys):
+    code, out, _ = run_cli(capsys, "verdict", "--preset", "crit-compare", "--K", "7", "--range", "6")
+    assert code == 0 and [r["n"] for r in json.loads(out)["rows"]] == [6]
 
 
 def _strict_json(text):

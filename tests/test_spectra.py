@@ -25,12 +25,12 @@ from hillwalk.spectra import (
     TruncatedOperator,
     assemble,
     attach_dirichlet,
+    disc_reach,
     dirichlet_close,
     eigenvalues,
     find_working_N,
     localize_pairs,
     pair_couplings,
-    reduction_residual,
     refined_dirichlet,
     refined_pair,
     spectrum_csv,
@@ -294,47 +294,28 @@ class TestDirichlet:
 
 
 class TestReductionResidual:
-    def test_zero_potential_exact(self):
-        assert reduction_residual(ZERO, 5, 16, 25.0) == 0.0  # per-
-        assert reduction_residual(ZERO, 6, 16, 36.0) == 0.0  # per+
+    """LAPACK roots against the roots `refined_pair` finds on the reduction of
+    the same truncation.  Past n = 8 the gaps fall below hardware resolution,
+    so the roots are compared in absolute terms."""
 
     def test_cross_path_agreement(self):
         pot, _ = two_term(1, 1, 1, 1)
         for bc, ns in ((BC.PER_PLUS, (6, 8, 10, 12)), (BC.PER_MINUS, (7, 9, 11))):
             N, res = find_working_N(pot, bc, 64, max(ns))
             for n in ns:
-                p = res.pair(n)
-                for lam in (p.lam_minus, p.lam_plus):
-                    assert reduction_residual(pot, n, 64, lam) <= 1e-6
+                p, rp = res.pair(n), refined_pair(pot, bc, n, 64)
+                assert abs(p.lam_minus - rp.lam_minus) <= 1e-9
+                assert abs(p.lam_plus - rp.lam_plus) <= 1e-9
 
     def test_hardware_roots_solve_the_reduction_of_their_truncation(self):
-        """|det(z - S(z))| is about |lam - lam+| |lam - lam-|: a LAPACK root
-        off by 1e-14 in a pair of gap 1e-7 leaves 1e-21.  The capped walk
-        sums left 7.0e-15 here, their own truncation error."""
+        """At K = 32, n = 6 the gap is 1.4e-7 and the LAPACK roots sit
+        1.5e-14 and 3.5e-14 from the refined ones."""
         pot, _ = two_term(1, 1, 1, 1)
         N, res = find_working_N(pot, BC.PER_PLUS, 32, 8)
-        p = res.pair(6)
-        for lam in (p.lam_minus, p.lam_plus):
-            assert reduction_residual(pot, 6, 32, lam) <= 1e-18
-
-    def test_perturbation_increases_residual(self):
-        pot, _ = two_term(1, 1, 1, 1)
-        N, res = find_working_N(pot, BC.PER_PLUS, 64, 8)
-        p = res.pair(6)
-        base = reduction_residual(pot, 6, 64, p.lam_plus)
-        moved = reduction_residual(pot, 6, 64, p.lam_plus + 0.1)
-        assert moved > base
-
-    def test_domain_guard(self):
-        pot, _ = two_term(1, 1, 1, 1)
-        with pytest.raises(ValueError):
-            reduction_residual(pot, 4, 32, 16.0 + 2.0)
-
-    def test_guard_is_the_disc_the_reduction_checks(self):
-        # n/4 = 2 would admit z = 1.2, where no row's dominance was checked
-        pot, _ = two_term(1, 1, 1, 1)
-        with pytest.raises(ValueError, match=r"need \|lam - n\^2\| < 1, got \|z\| = 1.2 at n = 8"):
-            reduction_residual(pot, 8, 32, 64.0 + 1.2)
+        p, rp = res.pair(6), refined_pair(pot, BC.PER_PLUS, 6, 32)
+        assert abs(p.lam_minus - rp.lam_minus) <= 1e-12
+        assert abs(p.lam_plus - rp.lam_plus) <= 1e-12
+        assert rp.gap > 1e-7
 
 
 class TestRefinement:
@@ -471,7 +452,7 @@ class TestRefinement:
         pair = refined_pair(pot, BC.PER_PLUS, 6, 32)
         assert refined_dirichlet(pot, 5, 32).real > 0
         assert pair_couplings(pot, BC.PER_MINUS, 7, 32)[0].multiplicity_flag == "simple-pair"
-        assert reduction_residual(pot, 6, 32, complex(pair.lam_plus)) <= 1e-18
+        assert pair.multiplicity_flag == "simple-pair"
         assert len(concordance_report(1, 2).rows) == 4
 
     def test_parity_validation(self):
@@ -480,6 +461,23 @@ class TestRefinement:
             refined_pair(pot, BC.PER_PLUS, 5, 64)
         with pytest.raises(ValueError):
             refined_pair(pot, BC.PER_MINUS, 6, 64)
+
+    def test_parity_hint_only_for_the_other_parity(self):
+        pot, _ = two_term(1, 1, 1, 1)
+        with pytest.raises(ValueError, match=r"for n=5, need 2 \(per\+ discs sit at even n\)$"):
+            refined_pair(pot, BC.PER_PLUS, 5, 32)
+        with pytest.raises(ValueError, match=r"for n=6, need 2 \(per- discs sit at odd n\)$"):
+            refined_pair(pot, BC.PER_MINUS, 6, 32)
+        # an even n past the cutoff is out of reach, not of the wrong parity
+        with pytest.raises(ValueError, match=r"per\+ at K=32 has 0 basis functions .* for n=66, need 2$"):
+            refined_pair(pot, BC.PER_PLUS, 66, 32)
+
+    def test_disc_reach_is_the_last_disc_with_anchors(self):
+        assert [disc_reach(bc, 32) for bc in (BC.PER_PLUS, BC.PER_MINUS, BC.DIRICHLET)] == [64, 63, 32]
+        pot, _ = two_term(1, 1, 1, 1)
+        assert refined_pair(pot, BC.PER_MINUS, 7, 4).n == 7
+        with pytest.raises(ValueError, match="for n=9"):
+            refined_pair(pot, BC.PER_MINUS, 9, 4)
 
     def test_newton_polish_raises_when_iterations_run_out(self):
         # z^2 + 1 has roots +-i; from a real seed Newton never leaves the real line
